@@ -7,6 +7,11 @@ command with the same config and seed produces byte-identical files. Every
 output embeds the config hash and seed, as leading ``#`` comment lines in
 CSV and as top-level keys in JSON.
 
+Every command resolves its configuration the same way: the ``--config`` file,
+overlaid by each flag that was given under its argparse ``dest``, which is
+also its config key (pipeline flags land in ``cfg["pipeline"]``). The handler
+then fills in its defaults, and the hash covers ``{command, seed, **cfg}``.
+
 Exit codes: 0 success, 1 verification-check failure, 2 config or parameter
 error, 3 I/O error.
 """
@@ -16,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,17 +38,43 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
-def _config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+# Keys of ``cfg["pipeline"]``; every other flag is a top-level config key.
+_PIPELINE_KEYS = ("window_months", "lag_months", "vol_target", "min_obs")
+
+# Argparse destinations that are not config keys: the global flags, the
+# subcommand plumbing and output locations, none of which change results.
+_NOT_CONFIG = {"config", "seed", "out_dir", "cmd", "handler", "out", "report", "factor_out"}
 
 
-def _header(command: str, cfg_hash: str, seed) -> dict:
+def _resolve(args) -> dict:
+    """The ``--config`` file overlaid by every flag that was given."""
+    cfg = _load_config(args.config) if args.config else {}
+    given = vars(args)
+    if any(key in given for key in _PIPELINE_KEYS):
+        cfg["pipeline"] = dict(cfg.get("pipeline", {}))
+    for key, value in given.items():
+        if key in _NOT_CONFIG or value is None:
+            continue
+        (cfg["pipeline"] if key in _PIPELINE_KEYS else cfg)[key] = value
+    return cfg
+
+
+def _header(args, cfg: dict) -> dict:
+    """Output header: command, hash of ``{command, seed, **cfg}`` and seed."""
+    resolved = {"command": args.cmd, "seed": args.seed, **cfg}
+    canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return {
-        "command": command,
-        "config_hash": cfg_hash,
-        "seed": "none" if seed is None else seed,
+        "command": args.cmd,
+        "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:16],
+        "seed": "none" if args.seed is None else args.seed,
     }
+
+
+def _output(args, name: str, given=None) -> Path:
+    """``given`` if set, else ``name`` under ``--out-dir``; creates its directory."""
+    path = Path(given) if given else Path(args.out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _round_floats(obj):
@@ -75,13 +105,17 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _require_path(cfg: dict, key: str) -> str:
+def _existing(path, what: str) -> str:
+    p = str(path)
+    if not Path(p).exists():
+        raise ConfigError(f"{what} path does not exist: {p}")
+    return p
+
+
+def _require_path(cfg: dict, key: str, what: str | None = None) -> str:
     if key not in cfg or cfg[key] in (None, ""):
         raise ConfigError(f"config is missing required path {key!r}")
-    p = str(cfg[key])
-    if not Path(p).exists():
-        raise ConfigError(f"{key} path does not exist: {p}")
-    return p
+    return _existing(cfg[key], what or key)
 
 
 def _parse_range(value) -> tuple[int, ...]:
@@ -104,21 +138,6 @@ def _pipeline_config(cfg: dict) -> riskpipe.PipelineConfig:
         vol_target=float(cfg.get("vol_target", 0.01)),
         min_obs=None if cfg.get("min_obs") is None else int(cfg["min_obs"]),
     )
-
-
-def _merge_pipeline_flags(cfg: dict, args) -> dict:
-    pipe = dict(cfg.get("pipeline", {}))
-    if args.window is not None:
-        pipe["window_months"] = args.window
-    if args.lag_vol is not None:
-        pipe["lag_months"] = args.lag_vol
-    if args.vol_target is not None:
-        pipe["vol_target"] = args.vol_target
-    if args.min_obs is not None:
-        pipe["min_obs"] = args.min_obs
-    if args.allow_missing is not None:
-        cfg["allow_missing"] = True
-    return pipe
 
 
 def _stats_row(series) -> dict:
@@ -147,22 +166,11 @@ def _managed_panel(factors, market, pipe) -> panel.ReturnPanel:
     return panel.ReturnPanel(factors.calendar, factors.assets, np.column_stack(cols))
 
 
-def cmd_backtest(args, out_dir: Path) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    cfg["pipeline"] = _merge_pipeline_flags(cfg, args)
-    for key, flag in (("factors", args.factors), ("market", args.market)):
-        if flag is not None:
-            cfg[key] = flag
-    if args.m is not None:
-        cfg["m"] = args.m
-    if args.n is not None:
-        cfg["n"] = args.n
+def cmd_backtest(args, cfg: dict) -> int:
     if "m" not in cfg or "n" not in cfg:
         raise ConfigError("backtest needs explicit lag m and holding period n")
     m, n = int(cfg["m"]), int(cfg["n"])
-
-    resolved = {"command": "backtest", "seed": args.seed, **cfg}
-    cfg_hash = _config_hash(resolved)
+    header = _header(args, cfg)
 
     allow = bool(cfg.get("allow_missing", False))
     factors = panel.load_panel(
@@ -199,12 +207,8 @@ def cmd_backtest(args, out_dir: Path) -> int:
     pnl_panel = panel.ReturnPanel(
         factors.calendar, tuple(key for key, *_ in strategies), np.column_stack(columns)
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    panel.emit_csv(pnl_panel, out_dir / "pnl.csv", _header("backtest", cfg_hash, args.seed))
-    _write_json(
-        out_dir / "stats.json",
-        {**_header("backtest", cfg_hash, args.seed), "m": m, "n": n, "rows": rows},
-    )
+    panel.emit_csv(pnl_panel, _output(args, "pnl.csv"), header)
+    _write_json(_output(args, "stats.json"), {**header, "m": m, "n": n, "rows": rows})
     for key, row in rows.items():
         print(f"{key:<12s} sharpe={row['sharpe_annual']:+.3f} t={row['t_stat']:+.2f}")
     return EXIT_OK
@@ -214,22 +218,7 @@ def cmd_backtest(args, out_dir: Path) -> int:
 # sweep
 
 
-def cmd_sweep(args, out_dir: Path) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    cfg["pipeline"] = _merge_pipeline_flags(cfg, args)
-    if args.input is not None:
-        cfg["factor_panel"] = args.input
-    if args.m is not None:
-        cfg["m"] = args.m
-    if args.n is not None:
-        cfg["n"] = args.n
-    if args.stat is not None:
-        cfg["stats"] = [args.stat]
-    if args.direction is not None:
-        cfg["direction"] = args.direction
-    if args.control_series:
-        cfg["control_series"] = list(args.control_series)
-
+def cmd_sweep(args, cfg: dict) -> int:
     m_values = _parse_range(cfg.get("m", "1..12"))
     n_values = _parse_range(cfg.get("n", "1..12"))
     stats = list(cfg.get("stats", ["sharpe"]))
@@ -239,10 +228,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
     unknown = [s for s in stats if s not in ("sharpe", "corr", "residual")]
     if unknown:
         raise ConfigError(f"unknown statistics {unknown}")
-
-    resolved = {"command": "sweep", "seed": args.seed, **cfg,
-                "m": list(m_values), "n": list(n_values)}
-    cfg_hash = _config_hash(resolved)
+    cfg["m"], cfg["n"] = list(m_values), list(n_values)
+    header = _header(args, cfg)
 
     allow = bool(cfg.get("allow_missing", True))
     layout = cfg.get("layout", "wide")
@@ -253,11 +240,10 @@ def cmd_sweep(args, out_dir: Path) -> int:
     market = None
     if cfg.get("market"):
         market = panel.load_series(_require_path(cfg, "market"), allow, name="market")
-    fixed_controls = []
-    for p in cfg.get("control_series", []):
-        if not Path(p).exists():
-            raise ConfigError(f"control series path does not exist: {p}")
-        fixed_controls.append(panel.load_series(p, True))
+    fixed_controls = [
+        panel.load_series(_existing(p, "control series"), True)
+        for p in cfg.get("control_series", [])
+    ]
 
     factor_weighting = cfg.get("factor_weighting", "sign")
     stock_weighting = cfg.get("stock_weighting", "rank")
@@ -269,8 +255,7 @@ def cmd_sweep(args, out_dir: Path) -> int:
             raise ConfigError("direction stock-on-factor needs a stock_panel")
         target_panel, target_weighting = stock_panel, stock_weighting
         other_panel, other_weighting = factor_panel, factor_weighting
-    if args.weighting is not None:
-        target_weighting = args.weighting
+    target_weighting = cfg.get("weighting", target_weighting)
 
     risk_managed = bool(cfg.get("risk_managed", False))
     pipe = _pipeline_config(cfg["pipeline"])
@@ -303,7 +288,6 @@ def cmd_sweep(args, out_dir: Path) -> int:
             raise ConfigError("stat 'residual' needs a stock_panel or control_series")
         return lambda m, n: [other_momentum(m, n)] + fixed
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for stat in stats:
         kwargs = {}
@@ -322,14 +306,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
             min_months=min_months,
             **kwargs,
         )
-        if args.out is not None and len(stats) == 1:
-            path = Path(args.out)
-        else:
-            path = out_dir / f"grid_{stat}.csv"
-        header = _header("sweep", cfg_hash, args.seed)
-        header["stat"] = grid.stat
-        header["direction"] = direction
-        panel.emit_csv(grid, path, header)
+        path = _output(args, f"grid_{stat}.csv", args.out if len(stats) == 1 else None)
+        panel.emit_csv(grid, path, {**header, "stat": grid.stat, "direction": direction})
         written.append(str(path))
     print("wrote " + ", ".join(written))
     return EXIT_OK
@@ -339,27 +317,17 @@ def cmd_sweep(args, out_dir: Path) -> int:
 # span
 
 
-def cmd_span(args, out_dir: Path) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    if args.target is not None:
-        cfg["target"] = args.target
-    if args.controls:
-        cfg["controls"] = list(args.controls)
+def cmd_span(args, cfg: dict) -> int:
     if not cfg.get("controls"):
         raise ConfigError("span needs at least one control series")
-    resolved = {"command": "span", "seed": args.seed, **cfg}
-    cfg_hash = _config_hash(resolved)
+    header = _header(args, cfg)
 
     target = panel.load_series(_require_path(cfg, "target"), True)
-    controls = []
-    for p in cfg["controls"]:
-        if not Path(p).exists():
-            raise ConfigError(f"control path does not exist: {p}")
-        controls.append(panel.load_series(p, True))
+    controls = [panel.load_series(_existing(p, "control"), True) for p in cfg["controls"]]
     result = analytics.spanning_regression(target, controls)
 
     payload = {
-        **_header("span", cfg_hash, args.seed),
+        **header,
         "target": target.name,
         "betas": dict(zip(result.control_names, result.betas)),
         "intercept": result.intercept,
@@ -369,9 +337,7 @@ def cmd_span(args, out_dir: Path) -> int:
         "n_months": result.residual_stats.n_months,
         "residual_includes_intercept": True,
     }
-    out_path = Path(args.out) if args.out else out_dir / "span.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out_path, payload)
+    _write_json(_output(args, "span.json", args.out), payload)
     print(
         f"residual sharpe={payload['residual_sharpe']:+.3f} "
         f"t={payload['residual_t']:+.2f} r2={payload['r_squared']:.3f}"
@@ -383,16 +349,21 @@ def cmd_span(args, out_dir: Path) -> int:
 # simulate / verify
 
 
-def _model_params(args, cfg: dict) -> model.ModelParams:
-    if args.params is not None:
-        if not Path(args.params).exists():
-            raise ConfigError(f"params path does not exist: {args.params}")
-        return model.ModelParams.from_json(args.params)
-    if "params" in cfg:
-        return model.ModelParams.from_dict(cfg["params"])
+def _model_params(cfg: dict) -> model.ModelParams:
+    """Parameters from ``params_path``, else inline ``params``, else the shipped set.
+
+    Leaves the resolved parameters in ``cfg["params"]`` (and drops
+    ``params_path``), so the config hash covers the values, not a file name.
+    """
     if "params_path" in cfg:
-        return model.ModelParams.from_json(_require_path(cfg, "params_path"))
-    return model.default_params()
+        params = model.ModelParams.from_json(_require_path(cfg, "params_path", "params"))
+        del cfg["params_path"]
+    elif "params" in cfg:
+        params = model.ModelParams.from_dict(cfg["params"])
+    else:
+        params = model.default_params()
+    cfg["params"] = params.to_dict()
+    return params
 
 
 def _require_seed(args) -> int:
@@ -401,51 +372,32 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def cmd_simulate(args, out_dir: Path) -> int:
-    cfg = _load_config(args.config) if args.config else {}
+def cmd_simulate(args, cfg: dict) -> int:
     seed = _require_seed(args)
-    params = _model_params(args, cfg)
-    T = int(args.T if args.T is not None else cfg.get("T", 1200))
-    burn_in = int(args.burn_in if args.burn_in is not None else cfg.get("burn_in", 500))
-    resolved = {
-        "command": "simulate",
-        "seed": seed,
-        "T": T,
-        "burn_in": burn_in,
-        "params": params.to_dict(),
-    }
-    cfg_hash = _config_hash(resolved)
+    params = _model_params(cfg)
+    T = cfg["T"] = int(cfg.get("T", 1200))
+    burn_in = cfg["burn_in"] = int(cfg.get("burn_in", 500))
+    header = _header(args, cfg)
     path = model.simulate(params, T, seed, burn_in)
-    out = Path(args.out) if args.out else out_dir / "panel.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    panel.emit_csv(path.panel, out, _header("simulate", cfg_hash, seed))
+    out = _output(args, "panel.csv", args.out)
+    panel.emit_csv(path.panel, out, header)
     if args.factor_out:
-        panel.emit_csv(path.factor, args.factor_out, _header("simulate", cfg_hash, seed))
+        panel.emit_csv(path.factor, args.factor_out, header)
     print(f"wrote {out} ({T} months x {params.n} assets)")
     return EXIT_OK
 
 
-def cmd_verify(args, out_dir: Path) -> int:
-    cfg = _load_config(args.config) if args.config else {}
+def cmd_verify(args, cfg: dict) -> int:
     seed = _require_seed(args)
-    params = _model_params(args, cfg)
-    T = int(args.T if args.T is not None else cfg.get("T", 1_000_000))
-    k_max = int(args.k_max if args.k_max is not None else cfg.get("k_max", 3))
-    eq3 = cfg.get("eq3")
+    params = _model_params(cfg)
+    T = cfg["T"] = int(cfg.get("T", 1_000_000))
+    k_max = cfg["k_max"] = int(cfg.get("k_max", 3))
+    eq3 = cfg.setdefault("eq3", None)
     if eq3 is not None:
         eq3 = dict(eq3)
         eq3["beta"] = np.asarray(eq3["beta"], float)
         eq3["factor"] = analytics.AR1Params(**eq3["factor"])
-
-    resolved = {
-        "command": "verify",
-        "seed": seed,
-        "T": T,
-        "k_max": k_max,
-        "params": params.to_dict(),
-        "eq3": cfg.get("eq3"),
-    }
-    cfg_hash = _config_hash(resolved)
+    header = _header(args, cfg)
 
     report = model.verify_model(params, seed=seed, T=T, k_max=k_max, eq3=eq3)
     for check in report.checks:
@@ -453,15 +405,8 @@ def cmd_verify(args, out_dir: Path) -> int:
         se = "" if check.se is None else f" se={check.se:.3g}"
         print(f"{status} {check.name}: lhs={check.lhs:.6g} rhs={check.rhs:.6g}{se}")
 
-    out_path = Path(args.report) if args.report else out_dir / "verify.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        **_header("verify", cfg_hash, seed),
-        "T": T,
-        "k_max": k_max,
-        **report.to_dict(),
-    }
-    _write_json(out_path, payload)
+    out_path = _output(args, "verify.json", args.report)
+    _write_json(out_path, {**header, "T": T, "k_max": k_max, **report.to_dict()})
     print(("all checks passed" if report.passed else "CHECKS FAILED") + f" -> {out_path}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -470,17 +415,14 @@ def cmd_verify(args, out_dir: Path) -> int:
 # resample
 
 
-def cmd_resample(args, out_dir: Path) -> int:
-    if not Path(args.input).exists():
-        raise ConfigError(f"input path does not exist: {args.input}")
-    resolved = {"command": "resample", "seed": args.seed, "input": args.input,
-                "layout": args.layout, "allow_missing": args.allow_missing}
-    cfg_hash = _config_hash(resolved)
-    daily = panel.load_panel(args.input, args.layout, args.allow_missing)
+def cmd_resample(args, cfg: dict) -> int:
+    layout = cfg.setdefault("layout", "wide")
+    allow = bool(cfg.setdefault("allow_missing", False))
+    header = _header(args, cfg)
+    daily = panel.load_panel(_require_path(cfg, "input"), layout, allow)
     monthly = panel.resample_monthly(daily)
-    out = Path(args.out) if args.out else out_dir / "monthly.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    panel.emit_csv(monthly, out, _header("resample", cfg_hash, args.seed))
+    out = _output(args, "monthly.csv", args.out)
+    panel.emit_csv(monthly, out, header)
     print(f"wrote {out} ({monthly.n_periods} months)")
     return EXIT_OK
 
@@ -490,8 +432,12 @@ def cmd_resample(args, out_dir: Path) -> int:
 
 
 def _add_pipeline_flags(sub):
-    sub.add_argument("--window", type=int, help="rolling window length in months")
-    sub.add_argument("--lag-vol", type=int, help="lag of rolling estimates in months")
+    sub.add_argument(
+        "--window", dest="window_months", type=int, help="rolling window length in months"
+    )
+    sub.add_argument(
+        "--lag-vol", dest="lag_months", type=int, help="lag of rolling estimates in months"
+    )
     sub.add_argument("--vol-target", type=float, help="monthly volatility target")
     sub.add_argument("--min-obs", type=int, help="minimum observations per window")
     sub.add_argument(
@@ -510,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--seed", type=int, help="seed for stochastic commands")
     parser.add_argument("--out-dir", default=".", help="output directory")
-    parser.add_argument(
-        "--threads", type=int, help="cap BLAS threads (results are thread-invariant)"
-    )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("backtest", help="risk pipeline + momentum strategies + stats")
@@ -524,11 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_backtest)
 
     p = sub.add_parser("sweep", help="statistic grids over (m, n) strategies")
-    p.add_argument("--input", help="panel CSV to sweep")
+    p.add_argument("--input", dest="factor_panel", help="panel CSV to sweep")
     p.add_argument("--weighting", choices=momentum.WEIGHTINGS)
     p.add_argument("--m", help="lag range, e.g. 1..12")
     p.add_argument("--n", help="holding-period range, e.g. 1..12")
-    p.add_argument("--stat", choices=("sharpe", "corr", "residual"))
+    p.add_argument("--stat", dest="stats", nargs=1, choices=("sharpe", "corr", "residual"))
     p.add_argument("--direction", choices=("factor-on-stock", "stock-on-factor"))
     p.add_argument("--control-series", nargs="+", help="fixed control series CSVs")
     p.add_argument("--out", help="output CSV (single-stat runs)")
@@ -542,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_span)
 
     p = sub.add_parser("simulate", help="simulate the feedback-trading model")
-    p.add_argument("--params", help="model parameter JSON")
+    p.add_argument("--params", dest="params_path", help="model parameter JSON")
     p.add_argument("--T", type=int, help="months to simulate")
     p.add_argument("--burn-in", type=int, help="start-up months to discard")
     p.add_argument("--out", help="output panel CSV")
@@ -550,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("verify", help="closed-form vs Monte Carlo check battery")
-    p.add_argument("--params", help="model parameter JSON (default: shipped set)")
+    p.add_argument(
+        "--params", dest="params_path", help="model parameter JSON (default: shipped set)"
+    )
     p.add_argument("--T", type=int, help="path length for Monte Carlo checks")
     p.add_argument("--k-max", type=int, help="autocovariance orders to check")
     p.add_argument("--report", help="output JSON report")
@@ -559,35 +504,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="compound a daily panel to monthly")
     p.add_argument("--input", required=True, help="daily panel CSV")
     p.add_argument("--out", help="output CSV")
-    p.add_argument("--layout", default="wide", choices=("wide", "long"))
-    p.add_argument("--allow-missing", action="store_true")
+    p.add_argument("--layout", choices=("wide", "long"), help="CSV layout (default: wide)")
+    p.add_argument("--allow-missing", action="store_true", default=None)
     p.set_defaults(handler=cmd_resample)
 
     return parser
 
 
-def _limit_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-        _limit_threads(args.threads)
-    out_dir = Path(args.out_dir)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, out_dir)
+        return args.handler(args, _resolve(args))
     except (
         ConfigError,
         ValueError,

@@ -120,19 +120,21 @@ def sign_weights(signal_row: np.ndarray) -> np.ndarray:
     return _sign_weight_rows(row, np.isfinite(row))[0]
 
 
+def _weights(panel: ReturnPanel, spec: StrategySpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(weights, tradeable)`` arrays for ``spec``, from one signal pass."""
+    sig = signal(panel, spec.m, spec.n)
+    tradeable = np.isfinite(sig.values) & np.isfinite(panel.values)
+    weigh = _rank_weight_rows if spec.weighting == "rank" else _sign_weight_rows
+    return weigh(sig.values, tradeable), tradeable
+
+
 def weights_panel(panel: ReturnPanel, spec: StrategySpec) -> ReturnPanel:
     """Portfolio weights per date for ``spec``, as a panel.
 
     An asset is tradeable at t when its signal window is complete and its
     return at t is observed; everything else gets weight zero.
     """
-    sig = signal(panel, spec.m, spec.n)
-    tradeable = np.isfinite(sig.values) & np.isfinite(panel.values)
-    if spec.weighting == "rank":
-        w = _rank_weight_rows(sig.values, tradeable)
-    else:
-        w = _sign_weight_rows(sig.values, tradeable)
-    return ReturnPanel(panel.calendar, panel.assets, w)
+    return ReturnPanel(panel.calendar, panel.assets, _weights(panel, spec)[0])
 
 
 def strategy_pnl(
@@ -154,12 +156,7 @@ def strategy_pnl(
             "tradeable strategies need m >= 1; m = 0 would trade on the "
             "month being earned"
         )
-    sig = signal(panel, spec.m, spec.n)
-    tradeable = np.isfinite(sig.values) & np.isfinite(panel.values)
-    if spec.weighting == "rank":
-        w = _rank_weight_rows(sig.values, tradeable)
-    else:
-        w = _sign_weight_rows(sig.values, tradeable)
+    w, tradeable = _weights(panel, spec)
     if spec.leg == "winners":
         w = np.where(w > 0.0, w, 0.0)
     elif spec.leg == "losers":
@@ -242,10 +239,7 @@ def grid_sweep(
     for i, m in enumerate(m_values):
         for j, n in enumerate(n_values):
             spec = StrategySpec(m, n, weighting, leg, risk_managed)
-            try:
-                pnl = strategy_pnl(panel, spec, cfg)
-            except LookaheadError:
-                raise
+            pnl = strategy_pnl(panel, spec, cfg)
             if np.isfinite(pnl.values).sum() < min_months:
                 continue
             try:

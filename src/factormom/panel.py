@@ -264,8 +264,24 @@ def _parse_cell(cell: str, allow_missing: bool, line: int) -> float:
         raise ParseError(f"non-numeric cell {cell!r}", line) from None
 
 
+def _require_finite(values: np.ndarray, allow_missing: bool, lines, columns) -> None:
+    """Reject infinities always, and NaN literals unless missing values are allowed.
+
+    One vectorised pass over the parsed (rows x columns) array; ``lines`` gives
+    the file line of each row for the error message.
+    """
+    bad = np.isinf(values) if allow_missing else ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        x = float(values[i, j])
+        why = " (missing values are not allowed)" if np.isnan(x) else ""
+        raise ParseError(f"non-finite value {x!r} for {columns[j]!r}{why}", lines[i])
+
+
 def _data_rows(path):
-    with open(path, newline="") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first header cell
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or (row[0].startswith("#")):
@@ -279,8 +295,10 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
     ``wide`` layout: header ``date,<asset1>,<asset2>,...``, one row per date.
     ``long`` layout: header ``date,asset,return``, one row per observation.
     Dates are sorted ascending on load; duplicate (date, asset) pairs are
-    rejected. Non-numeric cells become missing markers only when
-    ``allow_missing`` is set, otherwise they are parse errors.
+    rejected. Non-numeric cells and ``nan`` become missing markers only when
+    ``allow_missing`` is set, otherwise they are parse errors. Infinite values
+    (``inf``, ``1e999``) are always parse errors. A UTF-8 byte-order mark
+    before the header is ignored.
     """
     if layout not in ("wide", "long"):
         raise PanelError(f"unknown layout {layout!r}")
@@ -298,6 +316,7 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
         if len(set(assets)) != len(assets) or any(not a for a in assets):
             raise ParseError("asset ids must be unique and non-empty", header_line)
         dates: list[str] = []
+        lines: list[int] = []
         data: list[list[float]] = []
         seen: set[str] = set()
         for line, row in rows:
@@ -310,16 +329,20 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
                 raise DuplicateKeyError(f"line {line}: duplicate date {date!r}")
             seen.add(date)
             dates.append(date)
+            lines.append(line)
             data.append([_parse_cell(c, allow_missing, line) for c in row[1:]])
         if not dates:
             raise EmptyInputError(f"{path}: no data rows")
+        values = np.asarray(data, dtype=np.float64)
+        _require_finite(values, allow_missing, lines, assets)
         order = np.argsort(np.array(dates))
-        values = np.asarray(data, dtype=np.float64)[order]
+        values = values[order]
         return ReturnPanel(Calendar(tuple(np.array(dates)[order])), assets, values)
 
     if header != ["date", "asset", "return"]:
         raise ParseError("long header must be 'date,asset,return'", header_line)
     obs: dict[tuple[str, str], float] = {}
+    lines = []
     for line, row in rows:
         if len(row) != 3:
             raise ParseError(f"expected 3 cells, got {len(row)}", line)
@@ -331,8 +354,11 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
         if key in obs:
             raise DuplicateKeyError(f"line {line}: duplicate observation {key}")
         obs[key] = _parse_cell(row[2], allow_missing, line)
+        lines.append(line)
     if not obs:
         raise EmptyInputError(f"{path}: no data rows")
+    parsed = np.fromiter(obs.values(), np.float64, len(obs))
+    _require_finite(parsed[:, None], allow_missing, lines, ("return",))
     dates = sorted({d for d, _ in obs})
     assets = tuple(sorted({a for _, a in obs}))
     values = np.full((len(dates), len(assets)), np.nan)

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -41,6 +42,35 @@ def sim_inputs(tmp_path_factory):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def config_hash_of(path):
+    """The ``config_hash`` a CSV or JSON output carries."""
+    if path.suffix == ".json":
+        return read_json(path)["config_hash"]
+    for line in path.read_text().splitlines():
+        if line.startswith("# config_hash="):
+            return line.split("=", 1)[1]
+    raise AssertionError(f"{path} has no config_hash line")
+
+
+@pytest.fixture
+def workdir(sim_inputs, tmp_path, monkeypatch):
+    """Inputs under fixed relative names as the working directory.
+
+    Config hashes cover input paths, so pinned hashes need paths that do not
+    depend on the temporary directory.
+    """
+    for name in ("factors.csv", "market.csv"):
+        shutil.copy(sim_inputs / name, tmp_path / name)
+    factors = panel.load_panel(tmp_path / "factors.csv")
+    panel.emit_csv(factors.column("f0"), tmp_path / "f0.csv")
+    days = tuple(f"2000-{m:02d}-{d:02d}" for m in (1, 2) for d in range(1, 11))
+    values = np.random.default_rng(7).normal(0, 0.01, (20, 2))
+    panel.emit_csv(panel.ReturnPanel(panel.Calendar(days), ("A", "B"), values),
+                   tmp_path / "daily.csv")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +404,72 @@ def test_sweep_fixed_control_series(sim_inputs, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# configuration resolution
+
+
+# One flags-only invocation per command, the output it writes and the
+# config_hash it carries. The hashes pin each command's resolved config, so a
+# change to how flags become config keys, or to a default, shows up here.
+FLAGS_ONLY_RUNS = {
+    "backtest": (["backtest", "--factors", "factors.csv", "--market", "market.csv",
+                  "--m", "1", "--n", "3", "--window", "24"], "out/stats.json", "c798c7b6797938af"),
+    "sweep": (["sweep", "--input", "factors.csv", "--m", "1..2", "--n", "1,3",
+               "--stat", "sharpe", "--lag-vol", "2", "--vol-target", "0.02"],
+              "out/grid_sharpe.csv", "7ef5e62843a2cc4f"),
+    "span": (["span", "--target", "f0.csv", "--controls", "market.csv"],
+             "out/span.json", "f5c298cf83f55416"),
+    "simulate": (["--seed", "9", "simulate", "--T", "50", "--burn-in", "20"],
+                 "out/panel.csv", "34af40a5b5c63d1c"),
+    "verify": (["--seed", "0", "verify", "--T", "20000", "--k-max", "1"],
+               "out/verify.json", "27be3a094ffb06ec"),
+    "resample": (["resample", "--input", "daily.csv", "--allow-missing"],
+                 "out/monthly.csv", "92409fd02da7ab77"),
+}
+
+
+@pytest.mark.parametrize("command", list(FLAGS_ONLY_RUNS))
+def test_flags_only_config_hash_is_pinned(workdir, command):
+    argv, output, expected = FLAGS_ONLY_RUNS[command]
+    assert main(["--out-dir", "out", *argv]) in ((0, 1) if command == "verify" else (0,))
+    assert config_hash_of(workdir / output) == expected
+
+
+def test_flags_beat_config_file(workdir):
+    (workdir / "bt.json").write_text(json.dumps({
+        "factors": "factors.csv", "market": "market.csv", "m": 1, "n": 6,
+        "pipeline": {"window_months": 24, "vol_target": 0.02},
+    }))
+    base = ["backtest", "--factors", "factors.csv", "--market", "market.csv", "--m", "1"]
+    runs = {
+        "config": ["--config", "bt.json", "--out-dir", "config", "backtest"],
+        "overlay": ["--config", "bt.json", "--out-dir", "overlay", "backtest",
+                    "--n", "3", "--window", "36"],
+        "flags": ["--out-dir", "flags", *base, "--n", "3", "--window", "36",
+                  "--vol-target", "0.02"],
+    }
+    for argv in runs.values():
+        assert main(argv) == 0
+    # the overlay resolves to exactly the flags-only configuration: --n beats
+    # the file's n, --window beats its pipeline.window_months, and the file's
+    # pipeline.vol_target survives
+    for name in ("pnl.csv", "stats.json"):
+        assert (workdir / "overlay" / name).read_bytes() == (workdir / "flags" / name).read_bytes()
+    assert read_json(workdir / "config" / "stats.json")["n"] == 6
+    assert (config_hash_of(workdir / "config" / "stats.json")
+            != config_hash_of(workdir / "overlay" / "stats.json"))
+
+
+def test_sweep_weighting_enters_config_hash(workdir):
+    hashes = {}
+    for weighting in ("sign", "rank"):
+        out = workdir / f"grid_{weighting}.csv"
+        assert main(["sweep", "--input", "factors.csv", "--weighting", weighting,
+                     "--m", "1..2", "--n", "1..2", "--stat", "sharpe", "--out", str(out)]) == 0
+        hashes[weighting] = config_hash_of(out)
+    assert hashes["sign"] != hashes["rank"]
+
+
+# ---------------------------------------------------------------------------
 # resample
 
 
@@ -393,6 +489,17 @@ def test_resample_cli(tmp_path):
     assert code == 0
     monthly = panel.load_panel(out, "wide")
     assert monthly.calendar.labels == ("2000-01", "2000-02")
+
+
+def test_resample_reads_allow_missing_from_config(workdir):
+    days = ("2000-01-03", "2000-01-04")
+    gappy = panel.ReturnPanel(panel.Calendar(days), ("A",), np.array([[0.01], [np.nan]]))
+    panel.emit_csv(gappy, workdir / "gappy.csv")
+    (workdir / "rs.json").write_text(json.dumps({"allow_missing": True}))
+    argv = ["resample", "--input", "gappy.csv", "--out", "monthly.csv"]
+    assert main(argv) == 2
+    assert main(["--config", "rs.json", *argv]) == 0
+    assert panel.load_panel(workdir / "monthly.csv").values[0, 0] == pytest.approx(0.01)
 
 
 def test_unwritable_output_exit_3(sim_inputs, tmp_path):

@@ -127,6 +127,46 @@ def test_load_errors(tmp_path):
         load_panel(mixed, "wide")
 
 
+@pytest.mark.parametrize("literal", ["inf", "-inf", "1e999", "Infinity"])
+@pytest.mark.parametrize("allow_missing", [False, True])
+def test_infinite_cells_rejected_with_line(tmp_path, literal, allow_missing):
+    wide = tmp_path / "wide.csv"
+    wide.write_text(f"date,A,B\n2000-01,0.01,0.02\n2000-02,0.03,{literal}\n")
+    with pytest.raises(ParseError, match="'B'") as err:
+        load_panel(wide, "wide", allow_missing=allow_missing)
+    assert err.value.line == 3
+
+    long = tmp_path / "long.csv"
+    long.write_text(f"date,asset,return\n2000-01,A,{literal}\n2000-01,B,0.01\n")
+    with pytest.raises(ParseError) as err:
+        load_panel(long, "long", allow_missing=allow_missing)
+    assert err.value.line == 2
+
+
+def test_nan_literal_is_missing_only_when_allowed(tmp_path):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("date,A\n2000-02,0.01\n2000-01,nan\n")
+    with pytest.raises(ParseError, match="missing values are not allowed") as err:
+        load_panel(wide, "wide")
+    assert err.value.line == 3
+    panel = load_panel(wide, "wide", allow_missing=True)
+    assert np.isnan(panel.values[0, 0]) and panel.values[1, 0] == 0.01
+
+    long = tmp_path / "long.csv"
+    long.write_text("date,asset,return\n2000-01,A,0.01\n2000-02,A,NaN\n")
+    with pytest.raises(ParseError) as err:
+        load_panel(long, "long")
+    assert err.value.line == 3
+    assert np.isnan(load_panel(long, "long", allow_missing=True).values[1, 0])
+
+
+def test_utf8_byte_order_mark_before_header(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfdate,A\r\n2000-01,0.01\r\n")
+    panel = load_panel(p, "wide")
+    assert panel.assets == ("A",) and panel.calendar.labels == ("2000-01",)
+
+
 def test_long_layout_sparse_pairs_are_missing(tmp_path):
     p = tmp_path / "p.csv"
     p.write_text("date,asset,return\n2000-01,A,0.01\n2000-02,B,0.02\n")
