@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -116,6 +117,19 @@ def _require_path(cfg: dict, key: str, what: str | None = None) -> str:
     if key not in cfg or cfg[key] in (None, ""):
         raise ConfigError(f"config is missing required path {key!r}")
     return _existing(cfg[key], what or key)
+
+
+def _check_keys(obj, accepting, what: str) -> None:
+    """Require ``obj`` to be a JSON object whose keys are arguments of
+    ``accepting``, including every argument without a default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    params = inspect.signature(accepting).parameters
+    required = [key for key, p in params.items() if p.default is p.empty]
+    bad = [f"unknown key {key!r}" for key in obj if key not in params]
+    bad += [f"missing key {key!r}" for key in required if key not in obj]
+    if bad:
+        raise ConfigError(f"{what}: " + ", ".join(bad))
 
 
 def _parse_range(value) -> tuple[int, ...]:
@@ -382,7 +396,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     out = _output(args, "panel.csv", args.out)
     panel.emit_csv(path.panel, out, header)
     if args.factor_out:
-        panel.emit_csv(path.factor, args.factor_out, header)
+        panel.emit_csv(path.factor, _output(args, "factor.csv", args.factor_out), header)
     print(f"wrote {out} ({T} months x {params.n} assets)")
     return EXIT_OK
 
@@ -394,9 +408,9 @@ def cmd_verify(args, cfg: dict) -> int:
     k_max = cfg["k_max"] = int(cfg.get("k_max", 3))
     eq3 = cfg.setdefault("eq3", None)
     if eq3 is not None:
-        eq3 = dict(eq3)
-        eq3["beta"] = np.asarray(eq3["beta"], float)
-        eq3["factor"] = analytics.AR1Params(**eq3["factor"])
+        _check_keys(eq3, model.momentum_covariance_check, "eq3")
+        _check_keys(eq3["factor"], analytics.AR1Params, "eq3.factor")
+        eq3 = {**eq3, "factor": analytics.AR1Params(**eq3["factor"])}
     header = _header(args, cfg)
 
     report = model.verify_model(params, seed=seed, T=T, k_max=k_max, eq3=eq3)

@@ -17,11 +17,11 @@ Monte Carlo paths with batch-means standard errors.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .analytics import AR1Params, NonStationaryError
 from .panel import Calendar, NamedSeries, ReturnPanel
@@ -153,14 +153,14 @@ class ModelParams:
             sig = d["sigma"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"bad model parameter file: {exc}") from exc
-        if "diag" in sig:
+        if isinstance(sig, dict) and "diag" in sig:
             sigma = np.diag(np.asarray(sig["diag"], float))
-        elif "full" in sig:
+        elif isinstance(sig, dict) and "full" in sig:
             sigma = np.asarray(sig["full"], float)
         else:
-            raise ParameterError("sigma must provide 'diag' or 'full'")
-        if len(w) != n:
-            raise ParameterError(f"N = {n} but w has length {len(w)}")
+            raise ParameterError("sigma must be an object providing 'diag' or 'full'")
+        if w.shape != (n,):
+            raise ParameterError(f"N = {n} but w has shape {w.shape}")
         normalize = bool(d.get("normalize_w", True))
         return ModelParams(alpha, w, mu, rho, sigma, normalize_w=normalize)
 
@@ -217,6 +217,15 @@ def _chol_psd(sigma: np.ndarray) -> np.ndarray:
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
+def _ar1(x: np.ndarray, coef: float, init: float) -> np.ndarray:
+    """y_t = x_t + coef * y_{t-1} from y_{-1} = init, evaluated in order: one
+    rounded multiply and one rounded add per step keep the pinned paths
+    bit-identical, where a blocked or parallel scan would reassociate the sum."""
+    coef = float(coef)
+    steps = itertools.accumulate(x.tolist(), lambda y, xt: xt + coef * y, initial=float(init))
+    return np.fromiter(steps, np.float64, len(x) + 1)[1:]
+
+
 def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Return (r, e) arrays of shape (length, N), starting from the
     unconditional mean with e_{-1} = 0."""
@@ -228,12 +237,8 @@ def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, n
     if params.rho != 0.0:
         eps[1:] -= params.rho * e[:-1]
     x = eps @ params.w + params.factor_drift
-    a = params.a
     s_init = params.factor_mean
-    s = lfilter([1.0], [1.0, -a], x, zi=np.array([a * s_init]))[0]
-    s_prev = np.empty_like(s)
-    s_prev[0] = s_init
-    s_prev[1:] = s[:-1]
+    s_prev = np.concatenate(([s_init], _ar1(x, params.a, s_init)[:-1]))
     r = eps
     r += params.mu
     r += np.outer(s_prev, params.alpha * params.w)
@@ -279,8 +284,7 @@ def simulate_ar1(params: AR1Params, T: int, seed, burn_in: int = 100) -> np.ndar
     rng = np.random.default_rng(seed)
     u = params.sigma_u * rng.standard_normal(burn_in + T)
     x = (1.0 - params.rho) * params.mu + u
-    f = lfilter([1.0], [1.0, -params.rho], x, zi=np.array([params.rho * params.mu]))[0]
-    return f[burn_in:]
+    return _ar1(x, params.rho, params.mu)[burn_in:]
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +416,24 @@ def expected_stock_momentum(
 # Monte Carlo estimators (batch-means standard errors)
 
 
-def _batch_slices(m: int, n_batches: int) -> tuple[int, int]:
-    size = m // n_batches
+def _batches(x: np.ndarray, n_batches: int) -> np.ndarray:
+    """The leading rows of ``x`` split into ``n_batches`` equal consecutive
+    batches along a new axis 0; the remainder rows are dropped."""
+    size = len(x) // n_batches
     if size < 1:
-        raise ParameterError(
-            f"{m} observations cannot form {n_batches} batches"
-        )
-    return size, size * n_batches
+        raise ParameterError(f"{len(x)} observations cannot form {n_batches} batches")
+    return x[: size * n_batches].reshape(n_batches, size, *x.shape[1:])
+
+
+def _mean_se(per_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the batches (axis 0) and its batch-means standard error."""
+    return per_batch.mean(axis=0), per_batch.std(axis=0, ddof=1) / np.sqrt(len(per_batch))
 
 
 def _batch_mean_se(x: np.ndarray, n_batches: int) -> tuple[float, float]:
     """Mean of a 1-d array and its batch-means standard error."""
-    size, used = _batch_slices(len(x), n_batches)
-    means = x[:used].reshape(n_batches, size).mean(axis=1)
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(n_batches))
+    mean, se = _mean_se(_batches(x, n_batches).mean(axis=1))
+    return float(mean), float(se)
 
 
 def sample_autocovariance(
@@ -442,16 +450,12 @@ def sample_autocovariance(
     scalar = x.ndim == 1
     if scalar:
         x = x[:, None]
-    T, N = x.shape
+    T = len(x)
     if k < 1 or k >= T:
         raise ParameterError(f"need 1 <= k < {T}, got {k}")
-    size, used = _batch_slices(T - k, n_batches)
     xm = x - x.mean(axis=0)
-    lead = xm[k : k + used].reshape(n_batches, size, N)
-    lag = xm[:used].reshape(n_batches, size, N)
-    per_batch = np.einsum("bti,btj->bij", lead, lag) / size
-    est = per_batch.mean(axis=0)
-    se = per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    lead, lag = _batches(xm[k:], n_batches), _batches(xm[:-k], n_batches)
+    est, se = _mean_se(np.einsum("bti,btj->bij", lead, lag) / lead.shape[1])
     if scalar:
         return float(est[0, 0]), float(se[0, 0])
     return est, se
@@ -527,17 +531,15 @@ def reconstruction_check(
     deviation = float(np.max(np.abs(r[t] - recon)))
     scale = float(np.max(np.abs(r[t])))
     float_floor = 1e-12 * (1.0 + scale)
-    if a > 0.0:
-        tail = (
-            abs(c)
-            * alpha
-            * float(np.max(np.abs(params.w)))
-            * float(np.max(np.abs(g)))
-            * a ** (depth - 1)
-            / (1.0 - a)
-        )
-    else:
-        tail = 0.0
+    # a = 0 leaves no tail: a ** (depth - 1) is then exactly 0
+    tail = (
+        abs(c)
+        * alpha
+        * float(np.max(np.abs(params.w)))
+        * float(np.max(np.abs(g)))
+        * a ** (depth - 1)
+        / (1.0 - a)
+    )
     return ReconstructionCheck(depth, deviation, tail + float_floor)
 
 
@@ -613,24 +615,15 @@ def momentum_covariance_check(
     sig_r = _trailing_sum(r, m, n)
     ps = ((sig_r * r[t0:]).sum(axis=1))[burn_in:]
 
-    size, used = _batch_slices(len(pf), n_batches)
-    pf, ps = pf[:used], ps[:used]
-    mf, ms = pf.mean(), ps.mean()
-    dpf = (pf - mf).reshape(n_batches, size)
-    dps = (ps - ms).reshape(n_batches, size)
+    pf, ps = _batches(pf, n_batches), _batches(ps, n_batches)
+    dpf, dps = pf - pf.mean(), ps - ps.mean()
     bpb = float(beta @ beta)
     lhs_b = (dpf * dps).mean(axis=1)
     rhs_b = bpb * (dpf * dpf).mean(axis=1)
-    diff_b = lhs_b - rhs_b
-    root = np.sqrt(n_batches)
-    return CovarianceCheck(
-        float(lhs_b.mean()),
-        float(rhs_b.mean()),
-        float(lhs_b.std(ddof=1) / root),
-        float(rhs_b.std(ddof=1) / root),
-        float(diff_b.mean()),
-        float(diff_b.std(ddof=1) / root),
-    )
+    lhs, lhs_se = _mean_se(lhs_b)
+    rhs, rhs_se = _mean_se(rhs_b)
+    diff, diff_se = _mean_se(lhs_b - rhs_b)
+    return CovarianceCheck(*map(float, (lhs, rhs, lhs_se, rhs_se, diff, diff_se)))
 
 
 # ---------------------------------------------------------------------------
@@ -650,15 +643,7 @@ class VerificationCheck:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "se": self.se,
-            "mode": self.mode,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,34 @@ def test_simulate_deterministic_output(tmp_path):
     np.testing.assert_allclose(factor.values, sim.values @ params.w, atol=1e-12)
 
 
+def test_simulate_factor_out_creates_its_directory(tmp_path):
+    factor = tmp_path / "new" / "sub" / "f.csv"
+    code = main([
+        "--seed", "9", "--out-dir", str(tmp_path),
+        "simulate", "--T", "20", "--factor-out", str(factor),
+    ])
+    assert code == 0
+    assert panel.load_series(factor).values.shape == (20,)
+
+
+@pytest.mark.parametrize("bad, word", [
+    ({"sigma": 1.0}, "sigma"),
+    ({"w": 1}, "w has shape"),
+])
+def test_malformed_params_file_exit_2(tmp_path, capsys, bad, word):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({
+        "N": 2, "alpha": 0.5, "w": [1, 1], "mu": [0, 0], "rho": 0.1,
+        "sigma": {"diag": [1, 1]}, **bad,
+    }))
+    code = main([
+        "--seed", "1", "--out-dir", str(tmp_path),
+        "simulate", "--params", str(params), "--T", "10",
+    ])
+    assert code == 2
+    assert word in capsys.readouterr().err
+
+
 def test_verify_nonstationary_params_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -354,6 +382,27 @@ def test_verify_with_eq3_config(tmp_path):
     names = [c["name"] for c in payload["checks"]]
     assert "momentum_covariance" in names
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"factor": {"sigma": 1.0}}, "sigma"),
+    ({"factor": {"rho": 0.0, "mu": 0.0}}, "sigma_u"),
+    ({"extra": 1}, "extra"),
+    ({"seed": None}, "seed"),  # None drops the key
+])
+def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
+    eq3 = {
+        "beta": [0.8] * 2, "factor": {"rho": 0.0, "mu": 0.0, "sigma_u": 1.0},
+        "idio_vol": 1.0, "m": 1, "n": 2, "T": 2000, "seed": 3, **change,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": 2000, "eq3": {k: v for k, v in eq3.items() if v is not None}}))
+    code = main([
+        "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path), "verify",
+    ])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_pipeline_flags_change_backtest(sim_inputs, tmp_path):

@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import factormom
 from factormom.analytics import AR1Params, NonStationaryError
 from factormom.model import (
     ModelParams,
     ParameterError,
+    _ar1,
+    _simulate_raw,
     autocovariance_matrices,
     check_autocovariances,
     default_params,
@@ -121,6 +128,49 @@ def test_factor_series_equals_w_dot_returns_exactly():
     p = make_params(n=6, alpha=0.4, rho=0.2, seed=3)
     path = simulate(p, 1000, seed=5)
     np.testing.assert_array_equal(path.factor.values, path.panel.values @ p.w)
+
+
+@pytest.mark.parametrize("length", [1, 2, 100_000])
+@pytest.mark.parametrize("coef", [0.0, 0.6, -0.37, 0.999])
+def test_ar1_matches_lfilter_bit_for_bit(coef, length):
+    signal = pytest.importorskip("scipy.signal")
+    x = np.random.default_rng(length).standard_normal(length)
+    for init in (0.0, 1.7):
+        ref = signal.lfilter([1.0], [1.0, -coef], x, zi=np.array([coef * init]))[0]
+        assert _ar1(x, coef, init).tobytes() == ref.tobytes()
+
+
+def test_simulators_match_lfilter_formulas_bit_for_bit():
+    signal = pytest.importorskip("scipy.signal")
+    p = make_params(n=4, alpha=0.5, rho=0.2, mu=0.01, sigma=random_psd(4, 2), seed=7)
+    e = np.random.default_rng(11).standard_normal((3000, 4)) @ np.linalg.cholesky(p.sigma).T
+    eps = e.copy()
+    eps[1:] -= p.rho * e[:-1]
+    x = eps @ p.w + p.factor_drift
+    s = signal.lfilter([1.0], [1.0, -p.a], x, zi=np.array([p.a * p.factor_mean]))[0]
+    s_prev = np.concatenate(([p.factor_mean], s[:-1]))
+    r, e_sim = _simulate_raw(p, 3000, seed=11)
+    assert e_sim.tobytes() == e.tobytes()
+    assert r.tobytes() == (eps + p.mu + np.outer(s_prev, p.alpha * p.w)).tobytes()
+
+    q = AR1Params.from_sigma_f(rho=0.4, mu=0.2, sigma_f=1.0)
+    u = q.sigma_u * np.random.default_rng(80).standard_normal(100 + 3000)
+    x = (1.0 - q.rho) * q.mu + u
+    f = signal.lfilter([1.0], [1.0, -q.rho], x, zi=np.array([q.rho * q.mu]))[0]
+    assert simulate_ar1(q, 3000, seed=80).tobytes() == f[100:].tobytes()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(factormom.__file__).resolve().parents[1])
+    probe = "import sys, factormom.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_pure_noise_limit_has_no_autocovariance():
