@@ -434,3 +434,42 @@ def test_criterion_9_cli_determinism_and_goldens(tmp_path):
         elapsed = time.perf_counter() - _SUITE_T0
         print(f"    [info] acceptance suite wall time so far: {elapsed:.1f}s")
         assert elapsed < 600.0, "acceptance suite exceeded its ten-minute budget"
+
+
+def _sweep_workspace(root: Path) -> None:
+    """Factor and stock panels with holes, a complete market, two sweep configs."""
+    w = np.concatenate([np.ones(5), -np.ones(5)])
+    params = ModelParams(alpha=0.45, w=w, mu=np.zeros(10), rho=0.1, sigma=np.eye(10))
+    paths = [simulate(params, 240, seed=9100 + j) for j in range(4)]
+    cal = paths[0].panel.calendar
+    factors = np.column_stack([p.factor.values for p in paths])
+    stocks = np.hstack([p.panel.values for p in paths])
+    market = NamedSeries(cal, "market", stocks.mean(axis=1))
+    rng = np.random.default_rng(9199)
+    factors[rng.random(factors.shape) < 0.03] = np.nan
+    stocks[rng.random(stocks.shape) < 0.05] = np.nan
+    panel.emit_csv(ReturnPanel(cal, tuple(f"f{j}" for j in range(4)), factors),
+                   root / "factors.csv")
+    panel.emit_csv(ReturnPanel(cal, tuple(f"s{i:02d}" for i in range(40)), stocks),
+                   root / "stocks.csv")
+    panel.emit_csv(market, root / "market.csv")
+    inputs = {"factor_panel": "factors.csv", "stock_panel": "stocks.csv",
+              "market": "market.csv", "m": "1..6", "n": "1..6"}
+    (root / "fos.json").write_text(json.dumps(
+        {**inputs, "stats": ["sharpe", "corr", "residual"]}))
+    (root / "sof.json").write_text(json.dumps(
+        {**inputs, "stats": ["sharpe", "residual"], "direction": "stock-on-factor",
+         "risk_managed": True}))
+
+
+def test_sweep_grids_match_goldens(tmp_path, monkeypatch):
+    # factor-on-stock sign grids with per-cell rank stock-momentum controls,
+    # and the risk-managed stock-on-factor rank grids, on panels with holes
+    monkeypatch.chdir(tmp_path)
+    _sweep_workspace(tmp_path)
+    assert main(["--config", "fos.json", "--out-dir", "fos", "sweep"]) == 0
+    assert main(["--config", "sof.json", "--out-dir", "sof", "sweep"]) == 0
+    for stat in ("sharpe", "corr", "residual"):
+        _compare_to_golden(tmp_path / "fos" / f"grid_{stat}.csv", f"sweep_fos_{stat}.csv")
+    for stat in ("sharpe", "residual"):
+        _compare_to_golden(tmp_path / "sof" / f"grid_{stat}.csv", f"sweep_sof_{stat}.csv")
