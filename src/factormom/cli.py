@@ -132,25 +132,40 @@ def _check_keys(obj, accepting, what: str) -> None:
         raise ConfigError(f"{what}: " + ", ".join(bad))
 
 
-def _parse_range(value) -> tuple[int, ...]:
+def _as_int(value, key: str) -> int:
+    """``value`` of config key ``key`` as an int. JSON integers and integral
+    numbers such as ``1e6`` pass; anything else is a ``ConfigError`` naming
+    the key."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+
+
+def _parse_range(value, key: str) -> tuple[int, ...]:
     """Accept 4, "4", "1..12", "1,2,3" or a JSON list."""
     if isinstance(value, (list, tuple)):
-        return tuple(int(x) for x in value)
+        return tuple(_as_int(x, key) for x in value)
     text = str(value).strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    if "," in text:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
         return tuple(int(p) for p in text.split(","))
-    return (int(text),)
+    except ValueError:
+        raise ConfigError(
+            f"config key {key!r} must be a range such as 1..12 or 1,3,6, got {value!r}"
+        ) from None
 
 
 def _pipeline_config(cfg: dict) -> riskpipe.PipelineConfig:
     return riskpipe.PipelineConfig(
-        window_months=int(cfg.get("window_months", 36)),
-        lag_months=int(cfg.get("lag_months", 1)),
+        window_months=_as_int(cfg.get("window_months", 36), "pipeline.window_months"),
+        lag_months=_as_int(cfg.get("lag_months", 1), "pipeline.lag_months"),
         vol_target=float(cfg.get("vol_target", 0.01)),
-        min_obs=None if cfg.get("min_obs") is None else int(cfg["min_obs"]),
+        min_obs=(None if cfg.get("min_obs") is None
+                 else _as_int(cfg["min_obs"], "pipeline.min_obs")),
     )
 
 
@@ -183,7 +198,7 @@ def _managed_panel(factors, market, pipe) -> panel.ReturnPanel:
 def cmd_backtest(args, cfg: dict) -> int:
     if "m" not in cfg or "n" not in cfg:
         raise ConfigError("backtest needs explicit lag m and holding period n")
-    m, n = int(cfg["m"]), int(cfg["n"])
+    m, n = _as_int(cfg["m"], "m"), _as_int(cfg["n"], "n")
     header = _header(args, cfg)
 
     allow = bool(cfg.get("allow_missing", False))
@@ -233,9 +248,11 @@ def cmd_backtest(args, cfg: dict) -> int:
 
 
 def cmd_sweep(args, cfg: dict) -> int:
-    m_values = _parse_range(cfg.get("m", "1..12"))
-    n_values = _parse_range(cfg.get("n", "1..12"))
-    stats = list(cfg.get("stats", ["sharpe"]))
+    m_values = _parse_range(cfg.get("m", "1..12"), "m")
+    n_values = _parse_range(cfg.get("n", "1..12"), "n")
+    stats = cfg.get("stats", ["sharpe"])
+    if not isinstance(stats, list):
+        raise ConfigError(f"config key 'stats' must be a list of statistics, got {stats!r}")
     direction = cfg.get("direction", "factor-on-stock")
     if direction not in ("factor-on-stock", "stock-on-factor"):
         raise ConfigError(f"unknown direction {direction!r}")
@@ -273,11 +290,17 @@ def cmd_sweep(args, cfg: dict) -> int:
 
     risk_managed = bool(cfg.get("risk_managed", False))
     pipe = _pipeline_config(cfg["pipeline"])
-    min_months = int(cfg.get("min_months", 24))
+    min_months = _as_int(cfg.get("min_months", 24), "min_months")
+    control_grid = {}
 
     def other_momentum(m, n):
-        spec = momentum.StrategySpec(m, n, other_weighting, "both", risk_managed)
-        return momentum.strategy_pnl(other_panel, spec, pipe)
+        """The same-(m, n) strategy on the other panel, from one grid per run."""
+        if not control_grid:
+            control_grid.update(momentum.pnl_grid(
+                other_panel, m_values, n_values, other_weighting,
+                risk_managed=risk_managed, cfg=pipe,
+            ))
+        return control_grid[m, n]
 
     def make_reference():
         if cfg.get("reference"):
@@ -389,8 +412,8 @@ def _require_seed(args) -> int:
 def cmd_simulate(args, cfg: dict) -> int:
     seed = _require_seed(args)
     params = _model_params(cfg)
-    T = cfg["T"] = int(cfg.get("T", 1200))
-    burn_in = cfg["burn_in"] = int(cfg.get("burn_in", 500))
+    T = cfg["T"] = _as_int(cfg.get("T", 1200), "T")
+    burn_in = cfg["burn_in"] = _as_int(cfg.get("burn_in", 500), "burn_in")
     header = _header(args, cfg)
     path = model.simulate(params, T, seed, burn_in)
     out = _output(args, "panel.csv", args.out)
@@ -404,13 +427,16 @@ def cmd_simulate(args, cfg: dict) -> int:
 def cmd_verify(args, cfg: dict) -> int:
     seed = _require_seed(args)
     params = _model_params(cfg)
-    T = cfg["T"] = int(cfg.get("T", 1_000_000))
-    k_max = cfg["k_max"] = int(cfg.get("k_max", 3))
+    T = cfg["T"] = _as_int(cfg.get("T", 1_000_000), "T")
+    k_max = cfg["k_max"] = _as_int(cfg.get("k_max", 3), "k_max")
     eq3 = cfg.setdefault("eq3", None)
     if eq3 is not None:
         _check_keys(eq3, model.momentum_covariance_check, "eq3")
         _check_keys(eq3["factor"], analytics.AR1Params, "eq3.factor")
-        eq3 = {**eq3, "factor": analytics.AR1Params(**eq3["factor"])}
+        eq3_args = inspect.signature(model.momentum_covariance_check).parameters
+        ints = {key: _as_int(value, f"eq3.{key}") for key, value in eq3.items()
+                if eq3_args[key].annotation in (int, "int")}
+        eq3 = {**eq3, **ints, "factor": analytics.AR1Params(**eq3["factor"])}
     header = _header(args, cfg)
 
     report = model.verify_model(params, seed=seed, T=T, k_max=k_max, eq3=eq3)

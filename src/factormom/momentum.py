@@ -5,7 +5,9 @@ The signal at date t with lag m and holding period n is the plain sum of the
 n returns from t-m-n+1 through t-m. Cross-sectional ("rank") weighting maps
 the signal order to equally spaced dollar-neutral weights in [-1, 1];
 directional ("sign") weighting takes the sign of the signal. One code path
-serves stock panels and factor panels alike; only the input differs.
+serves stock panels and factor panels alike; only the input differs. One
+grid kernel, :func:`pnl_grid`, serves whole (m, n) grids and single
+strategies alike.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "LookaheadError",
     "StrategySpec",
     "grid_sweep",
+    "pnl_grid",
     "rank_weights",
     "sign_weights",
     "signal",
@@ -83,49 +86,79 @@ def signal(panel: ReturnPanel, m: int, n: int) -> ReturnPanel:
     return ReturnPanel(panel.calendar, panel.assets, out)
 
 
-def _rank_weight_rows(values: np.ndarray, tradeable: np.ndarray) -> np.ndarray:
-    """Equally spaced dollar-neutral weights per row.
+def _ranked_weights(order: np.ndarray, tradeable: np.ndarray) -> np.ndarray:
+    """Equally spaced dollar-neutral weights along the last axis.
 
     Among the P tradeable entries of a row, ascending signal rank j gets
     weight (2j - (P-1)) / (P-1): integer numerators make the vector exactly
     antisymmetric, so it sums to zero and spans [-1, 1] endpoint-exactly.
-    Ties keep ascending asset order (stable sort). Rows with P < 2 are all
-    zero.
+    Rows with P < 2 are all zero. ``order`` is a stable ascending argsort of
+    the row's signals (ties in ascending asset order) and may rank entries
+    that are not tradeable: restricting a stable order to the tradeable
+    subset keeps its (signal, asset) order, so j is the number of tradeable
+    entries ahead of the entry in ``order``.
     """
-    T, N = values.shape
-    key = np.where(tradeable, values, np.inf)
-    order = np.argsort(key, axis=1, kind="stable")
-    pos = np.empty((T, N), dtype=np.int64)
-    np.put_along_axis(pos, order, np.broadcast_to(np.arange(N), (T, N)), axis=1)
-    p = tradeable.sum(axis=1)[:, None]
-    with np.errstate(invalid="ignore"):
-        w = (2.0 * pos - (p - 1)) / np.maximum(p - 1, 1)
-    return np.where(tradeable & (p >= 2), w, 0.0)
-
-
-def _sign_weight_rows(values: np.ndarray, tradeable: np.ndarray) -> np.ndarray:
-    signs = np.sign(np.where(np.isfinite(values), values, 0.0))
-    return np.where(tradeable, signs, 0.0)
+    ranked = np.take_along_axis(tradeable, order, axis=-1)
+    count = np.cumsum(ranked, axis=-1)
+    p = count[..., -1:]
+    sorted_w = np.where(
+        ranked & (p >= 2), (2.0 * (count - 1) - (p - 1)) / np.maximum(p - 1, 1), 0.0
+    )
+    w = np.empty_like(sorted_w)
+    np.put_along_axis(w, order, sorted_w, axis=-1)
+    return w
 
 
 def rank_weights(signal_row: np.ndarray) -> np.ndarray:
     """Rank weights of one signal vector; missing entries get weight 0."""
-    row = np.asarray(signal_row, float)[None, :]
-    return _rank_weight_rows(row, np.isfinite(row))[0]
+    row = np.asarray(signal_row, float)
+    present = np.isfinite(row)
+    order = np.argsort(np.where(present, row, np.inf), kind="stable")
+    return _ranked_weights(order, present)
 
 
 def sign_weights(signal_row: np.ndarray) -> np.ndarray:
     """Sign weights of one signal vector; sgn(0) = 0, missing entries get 0."""
-    row = np.asarray(signal_row, float)[None, :]
-    return _sign_weight_rows(row, np.isfinite(row))[0]
+    row = np.asarray(signal_row, float)
+    return np.sign(np.where(np.isfinite(row), row, 0.0))
 
 
-def _weights(panel: ReturnPanel, spec: StrategySpec) -> tuple[np.ndarray, np.ndarray]:
-    """``(weights, tradeable)`` arrays for ``spec``, from one signal pass."""
-    sig = signal(panel, spec.m, spec.n)
-    tradeable = np.isfinite(sig.values) & np.isfinite(panel.values)
-    weigh = _rank_weight_rows if spec.weighting == "rank" else _sign_weight_rows
-    return weigh(sig.values, tradeable), tradeable
+# Cells per kernel row block: bounds the temporaries on wide panels.
+_BLOCK_CELLS = 1 << 16
+
+
+def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weighting: str):
+    """Weights and tradeable masks of the (m, n) strategies, one row block at a time.
+
+    One signal pass at the smallest lag m0 serves every m: the (m, n) signal
+    at row t is the (m0, n) signal at row t - (m - m0), the same window
+    summed in the same order. Rank weighting sorts each (m0, n) signal row
+    once, missing signals last, and every m reads its ranks from that order.
+    An asset is tradeable at t when its signal window is complete and its
+    return at t is observed. Yields ``(i, rows, weights, tradeable)`` for
+    ``m_values[i]``; rows before the first (m, n) signal are not yielded.
+    """
+    T, N = panel.values.shape
+    m0 = min(m_values)
+    base = signal(panel, m0, n).values
+    has_signal = np.isfinite(base)
+    if weighting == "rank":
+        order = np.argsort(np.where(has_signal, base, np.inf), axis=1, kind="stable")
+    else:
+        signs = np.sign(np.where(has_signal, base, 0.0))
+    has_return = np.isfinite(panel.values)
+    step = max(1, _BLOCK_CELLS // max(N, 1))
+    for i, m in enumerate(m_values):
+        shift = m - m0
+        for start in range(shift, T, step):
+            rows = slice(start, min(start + step, T))
+            src = slice(rows.start - shift, rows.stop - shift)
+            tradeable = has_signal[src] & has_return[rows]
+            if weighting == "rank":
+                weights = _ranked_weights(order[src], tradeable)
+            else:
+                weights = np.where(tradeable, signs[src], 0.0)
+            yield i, rows, weights, tradeable
 
 
 def weights_panel(panel: ReturnPanel, spec: StrategySpec) -> ReturnPanel:
@@ -134,7 +167,64 @@ def weights_panel(panel: ReturnPanel, spec: StrategySpec) -> ReturnPanel:
     An asset is tradeable at t when its signal window is complete and its
     return at t is observed; everything else gets weight zero.
     """
-    return ReturnPanel(panel.calendar, panel.assets, _weights(panel, spec)[0])
+    w = np.zeros(panel.values.shape)
+    for _, rows, block, _ in _weight_blocks(panel, (spec.m,), spec.n, spec.weighting):
+        w[rows] = block
+    return ReturnPanel(panel.calendar, panel.assets, w)
+
+
+def pnl_grid(
+    panel: ReturnPanel,
+    m_values: Sequence[int],
+    n_values: Sequence[int],
+    weighting: str = "sign",
+    leg: str = "both",
+    risk_managed: bool = False,
+    cfg: PipelineConfig | None = None,
+) -> dict[tuple[int, int], PnlSeries]:
+    """PNL of every (m, n) momentum strategy of a grid, keyed by ``(m, n)``.
+
+    Each cell is the PNL of ``StrategySpec(m, n, weighting, leg,
+    risk_managed)``: weights(signal at t) dot returns at t. Requires m >= 1
+    so the weights only use information strictly before the returns they
+    multiply. ``leg="winners"`` keeps positive-weight positions only,
+    ``"losers"`` negative-weight positions (their weights stay negative, so
+    winners + losers = both, date by date). Dates before any signal window
+    fits, or where no asset is tradeable, are missing. With ``risk_managed``
+    each raw PNL is trailing-vol normalized.
+
+    One signal pass and, for rank weighting, one sort per holding period n
+    serve every lag m; each cell is bit-identical to computing it alone.
+    """
+    for m in m_values:
+        for n in n_values:
+            StrategySpec(m, n, weighting, leg, risk_managed)  # validates the cell
+    if any(m < 1 for m in m_values):
+        raise LookaheadError(
+            "tradeable strategies need m >= 1; m = 0 would trade on the "
+            "month being earned"
+        )
+    T = panel.n_periods
+    ms = sorted(set(m_values))
+    kind = "xs" if weighting == "rank" else "ts"
+    suffix = "" if leg == "both" else f"_{leg}"
+    grid = {}
+    for n in sorted(set(n_values)):
+        values = np.full((len(ms), T), np.nan)
+        for i, rows, w, tradeable in _weight_blocks(panel, ms, n, weighting):
+            if leg == "winners":
+                w = np.where(w > 0.0, w, 0.0)
+            elif leg == "losers":
+                w = np.where(w < 0.0, w, 0.0)
+            contrib = w * np.where(tradeable, panel.values[rows], 0.0)
+            values[i, rows] = np.where(tradeable.any(axis=1), contrib.sum(axis=1), np.nan)
+        for i, m in enumerate(ms):
+            values[i, : min(m + n - 1, T)] = np.nan
+            name = f"{kind}_mom_m{m}_n{n}{suffix}"
+            stage = f"strategy({weighting},m={m},n={n},leg={leg})"
+            pnl = PnlSeries(panel.calendar, name, values[i], (stage,))
+            grid[m, n] = vol_normalize(pnl, cfg) if risk_managed else pnl
+    return grid
 
 
 def strategy_pnl(
@@ -142,38 +232,10 @@ def strategy_pnl(
     spec: StrategySpec,
     cfg: PipelineConfig | None = None,
 ) -> PnlSeries:
-    """PNL of a momentum strategy: weights(signal at t) dot returns at t.
-
-    Requires m >= 1 so the weights only use information strictly before the
-    returns they multiply. ``leg="winners"`` keeps positive-weight positions
-    only, ``"losers"`` negative-weight positions (their weights stay
-    negative, so winners + losers = both, date by date). Dates before any
-    signal window fits, or where no asset is tradeable, are missing. With
-    ``spec.risk_managed`` the raw PNL is trailing-vol normalized.
-    """
-    if spec.m < 1:
-        raise LookaheadError(
-            "tradeable strategies need m >= 1; m = 0 would trade on the "
-            "month being earned"
-        )
-    w, tradeable = _weights(panel, spec)
-    if spec.leg == "winners":
-        w = np.where(w > 0.0, w, 0.0)
-    elif spec.leg == "losers":
-        w = np.where(w < 0.0, w, 0.0)
-
-    contrib = w * np.where(tradeable, panel.values, 0.0)
-    values = contrib.sum(axis=1)
-    values[~tradeable.any(axis=1)] = np.nan
-    values[: min(spec.m + spec.n - 1, len(values))] = np.nan
-
-    suffix = "" if spec.leg == "both" else f"_{spec.leg}"
-    name = f"{'xs' if spec.weighting == 'rank' else 'ts'}_mom_m{spec.m}_n{spec.n}{suffix}"
-    stage = f"strategy({spec.weighting},m={spec.m},n={spec.n},leg={spec.leg})"
-    out = PnlSeries(panel.calendar, name, values, (stage,))
-    if spec.risk_managed:
-        out = vol_normalize(out, cfg)
-    return out
+    """PNL of one momentum strategy: the 1x1 :func:`pnl_grid` of ``spec``."""
+    grid = pnl_grid(panel, (spec.m,), (spec.n,), spec.weighting, spec.leg,
+                    spec.risk_managed, cfg)
+    return grid[spec.m, spec.n]
 
 
 @dataclass(frozen=True)
@@ -235,11 +297,11 @@ def grid_sweep(
     if stat == "residual_sharpe" and controls is None:
         raise ValueError("stat='residual_sharpe' needs control series")
 
+    pnls = pnl_grid(panel, m_values, n_values, weighting, leg, risk_managed, cfg)
     cells = np.full((len(m_values), len(n_values)), np.nan)
     for i, m in enumerate(m_values):
         for j, n in enumerate(n_values):
-            spec = StrategySpec(m, n, weighting, leg, risk_managed)
-            pnl = strategy_pnl(panel, spec, cfg)
+            pnl = pnls[m, n]
             if np.isfinite(pnl.values).sum() < min_months:
                 continue
             try:

@@ -405,6 +405,35 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     assert not (tmp_path / "verify.json").exists()
 
 
+@pytest.mark.parametrize("command, cfg, key", [
+    ("verify", {"T": 2000, "k_max": [1]}, "k_max"),
+    ("verify", {"T": "2000"}, "T"),
+    ("verify", {"T": 2000, "eq3": {
+        "beta": [0.8] * 2, "factor": {"rho": 0.0, "mu": 0.0, "sigma_u": 1.0},
+        "idio_vol": 1.0, "m": "2", "n": 2, "T": 2000, "seed": 3}}, "eq3.m"),
+    ("simulate", {"T": 50, "burn_in": 2.5}, "burn_in"),
+    ("sweep", {"factor_panel": "factors.csv", "min_months": "x"}, "min_months"),
+    ("sweep", {"factor_panel": "factors.csv", "m": [1, True]}, "m"),
+    ("sweep", {"factor_panel": "factors.csv", "n": "1..x"}, "n"),
+    ("sweep", {"factor_panel": "factors.csv", "pipeline": {"window_months": None}},
+     "pipeline.window_months"),
+    ("sweep", {"factor_panel": "factors.csv", "stats": "sharpe"}, "stats"),
+    ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": [3]}, "n"),
+])
+def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    code = main(["--config", "cfg.json", "--seed", "1", "--out-dir", "out", command])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_integral_float_config_values_are_integers(workdir):
+    (workdir / "cfg.json").write_text(json.dumps({"T": 50.0, "burn_in": 2e1}))
+    assert main(["--config", "cfg.json", "--seed", "9", "--out-dir", "out", "simulate"]) == 0
+    assert config_hash_of(workdir / "out" / "panel.csv") == FLAGS_ONLY_RUNS["simulate"][2]
+
+
 def test_pipeline_flags_change_backtest(sim_inputs, tmp_path):
     base, wide = tmp_path / "base", tmp_path / "wide"
     for out, extra in ((base, []), (wide, ["--window", "48", "--vol-target", "0.02"])):
