@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .panel import Calendar
+from .panel import AlignmentError, Calendar
 from .riskpipe import PnlSeries
 
 __all__ = [
@@ -83,23 +83,15 @@ def sharpe_standard_error(stats: PerfStats) -> float:
     return float(np.sqrt((1.0 + 0.5 * sr_m**2) / stats.n_months) * np.sqrt(MONTHS_PER_YEAR))
 
 
-def _overlap(series_list: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
-    """Common calendar labels and the stacked values on them."""
-    first = series_list[0]
-    labels = first.calendar.labels
-    if all(s.calendar.labels == labels for s in series_list[1:]):
-        common = labels
-        cols = [s.values for s in series_list]
-    else:
-        common_set = set(labels)
-        for s in series_list[1:]:
-            common_set &= set(s.calendar.labels)
-        common = tuple(sorted(common_set))
-        cols = []
-        for s in series_list:
-            idx = {lab: i for i, lab in enumerate(s.calendar.labels)}
-            cols.append(s.values[[idx[lab] for lab in common]])
-    return common, np.column_stack(cols) if cols else np.empty((0, 0))
+def _overlap(series_list: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Common calendar dates and the stacked values on them."""
+    common = series_list[0].calendar.dates
+    for s in series_list[1:]:
+        if s.calendar.dates.dtype != common.dtype:
+            raise AlignmentError("a monthly and a daily calendar have no dates in common")
+        common = np.intersect1d(common, s.calendar.dates, assume_unique=True)
+    cols = [s.values[np.searchsorted(s.calendar.dates, common)] for s in series_list]
+    return common, np.column_stack(cols)
 
 
 def correlation(a, b) -> float:
@@ -205,13 +197,12 @@ def spanning_regression(target, controls: Sequence) -> RegressionResult:
         )
     r_squared = 1.0 - ss_res / ss_tot
 
-    labels = tuple(np.array(common)[keep])
     residual_values = y - C @ betas
     meta = getattr(target, "meta", ()) + (
         f"spanning_residual(intercept_retained,controls={','.join(names)})",
     )
     residuals = PnlSeries(
-        Calendar(labels),
+        Calendar(common[keep]),
         f"{getattr(target, 'name', 'target')}_residual",
         residual_values,
         meta,

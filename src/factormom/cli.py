@@ -119,9 +119,10 @@ def _require_path(cfg: dict, key: str, what: str | None = None) -> str:
     return _existing(cfg[key], what or key)
 
 
-def _check_keys(obj, accepting, what: str) -> None:
-    """Require ``obj`` to be a JSON object whose keys are arguments of
-    ``accepting``, including every argument without a default."""
+def _read_args(obj, accepting, what: str) -> dict:
+    """``obj`` as keyword arguments of ``accepting``: a JSON object whose keys
+    are its arguments, including every argument without a default, with each
+    value annotated ``int`` or ``float`` read as one (a new dict)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must be a JSON object")
     params = inspect.signature(accepting).parameters
@@ -130,6 +131,11 @@ def _check_keys(obj, accepting, what: str) -> None:
     bad += [f"missing key {key!r}" for key in required if key not in obj]
     if bad:
         raise ConfigError(f"{what}: " + ", ".join(bad))
+    readers = {"int": _as_int, "float": _as_float,  # by annotation
+               "int | None": lambda value, key: None if value is None else _as_int(value, key)}
+    return {key: readers[kind](value, f"{what}.{key}")
+            if (kind := params[key].annotation) in readers else value
+            for key, value in obj.items()}
 
 
 def _as_int(value, key: str) -> int:
@@ -141,6 +147,14 @@ def _as_int(value, key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+
+
+def _as_float(value, key: str) -> float:
+    """``value`` of config key ``key`` as a float. JSON numbers pass; anything
+    else is a ``ConfigError`` naming the key."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
 
 
 def _parse_range(value, key: str) -> tuple[int, ...]:
@@ -160,13 +174,7 @@ def _parse_range(value, key: str) -> tuple[int, ...]:
 
 
 def _pipeline_config(cfg: dict) -> riskpipe.PipelineConfig:
-    return riskpipe.PipelineConfig(
-        window_months=_as_int(cfg.get("window_months", 36), "pipeline.window_months"),
-        lag_months=_as_int(cfg.get("lag_months", 1), "pipeline.lag_months"),
-        vol_target=float(cfg.get("vol_target", 0.01)),
-        min_obs=(None if cfg.get("min_obs") is None
-                 else _as_int(cfg["min_obs"], "pipeline.min_obs")),
-    )
+    return riskpipe.PipelineConfig(**_read_args(cfg, riskpipe.PipelineConfig, "pipeline"))
 
 
 def _stats_row(series) -> dict:
@@ -431,12 +439,9 @@ def cmd_verify(args, cfg: dict) -> int:
     k_max = cfg["k_max"] = _as_int(cfg.get("k_max", 3), "k_max")
     eq3 = cfg.setdefault("eq3", None)
     if eq3 is not None:
-        _check_keys(eq3, model.momentum_covariance_check, "eq3")
-        _check_keys(eq3["factor"], analytics.AR1Params, "eq3.factor")
-        eq3_args = inspect.signature(model.momentum_covariance_check).parameters
-        ints = {key: _as_int(value, f"eq3.{key}") for key, value in eq3.items()
-                if eq3_args[key].annotation in (int, "int")}
-        eq3 = {**eq3, **ints, "factor": analytics.AR1Params(**eq3["factor"])}
+        eq3 = _read_args(eq3, model.momentum_covariance_check, "eq3")
+        factor = _read_args(eq3["factor"], analytics.AR1Params, "eq3.factor")
+        eq3["factor"] = analytics.AR1Params(**factor)
     header = _header(args, cfg)
 
     report = model.verify_model(params, seed=seed, T=T, k_max=k_max, eq3=eq3)

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analytics import AR1Params, NonStationaryError
+from .momentum import signal
 from .panel import Calendar, NamedSeries, ReturnPanel
 
 __all__ = [
@@ -573,14 +574,6 @@ class CovarianceCheck:
         return self.lhs > 3.0 * self.lhs_se and self.rhs > 3.0 * self.rhs_se
 
 
-def _trailing_sum(x: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Sum of x at lags m..m+n-1, aligned to t = m+n-1 .. T-1."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, n, axis=0)
-    sums = windows.sum(axis=-1)
-    # window ending at t-m pairs with t; the last m windows have no t
-    return sums[: len(x) - (m + n - 1)]
-
-
 def momentum_covariance_check(
     beta: np.ndarray,
     factor: AR1Params,
@@ -610,9 +603,11 @@ def momentum_covariance_check(
     r = np.outer(f, beta) + e
 
     t0 = m + n - 1
-    sig_f = _trailing_sum(f, m, n)
+    cal = Calendar.periods(length)
+    sig_f = signal(ReturnPanel(cal, ("f",), f[:, None]), m, n).values[t0:, 0]
     pf = (sig_f * f[t0:])[burn_in:]
-    sig_r = _trailing_sum(r, m, n)
+    assets = tuple(map(str, range(len(beta))))
+    sig_r = signal(ReturnPanel(cal, assets, r), m, n).values[t0:]
     ps = ((sig_r * r[t0:]).sum(axis=1))[burn_in:]
 
     pf, ps = _batches(pf, n_batches), _batches(ps, n_batches)

@@ -1,8 +1,8 @@
 """
 Date-aligned return panels, named series and deterministic CSV round-trips.
 
-Everything downstream works on these three carriers: a Calendar of period
-labels, a ReturnPanel (calendar x assets matrix of per-period returns) and a
+Everything downstream works on these three carriers: a Calendar of monthly
+or daily dates, a ReturnPanel (calendar x assets matrix of per-period returns) and a
 NamedSeries (one return per date). Objects are immutable; transformations
 return new objects. Missing observations are explicit NaN markers, never
 silent zeros.
@@ -11,7 +11,6 @@ silent zeros.
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,8 +33,11 @@ __all__ = [
     "round_float",
 ]
 
-_MONTHLY = re.compile(r"^\d{4}-\d{2}$")
-_DAILY = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_MONTHLY = np.dtype("datetime64[M]")
+_DAILY = np.dtype("datetime64[D]")
+_RESOLUTIONS = {_MONTHLY: "monthly", _DAILY: "daily"}
+# the months a four-digit ISO year can name: all that CSV labels carry
+_ISO_SPAN = (np.datetime64("0000-01", "M"), np.datetime64("10000-01", "M"))
 
 # 12 significant digits keep load(emit(x)) within 1e-12 of x for |x| < 1,
 # which covers any sane per-period return. Every writer (CSV here, JSON in
@@ -70,82 +72,108 @@ class AlignmentError(PanelError):
     """Objects that must share one calendar do not."""
 
 
-@dataclass(frozen=True)
-class Calendar:
-    """Strictly increasing period labels.
+def _parse_date(label: str, first=None, line: int | None = None) -> np.datetime64:
+    """``label`` as a monthly (``YYYY-MM``) or daily (``YYYY-MM-DD``) date.
 
-    Ingested data uses ISO labels, ``YYYY-MM`` for monthly and ``YYYY-MM-DD``
-    for daily panels. Simulated histories too long for the ISO year range use
-    fixed-width synthetic labels (``t0000042``) instead; ordering is
-    lexicographic either way.
+    numpy infers the resolution from the label. A label is valid only if it
+    renders back to exactly itself, since numpy also accepts ``+2000-01``,
+    ``today`` and ``NaT``, and only within the four-digit years.
+    ``first`` is the calendar's first date, whose resolution every later
+    label must share.
+    """
+    try:
+        # a longer label carries a time; with a time zone numpy would also warn
+        date = np.datetime64(label) if len(label) <= 10 else None
+    except ValueError:
+        date = None
+    if (date is None or date.dtype not in _RESOLUTIONS or str(date) != label
+            or not _ISO_SPAN[0] <= date < _ISO_SPAN[1]):
+        raise ParseError(f"bad date {label!r} (want YYYY-MM or YYYY-MM-DD)", line)
+    if first is not None and date.dtype != first.dtype:
+        kinds = f"{_RESOLUTIONS[first.dtype]}/{_RESOLUTIONS[date.dtype]}"
+        raise ParseError(f"mixed {kinds} dates, {label!r}", line)
+    return date
+
+
+@dataclass(frozen=True, eq=False)
+class Calendar:
+    """Strictly increasing periods: a read-only ``datetime64[M]`` (monthly)
+    or ``datetime64[D]`` (daily) array.
+
+    Built from ISO labels (``YYYY-MM`` or ``YYYY-MM-DD``, parsed strictly) or
+    from a ``datetime64`` array of either resolution. Labels are rendered only
+    when asked for; indexing and iteration yield them as ``str``.
     """
 
-    labels: tuple[str, ...]
+    dates: np.ndarray
 
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        object.__setattr__(self, "labels", labels)
-        for i in range(1, len(labels)):
-            if labels[i] <= labels[i - 1]:
-                raise PanelError(
-                    "calendar labels must be strictly increasing, got "
-                    f"{labels[i - 1]!r} followed by {labels[i]!r}"
-                )
+    def __init__(self, labels):
+        if isinstance(labels, np.ndarray) and labels.dtype in _RESOLUTIONS:
+            dates = _freeze(labels, 1, labels.dtype)
+        else:
+            parsed: list = []
+            for label in labels:
+                parsed.append(_parse_date(str(label), parsed[0] if parsed else None))
+            dates = _freeze(parsed, 1, parsed[0].dtype if parsed else _MONTHLY)
+        bad = np.flatnonzero(np.diff(dates) <= np.timedelta64(0))
+        if bad.size:
+            i = bad[0]
+            raise PanelError(
+                "calendar labels must be strictly increasing, got "
+                f"{str(dates[i])!r} followed by {str(dates[i + 1])!r}"
+            )
+        object.__setattr__(self, "dates", dates)
+
+    def __eq__(self, other) -> bool:
+        # same resolution first: numpy would cast 2000-01 to 2000-01-01
+        return (
+            isinstance(other, Calendar)
+            and self.dates.dtype == other.dates.dtype
+            and np.array_equal(self.dates, other.dates)
+        )
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.dates)
 
     def __iter__(self):
         return iter(self.labels)
 
     def __getitem__(self, i):
-        return self.labels[i]
+        return np.datetime_as_string(self.dates[i]).tolist()  # a str, or a list of them
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"label {label!r} not in calendar") from None
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """ISO labels, rendered on each call."""
+        return tuple(np.datetime_as_string(self.dates).tolist())
 
     def head(self, k: int) -> "Calendar":
-        return Calendar(self.labels[:k])
+        return Calendar(self.dates[:k])
 
     @property
     def is_monthly(self) -> bool:
-        return bool(self.labels) and all(_MONTHLY.match(x) for x in self.labels)
+        return self.dates.dtype == _MONTHLY
 
     @property
     def is_daily(self) -> bool:
-        return bool(self.labels) and all(_DAILY.match(x) for x in self.labels)
+        return self.dates.dtype == _DAILY
 
     @staticmethod
     def periods(n: int, start: str = "1900-01") -> "Calendar":
-        """Synthetic monthly calendar of ``n`` periods starting at ``start``.
+        """Monthly calendar of ``n`` periods starting at ``start`` (``YYYY-MM``).
 
-        Falls back to fixed-width period ids when the run would pass the
-        ISO year 9999.
+        Any length is held in memory; :func:`emit_csv` refuses dates past
+        9999-12, which four-digit ISO years cannot name.
         """
         if n < 1:
             raise PanelError("calendar needs at least one period")
-        m = _MONTHLY.match(start)
-        if not m:
+        first = _parse_date(start)
+        if first.dtype != _MONTHLY:
             raise PanelError(f"start must be YYYY-MM, got {start!r}")
-        y0, m0 = int(start[:4]), int(start[5:7])
-        if not 1 <= m0 <= 12:
-            raise PanelError(f"start month out of range: {start!r}")
-        end_year = y0 + (m0 - 1 + n - 1) // 12
-        if end_year <= 9999:
-            labels = []
-            for i in range(n):
-                y, mm = divmod(m0 - 1 + i, 12)
-                labels.append(f"{y0 + y:04d}-{mm + 1:02d}")
-            return Calendar(tuple(labels))
-        width = max(8, len(str(n - 1)))
-        return Calendar(tuple(f"t{i:0{width}d}" for i in range(n)))
+        return Calendar(first + np.arange(n))
 
 
-def _freeze(values: np.ndarray, ndim: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _freeze(values, ndim: int, dtype=np.float64) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
     if arr.ndim != ndim:
         raise PanelError(f"expected {ndim}-d values, got shape {arr.shape}")
     if arr.flags.writeable:
@@ -154,7 +182,7 @@ def _freeze(values: np.ndarray, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnPanel:
     """Per-(date, asset) returns, dimensionless fractions per period."""
 
@@ -199,7 +227,7 @@ class ReturnPanel:
         return ReturnPanel(self.calendar.head(k), self.assets, self.values[:k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NamedSeries:
     """One return per date, with a label."""
 
@@ -224,34 +252,15 @@ def require_aligned(*objs) -> Calendar:
     """Return the shared calendar, or raise listing the offending dates."""
     cal = objs[0].calendar
     for other in objs[1:]:
-        if other.calendar.labels != cal.labels:
-            a, b = set(cal.labels), set(other.calendar.labels)
-            diff = sorted(a.symmetric_difference(b))
+        if other.calendar != cal:
+            diff = sorted(set(cal.labels).symmetric_difference(other.calendar.labels))
             shown = ", ".join(diff[:10]) + (" ..." if len(diff) > 10 else "")
-            raise AlignmentError(
-                f"calendars differ; dates present on one side only: {shown}"
-                if diff
-                else "calendars contain the same dates in different order"
-            )
+            raise AlignmentError(f"calendars differ; dates present on one side only: {shown}")
     return cal
 
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
-
-
-def _validate_date(label: str, resolution: list, line: int) -> str:
-    if _MONTHLY.match(label):
-        kind = "monthly"
-    elif _DAILY.match(label):
-        kind = "daily"
-    else:
-        raise ParseError(f"bad date {label!r} (want YYYY-MM or YYYY-MM-DD)", line)
-    if not resolution:
-        resolution.append(kind)
-    elif resolution[0] != kind:
-        raise ParseError(f"mixed {resolution[0]}/{kind} dates, {label!r}", line)
-    return label
 
 
 def _parse_cell(cell: str, allow_missing: bool, line: int) -> float:
@@ -308,14 +317,13 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
     except StopIteration:
         raise EmptyInputError(f"{path}: no rows") from None
 
-    resolution: list = []
     if layout == "wide":
         if not header or header[0] != "date" or len(header) < 2:
             raise ParseError("wide header must be 'date,<asset>,...'", header_line)
         assets = tuple(header[1:])
         if len(set(assets)) != len(assets) or any(not a for a in assets):
             raise ParseError("asset ids must be unique and non-empty", header_line)
-        dates: list[str] = []
+        dates: list[np.datetime64] = []
         lines: list[int] = []
         data: list[list[float]] = []
         seen: set[str] = set()
@@ -324,10 +332,10 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
                 raise ParseError(
                     f"expected {len(assets) + 1} cells, got {len(row)}", line
                 )
-            date = _validate_date(row[0], resolution, line)
-            if date in seen:
-                raise DuplicateKeyError(f"line {line}: duplicate date {date!r}")
-            seen.add(date)
+            date = _parse_date(row[0], dates[0] if dates else None, line)
+            if row[0] in seen:
+                raise DuplicateKeyError(f"line {line}: duplicate date {row[0]!r}")
+            seen.add(row[0])
             dates.append(date)
             lines.append(line)
             data.append([_parse_cell(c, allow_missing, line) for c in row[1:]])
@@ -336,17 +344,21 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
         values = np.asarray(data, dtype=np.float64)
         _require_finite(values, allow_missing, lines, assets)
         order = np.argsort(np.array(dates))
-        values = values[order]
-        return ReturnPanel(Calendar(tuple(np.array(dates)[order])), assets, values)
+        values = values[order]  # rebinding frees the unsorted copy before the panel's own
+        return ReturnPanel(Calendar(np.array(dates)[order]), assets, values)
 
     if header != ["date", "asset", "return"]:
         raise ParseError("long header must be 'date,asset,return'", header_line)
     obs: dict[tuple[str, str], float] = {}
+    label_dates: dict[str, np.datetime64] = {}  # each distinct label, parsed once
     lines = []
     for line, row in rows:
         if len(row) != 3:
             raise ParseError(f"expected 3 cells, got {len(row)}", line)
-        date = _validate_date(row[0], resolution, line)
+        date = row[0]
+        if date not in label_dates:
+            first = next(iter(label_dates.values()), None)
+            label_dates[date] = _parse_date(date, first, line)
         asset = row[1]
         if not asset:
             raise ParseError("empty asset id", line)
@@ -359,14 +371,11 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
         raise EmptyInputError(f"{path}: no data rows")
     parsed = np.fromiter(obs.values(), np.float64, len(obs))
     _require_finite(parsed[:, None], allow_missing, lines, ("return",))
-    dates = sorted({d for d, _ in obs})
-    assets = tuple(sorted({a for _, a in obs}))
+    dates, row_of = np.unique(np.array([label_dates[d] for d, _ in obs]), return_inverse=True)
+    assets, col_of = np.unique([a for _, a in obs], return_inverse=True)
     values = np.full((len(dates), len(assets)), np.nan)
-    a_idx = {a: j for j, a in enumerate(assets)}
-    d_idx = {d: i for i, d in enumerate(dates)}
-    for (d, a), v in obs.items():
-        values[d_idx[d], a_idx[a]] = v
-    return ReturnPanel(Calendar(tuple(dates)), assets, values)
+    values[row_of, col_of] = parsed
+    return ReturnPanel(Calendar(dates), tuple(assets), values)
 
 
 def load_series(path, allow_missing: bool = False, name: str | None = None) -> NamedSeries:
@@ -392,18 +401,12 @@ def resample_monthly(panel: ReturnPanel) -> ReturnPanel:
     """
     if not panel.calendar.is_daily:
         raise PanelError("resample_monthly expects a daily calendar")
-    months = [d[:7] for d in panel.calendar]
-    keys = sorted(set(months))
-    out = np.full((len(keys), panel.n_assets), np.nan)
-    month_arr = np.array(months)
-    growth = np.where(np.isfinite(panel.values), 1.0 + panel.values, 1.0)
+    months, starts = np.unique(panel.calendar.dates.astype(_MONTHLY), return_index=True)
     seen = np.isfinite(panel.values)
-    for i, key in enumerate(keys):
-        rows = month_arr == key
-        any_obs = seen[rows].any(axis=0)
-        compounded = growth[rows].prod(axis=0) - 1.0
-        out[i] = np.where(any_obs, compounded, np.nan)
-    return ReturnPanel(Calendar(tuple(keys)), panel.assets, out)
+    growth = np.where(seen, 1.0 + panel.values, 1.0)
+    compounded = np.multiply.reduceat(growth, starts, axis=0) - 1.0
+    out = np.where(np.logical_or.reduceat(seen, starts, axis=0), compounded, np.nan)
+    return ReturnPanel(Calendar(months), panel.assets, out)
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +437,29 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
 
     Fixed 12-significant-digit decimal formatting, fixed column order,
     RFC-4180 quoting. ``header`` entries become leading ``# key=value``
-    comment lines (skipped on load).
+    comment lines (skipped on load). Dates are ISO labels, so a calendar
+    outside 0000-01 .. 9999-12 is refused before the file is opened.
     """
+    if isinstance(obj, (ReturnPanel, NamedSeries)):
+        cal = obj.calendar
+        if len(cal) and not (_ISO_SPAN[0] <= cal.dates[0] and cal.dates[-1] < _ISO_SPAN[1]):
+            raise PanelError(
+                f"cannot write T={len(cal)} periods {cal[0]}..{cal[-1]}: "
+                "CSV dates run from 0000-01 to 9999-12"
+            )
+        names = obj.assets if isinstance(obj, ReturnPanel) else (obj.name,)
+        columns, keys = ["date", *names], cal.labels
+        cells = obj.values.reshape(len(cal), len(names))
+    elif hasattr(obj, "m_values") and hasattr(obj, "n_values"):
+        columns = ["m", *(str(n) for n in obj.n_values)]
+        keys, cells = [str(m) for m in obj.m_values], obj.cells
+    else:
+        raise PanelError(f"cannot emit object of type {type(obj).__name__}")
     with open(path, "w", newline="") as fh:
         if header:
             for key, val in header.items():
                 fh.write(f"# {key}={val}\r\n")
         writer = csv.writer(fh)
-        if isinstance(obj, ReturnPanel):
-            writer.writerow(["date", *obj.assets])
-            for i, date in enumerate(obj.calendar):
-                writer.writerow([date, *(_fmt(v) for v in obj.values[i])])
-        elif isinstance(obj, NamedSeries):
-            writer.writerow(["date", obj.name])
-            for date, v in zip(obj.calendar, obj.values):
-                writer.writerow([date, _fmt(v)])
-        elif hasattr(obj, "m_values") and hasattr(obj, "n_values"):
-            writer.writerow(["m", *(str(n) for n in obj.n_values)])
-            for i, m in enumerate(obj.m_values):
-                writer.writerow([str(m), *(_fmt(v) for v in obj.cells[i])])
-        else:
-            raise PanelError(f"cannot emit object of type {type(obj).__name__}")
+        writer.writerow(columns)
+        for key, row in zip(keys, cells):
+            writer.writerow([key, *(_fmt(v) for v in row)])

@@ -59,7 +59,7 @@ class PipelineConfig:
         return self.window_months if self.min_obs is None else self.min_obs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PnlSeries(NamedSeries):
     """A strategy return series with a record of the stages applied to it."""
 

@@ -12,7 +12,7 @@ from factormom.analytics import (
     spanning_regression,
 )
 from factormom.model import simulate_ar1
-from factormom.panel import Calendar, NamedSeries
+from factormom.panel import AlignmentError, Calendar, NamedSeries
 
 
 def series(values, name="x", start="1900-01"):
@@ -105,6 +105,19 @@ def test_correlation_uses_overlap_only():
     )
     # overlap 2000-02..2000-04, with x missing at 2000-04: two common points
     assert correlation(x, y) == pytest.approx(1.0)
+
+
+def test_overlap_refuses_monthly_against_daily():
+    monthly = series([0.01, 0.02, 0.03], "m", start="2000-01")
+    daily = NamedSeries(
+        Calendar(("2000-01-01", "2000-02-01", "2000-03-01")), "d", np.array([0.01, 0.02, 0.03])
+    )
+    # numpy would match 2000-01 with 2000-01-01; a monthly and a daily
+    # calendar share no dates
+    with pytest.raises(AlignmentError):
+        correlation(monthly, daily)
+    with pytest.raises(AlignmentError):
+        spanning_regression(monthly, [daily])
 
 
 def test_correlation_degenerate_cases():

@@ -291,6 +291,39 @@ def test_simulate_factor_out_creates_its_directory(tmp_path):
     assert panel.load_series(factor).values.shape == (20,)
 
 
+def two_stock_params(path):
+    path.write_text(json.dumps({
+        "N": 2, "alpha": 0.5, "w": [1, -1], "mu": [0, 0], "rho": 0.1, "sigma": {"diag": [1, 1]},
+    }))
+    return str(path)
+
+
+def test_simulate_past_9999_12_exits_2(tmp_path, capsys):
+    code = main([
+        "--seed", "1", "--out-dir", str(tmp_path), "simulate",
+        "--params", two_stock_params(tmp_path / "p.json"), "--T", "98000", "--burn-in", "0",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "T=98000" in err and "9999-12" in err
+    assert not (tmp_path / "panel.csv").exists()
+
+
+def test_simulated_series_ending_9999_12_reloads(tmp_path):
+    factor = tmp_path / "factor.csv"
+    code = main([
+        "--seed", "1", "--out-dir", str(tmp_path), "simulate",
+        "--params", two_stock_params(tmp_path / "p.json"), "--T", "97200", "--burn-in", "0",
+        "--factor-out", str(factor),
+    ])
+    assert code == 0
+    series = panel.load_series(factor)
+    assert series.calendar == panel.Calendar.periods(97_200)
+    assert series.calendar[-1] == "9999-12"
+    sim = panel.load_panel(tmp_path / "panel.csv")
+    assert sim.calendar == series.calendar and sim.values.shape == (97_200, 2)
+
+
 @pytest.mark.parametrize("bad, word", [
     ({"sigma": 1.0}, "sigma"),
     ({"w": 1}, "w has shape"),
@@ -419,6 +452,15 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
      "pipeline.window_months"),
     ("sweep", {"factor_panel": "factors.csv", "stats": "sharpe"}, "stats"),
     ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": [3]}, "n"),
+    ("sweep", {"factor_panel": "factors.csv", "pipeline": {"vol_target": [1]}},
+     "pipeline.vol_target"),
+    ("sweep", {"factor_panel": "factors.csv", "pipeline": {"window": 24}}, "window"),
+    ("verify", {"T": 2000, "eq3": {
+        "beta": [0.8] * 2, "factor": {"rho": 0.0, "mu": 0.0, "sigma_u": 1.0},
+        "idio_vol": "x", "m": 2, "n": 2, "T": 2000, "seed": 3}}, "eq3.idio_vol"),
+    ("verify", {"T": 2000, "eq3": {
+        "beta": [0.8] * 2, "factor": {"rho": "x", "mu": 0.0, "sigma_u": 1.0},
+        "idio_vol": 1.0, "m": 2, "n": 2, "T": 2000, "seed": 3}}, "eq3.factor.rho"),
 ])
 def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     (workdir / "cfg.json").write_text(json.dumps(cfg))

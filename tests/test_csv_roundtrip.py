@@ -1,0 +1,96 @@
+"""load(emit(x)) returns x at the emitted precision, bit for bit.
+
+Every float is written at 12 significant digits, so the loaded value is
+exactly ``round_float(x)``: -0.0 comes back as 0.0, holes as NaN, and
+subnormals and values near the float64 limits survive. Calendars are monthly
+or daily and reach the last writable month, 9999-12.
+"""
+
+import csv
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from factormom.momentum import GridResult
+from factormom.panel import (
+    Calendar,
+    NamedSeries,
+    ReturnPanel,
+    emit_csv,
+    load_panel,
+    load_series,
+    round_float,
+)
+
+# ordinals of the first and last writable date of each resolution
+SPANS = {
+    unit: (int(np.datetime64(lo, unit).astype(np.int64)),
+           int(np.datetime64(hi, unit).astype(np.int64)))
+    for unit, lo, hi in (("M", "0000-01", "9999-12"), ("D", "0000-01-01", "9999-12-31"))
+}
+# full float64 range: -0.0, subnormals, 1e-300 and 1e300 scales
+floats = st.floats(allow_nan=False, allow_infinity=False)
+names = st.text("abcXYZ019_-,\" ", min_size=1, max_size=6).filter(lambda x: x == x.strip())
+roundtrip_settings = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def calendars(draw, max_len=12):
+    unit = draw(st.sampled_from(sorted(SPANS)))
+    lo, hi = SPANS[unit]
+    ordinals = draw(st.lists(st.sampled_from([lo, hi]) | st.integers(lo, hi),
+                             min_size=1, max_size=max_len, unique=True))
+    return Calendar(np.sort(np.array(ordinals)).astype(f"datetime64[{unit}]"))
+
+
+@st.composite
+def matrices(draw, shape):
+    cells = draw(st.lists(floats, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    values = np.array(cells, float).reshape(shape)
+    holes = draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size))
+    values[np.array(holes, bool).reshape(shape)] = np.nan
+    return values
+
+
+def emitted(values):
+    """What a load returns for ``values``: each float rounded as written."""
+    return np.array([np.nan if np.isnan(x) else round_float(x) for x in values.flat]).reshape(
+        values.shape)
+
+
+@roundtrip_settings
+@given(calendars(), st.lists(names, min_size=1, max_size=5, unique=True), st.data())
+def test_panel_round_trip(tmp_path_factory, cal, assets, data):
+    values = data.draw(matrices((len(cal), len(assets))))
+    path = tmp_path_factory.mktemp("panel") / "p.csv"
+    emit_csv(ReturnPanel(cal, tuple(assets), values), path, header={"seed": 1})
+    back = load_panel(path, "wide", allow_missing=True)
+    assert back.calendar == cal and back.assets == tuple(assets)
+    assert back.values.tobytes() == emitted(values).tobytes()
+
+
+@roundtrip_settings
+@given(calendars(), names, st.data())
+def test_series_round_trip(tmp_path_factory, cal, name, data):
+    values = data.draw(matrices((len(cal), 1)))[:, 0]
+    path = tmp_path_factory.mktemp("series") / "s.csv"
+    emit_csv(NamedSeries(cal, name, values), path)
+    back = load_series(path, allow_missing=True)
+    assert back.calendar == cal and back.name == name
+    assert back.values.tobytes() == emitted(values).tobytes()
+
+
+@roundtrip_settings
+@given(st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(1, 99), min_size=1, max_size=4, unique=True), st.data())
+def test_grid_round_trip(tmp_path_factory, m_values, n_values, data):
+    cells = data.draw(matrices((len(m_values), len(n_values))))
+    path = tmp_path_factory.mktemp("grid") / "g.csv"
+    emit_csv(GridResult(tuple(m_values), tuple(n_values), cells, "sharpe"), path)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["m", *map(str, n_values)]
+    assert [int(row[0]) for row in rows] == m_values
+    back = np.array([[float(c) if c else np.nan for c in row[1:]] for row in rows])
+    assert back.tobytes() == emitted(cells).tobytes()

@@ -127,6 +127,52 @@ def test_load_errors(tmp_path):
         load_panel(mixed, "wide")
 
 
+# the first four are not dates; numpy alone accepts the next five (as
+# 2000-01, the current day, not-a-time, an hour and a year) and the last two
+# as months of the years -1 and 1000000, which no four-digit label can name
+@pytest.mark.parametrize("label", [
+    "2000-13", "2000-00", "2000-02-30", "2000-1", "+2000-01", "today", "NaT", "2000-01-01T00",
+    "2000", "-001-01", "1000000-01",
+])
+def test_invalid_dates_rejected_with_line(tmp_path, label):
+    first = "2000-01-03" if label.count("-") == 2 else "1999-12"
+    wide = tmp_path / "wide.csv"
+    wide.write_text(f"date,A\n{first},0.01\n{label},0.02\n")
+    long = tmp_path / "long.csv"
+    long.write_text(f"date,asset,return\n{first},A,0.01\n{label},A,0.02\n")
+    for path, layout in ((wide, "wide"), (long, "long")):
+        with pytest.raises(ParseError, match="bad date") as err:
+            load_panel(path, layout)
+        assert err.value.line == 3
+    with pytest.raises(ParseError, match="bad date"):
+        Calendar((first, label))
+
+
+def test_monthly_label_in_daily_file_is_mixed(tmp_path):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("date,A\n2000-01-03,0.01\n2000-02,0.02\n")
+    long = tmp_path / "long.csv"
+    long.write_text("date,asset,return\n2000-01-03,A,0.01\n2000-02,A,0.02\n")
+    for path, layout in ((wide, "wide"), (long, "long")):
+        with pytest.raises(ParseError, match="mixed daily/monthly") as err:
+            load_panel(path, layout)
+        assert err.value.line == 3
+
+
+def test_calendar_resolution_and_equality():
+    monthly, daily = Calendar(("2000-01",)), Calendar(("2000-01-01",))
+    assert monthly.is_monthly and not monthly.is_daily
+    assert daily.is_daily and not daily.is_monthly
+    # numpy equates 2000-01 with 2000-01-01; calendars of two resolutions differ
+    assert monthly != daily and monthly == Calendar.periods(1, "2000-01")
+    three = Calendar.periods(3, "1999-12")
+    assert three[-1] == "2000-02" and three[1:] == ["2000-01", "2000-02"]
+    a = NamedSeries(monthly, "a", np.array([0.01]))
+    b = NamedSeries(daily, "b", np.array([0.01]))
+    with pytest.raises(AlignmentError, match="2000-01-01"):
+        require_aligned(a, b)
+
+
 @pytest.mark.parametrize("literal", ["inf", "-inf", "1e999", "Infinity"])
 @pytest.mark.parametrize("allow_missing", [False, True])
 def test_infinite_cells_rejected_with_line(tmp_path, literal, allow_missing):
@@ -220,6 +266,18 @@ def test_emit_grid_layout(tmp_path):
     assert path.read_bytes() == b"m,1,2,3\r\n1,0.5,1,\r\n2,-1,0.25,2\r\n"
 
 
+def test_emit_refuses_dates_past_9999_12(tmp_path):
+    last_day = NamedSeries(Calendar(("9999-12-30", "9999-12-31")), "x", np.zeros(2))
+    emit_csv(last_day, tmp_path / "ok.csv")
+    assert load_series(tmp_path / "ok.csv").calendar == last_day.calendar
+    path = tmp_path / "late.csv"
+    for cal in (Calendar.periods(2, "9999-12"),
+                Calendar(np.array(["9999-12-31", "10000-01-01"], "datetime64[D]"))):
+        with pytest.raises(PanelError, match="T=2 .*9999-12"):
+            emit_csv(NamedSeries(cal, "x", np.zeros(2)), path)
+        assert not path.exists()
+
+
 def test_series_round_trip(tmp_path):
     s = NamedSeries(Calendar(("2000-01", "2000-02")), "mkt", np.array([0.01, -0.02]))
     path = tmp_path / "s.csv"
@@ -268,6 +326,28 @@ def test_resample_matches_brute_force_product():
             for j in rows:
                 acc *= 1.0 + values[j, k]
             assert abs(monthly.values[i, k] - (acc - 1.0)) < 1e-12
+
+
+def test_resample_bit_identical_to_per_month_products():
+    rng = np.random.default_rng(3)
+    days = np.arange(np.datetime64("1999-12-20"), np.datetime64("2000-04-10"))
+    days = days[np.is_busday(days)]
+    values = rng.normal(0, 0.01, (len(days), 4))
+    values[rng.random(values.shape) < 0.2] = np.nan
+    values[(days >= np.datetime64("2000-02-01")) & (days < np.datetime64("2000-03-01")), 3] = np.nan
+    monthly = resample_monthly(ReturnPanel(Calendar(days), tuple("ABCD"), values))
+
+    # reference: one month at a time, as a product over that month's rows
+    months = days.astype("datetime64[M]")
+    keys = np.unique(months)
+    expected = np.full((len(keys), 4), np.nan)
+    for i, key in enumerate(keys):
+        rows = values[months == key]
+        compounded = np.where(np.isfinite(rows), 1.0 + rows, 1.0).prod(axis=0) - 1.0
+        expected[i] = np.where(np.isfinite(rows).any(axis=0), compounded, np.nan)
+    assert monthly.calendar.labels == ("1999-12", "2000-01", "2000-02", "2000-03", "2000-04")
+    assert np.isnan(monthly.values[2, 3])
+    assert monthly.values.tobytes() == expected.tobytes()
 
 
 def test_resample_commutes_with_column_selection():
