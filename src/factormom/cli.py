@@ -157,6 +157,14 @@ def _as_float(value, key: str) -> float:
     raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
 
 
+def _as_bool(value, key: str) -> bool:
+    """``value`` of config key ``key`` as a bool. Only JSON ``true`` and
+    ``false`` pass; anything else is a ``ConfigError`` naming the key."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+
+
 def _parse_range(value, key: str) -> tuple[int, ...]:
     """Accept 4, "4", "1..12", "1,2,3" or a JSON list."""
     if isinstance(value, (list, tuple)):
@@ -208,8 +216,12 @@ def cmd_backtest(args, cfg: dict) -> int:
         raise ConfigError("backtest needs explicit lag m and holding period n")
     m, n = _as_int(cfg["m"], "m"), _as_int(cfg["n"], "n")
     header = _header(args, cfg)
+    allow = _as_bool(cfg.get("allow_missing", False), "allow_missing")
+    risk_managed = _as_bool(cfg.get("strategies_risk_managed", True), "strategies_risk_managed")
+    menagerie_managed = _as_bool(
+        cfg.get("menagerie_risk_managed", True), "menagerie_risk_managed"
+    )
 
-    allow = bool(cfg.get("allow_missing", False))
     factors = panel.load_panel(
         _require_path(cfg, "factors"), cfg.get("layout", "wide"), allow
     )
@@ -227,14 +239,11 @@ def cmd_backtest(args, cfg: dict) -> int:
         ("xs_winners", "rank", "winners"),
         ("xs_losers", "rank", "losers"),
     ]
-    risk_managed = bool(cfg.get("strategies_risk_managed", True))
     rows: dict[str, dict] = {}
     columns = []
     for key, weighting, leg in strategies:
         if key == "menagerie":
-            series = riskpipe.menagerie(
-                managed, pipe, risk_managed=bool(cfg.get("menagerie_risk_managed", True))
-            )
+            series = riskpipe.menagerie(managed, pipe, risk_managed=menagerie_managed)
         else:
             spec = momentum.StrategySpec(m, n, weighting, leg, risk_managed)
             series = momentum.strategy_pnl(managed, spec, pipe)
@@ -269,8 +278,11 @@ def cmd_sweep(args, cfg: dict) -> int:
         raise ConfigError(f"unknown statistics {unknown}")
     cfg["m"], cfg["n"] = list(m_values), list(n_values)
     header = _header(args, cfg)
+    allow = _as_bool(cfg.get("allow_missing", True), "allow_missing")
+    risk_managed = _as_bool(cfg.get("risk_managed", False), "risk_managed")
+    menagerie_control = _as_bool(cfg.get("menagerie_control", True), "menagerie_control")
+    market_control = _as_bool(cfg.get("market_control", True), "market_control")
 
-    allow = bool(cfg.get("allow_missing", True))
     layout = cfg.get("layout", "wide")
     factor_panel = panel.load_panel(_require_path(cfg, "factor_panel"), layout, allow)
     stock_panel = None
@@ -296,7 +308,6 @@ def cmd_sweep(args, cfg: dict) -> int:
         other_panel, other_weighting = factor_panel, factor_weighting
     target_weighting = cfg.get("weighting", target_weighting)
 
-    risk_managed = bool(cfg.get("risk_managed", False))
     pipe = _pipeline_config(cfg["pipeline"])
     min_months = _as_int(cfg.get("min_months", 24), "min_months")
     control_grid = {}
@@ -321,11 +332,11 @@ def cmd_sweep(args, cfg: dict) -> int:
 
     def make_controls():
         fixed = []
-        if cfg.get("menagerie_control", True):
+        if menagerie_control:
             fixed.append(riskpipe.menagerie(factor_panel))
         if market is not None:
             fixed.append(market)
-        elif cfg.get("market_control", True):
+        elif market_control:
             raise ConfigError("stat 'residual' needs a market series (or market_control=false)")
         if fixed_controls:
             return fixed_controls + fixed
@@ -462,7 +473,7 @@ def cmd_verify(args, cfg: dict) -> int:
 
 def cmd_resample(args, cfg: dict) -> int:
     layout = cfg.setdefault("layout", "wide")
-    allow = bool(cfg.setdefault("allow_missing", False))
+    allow = _as_bool(cfg.setdefault("allow_missing", False), "allow_missing")
     header = _header(args, cfg)
     daily = panel.load_panel(_require_path(cfg, "input"), layout, allow)
     monthly = panel.resample_monthly(daily)
@@ -547,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("resample", help="compound a daily panel to monthly")
-    p.add_argument("--input", required=True, help="daily panel CSV")
+    p.add_argument("--input", help="daily panel CSV")
     p.add_argument("--out", help="output CSV")
     p.add_argument("--layout", choices=("wide", "long"), help="CSV layout (default: wide)")
     p.add_argument("--allow-missing", action="store_true", default=None)

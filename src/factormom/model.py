@@ -54,6 +54,9 @@ __all__ = [
 
 DEFAULT_BURN_IN = 500
 DEFAULT_BATCHES = 100
+# lags of the factor and stock momentum moments that verify_model checks
+VERIFY_FACTOR_K = 6
+VERIFY_STOCK_K = 3
 
 
 class ParameterError(Exception):
@@ -162,7 +165,9 @@ class ModelParams:
             raise ParameterError("sigma must be an object providing 'diag' or 'full'")
         if w.shape != (n,):
             raise ParameterError(f"N = {n} but w has shape {w.shape}")
-        normalize = bool(d.get("normalize_w", True))
+        normalize = d.get("normalize_w", True)
+        if not isinstance(normalize, bool):
+            raise ParameterError(f"'normalize_w' must be true or false, got {normalize!r}")
         return ModelParams(alpha, w, mu, rho, sigma, normalize_w=normalize)
 
     @staticmethod
@@ -437,6 +442,12 @@ def _batch_mean_se(x: np.ndarray, n_batches: int) -> tuple[float, float]:
     return float(mean), float(se)
 
 
+def _within_3se(deviation, se) -> bool:
+    """The two-sided acceptance rule of every Monte Carlo check: |deviation|
+    <= 3 SE in every element, so an exact match passes at SE = 0."""
+    return bool(np.all(np.abs(deviation) <= 3.0 * se))
+
+
 def sample_autocovariance(
     values: np.ndarray, k: int, n_batches: int = DEFAULT_BATCHES
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -567,7 +578,7 @@ class CovarianceCheck:
 
     @property
     def agrees(self) -> bool:
-        return abs(self.diff) <= 3.0 * self.diff_se
+        return _within_3se(self.diff, self.diff_se)
 
     @property
     def both_positive(self) -> bool:
@@ -653,39 +664,43 @@ class VerificationReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
-def _rel_close(lhs: float, rhs: float, tol: float = 1e-12) -> bool:
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) <= tol * max(scale, 1.0)
+def _rel_close(lhs: float, rhs: float) -> bool:
+    """Agreement of two closed forms to 1e-12, relative above magnitude 1."""
+    return abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def _three_se_row(name: str, target, estimate, se) -> VerificationCheck:
+    """A "3se" row for a scalar or matrix moment; a scalar is the 1x1 case.
+
+    The row shows the element with the largest |z|, named in the note for a
+    matrix, and passes only if every element lies within 3 SE.
+    """
+    tgt, est, se_ = (np.atleast_2d(x) for x in (target, estimate, se))
+    z = np.abs(est - tgt) / np.maximum(se_, 1e-300)
+    i, j = np.unravel_index(int(np.argmax(z)), z.shape)
+    matrix = np.ndim(estimate) == 2
+    note = f"worst element ({i},{j}) of {z.shape[0]}x{z.shape[1]}" if matrix else ""
+    return VerificationCheck(
+        name, float(est[i, j]), float(tgt[i, j]), float(se_[i, j]), "3se",
+        _within_3se(est - tgt, se_), note,
+    )
+
+
+def _rel_row(name: str, lhs: float, rhs: float, note: str) -> VerificationCheck:
+    return VerificationCheck(name, lhs, rhs, None, "rel", _rel_close(lhs, rhs), note)
 
 
 def check_autocovariances(
-    params: ModelParams,
-    return_values: np.ndarray,
-    k_max: int,
-    n_batches: int = DEFAULT_BATCHES,
+    params: ModelParams, return_values: np.ndarray, k_max: int
 ) -> list[VerificationCheck]:
     """Elementwise 3-SE comparison of sample vs closed-form Omega_1..k_max."""
     omegas = autocovariance_matrices(params, k_max)
-    checks = []
-    for k in range(1, k_max + 1):
-        est, se = sample_autocovariance(return_values, k, n_batches)
-        target = omegas.omega(k)
-        dev = np.abs(est - target)
-        ok = (dev <= 3.0 * se) | ((se == 0.0) & (dev == 0.0))
-        z = dev / np.maximum(se, 1e-300)
-        i, j = np.unravel_index(int(np.argmax(z)), z.shape)
-        checks.append(
-            VerificationCheck(
-                f"autocovariance_k{k}",
-                float(est[i, j]),
-                float(target[i, j]),
-                float(se[i, j]),
-                "3se",
-                bool(ok.all()),
-                f"worst element ({i},{j}) of {est.shape[0]}x{est.shape[1]}",
-            )
+    return [
+        _three_se_row(
+            f"autocovariance_k{k}", omegas.omega(k), *sample_autocovariance(return_values, k)
         )
-    return checks
+        for k in range(1, k_max + 1)
+    ]
 
 
 def verify_model(
@@ -693,113 +708,67 @@ def verify_model(
     seed: int,
     T: int = 1_000_000,
     k_max: int = 3,
-    factor_k: int = 6,
-    stock_k: int = 3,
-    depth: int = 200,
-    recon_T: int = 200_000,
-    burn_in: int = DEFAULT_BURN_IN,
     eq3: dict | None = None,
-    n_batches: int = DEFAULT_BATCHES,
 ) -> VerificationReport:
     """Run the full closed-form-vs-Monte-Carlo battery on one parameter set.
 
-    Enforced checks: elementwise autocovariance agreement at 3 SE, the
-    factor and stock momentum moments at 3 SE, the two-path identity
+    Enforced checks: elementwise autocovariance agreement at 3 SE for lags
+    1..k_max, the factor (lags 1..VERIFY_FACTOR_K) and stock (lags
+    1..VERIFY_STOCK_K) momentum moments at 3 SE, the two-path identity
     w'Omega_k w = momentum term at 1e-12, exact geometric decay of the
-    momentum term, and the truncated-solution bound. Informational rows
-    report the reduced stock-momentum expressions (variance part, and with
-    the plain mu'mu mean term) without affecting the verdict. ``eq3`` is an
-    optional dict of keyword arguments for
+    momentum term, and the truncated-solution bound of
+    :func:`reconstruction_check` at its defaults on seed + 1. Informational
+    rows report the reduced stock-momentum expressions (variance part, and
+    with the plain mu'mu mean term) without affecting the verdict. ``eq3`` is
+    an optional dict of keyword arguments for
     :func:`momentum_covariance_check`.
     """
-    path = simulate(params, T, seed, burn_in)
+    path = simulate(params, T, seed)
     R = path.panel.values
     F = path.factor.values
-    deep = max(k_max, factor_k, stock_k)
-    omegas = autocovariance_matrices(params, deep)
+    omegas = autocovariance_matrices(params, max(k_max, VERIFY_FACTOR_K, VERIFY_STOCK_K))
 
-    checks = list(check_autocovariances(params, R, k_max, n_batches))
-
-    for k in range(1, factor_k + 1):
-        mc, se = factor_moment_mc(F, k, n_batches)
+    checks = check_autocovariances(params, R, k_max)
+    for k in range(1, VERIFY_FACTOR_K + 1):
         moment = expected_factor_momentum(params, k)
-        checks.append(
-            VerificationCheck(
-                f"factor_momentum_k{k}",
-                mc,
-                moment.total,
-                se,
-                "3se",
-                abs(mc - moment.total) <= 3.0 * se,
-            )
-        )
-        w_omega_w = float(params.w @ omegas.omega(k) @ params.w)
-        checks.append(
-            VerificationCheck(
+        checks += [
+            _three_se_row(f"factor_momentum_k{k}", moment.total, *factor_moment_mc(F, k)),
+            _rel_row(
                 f"factor_momentum_two_path_k{k}",
-                w_omega_w,
+                float(params.w @ omegas.omega(k) @ params.w),
                 moment.momentum_term,
-                None,
-                "rel",
-                _rel_close(w_omega_w, moment.momentum_term),
                 "w'Omega_k w vs scalar momentum term",
-            )
-        )
+            ),
+        ]
 
-    for k in range(1, factor_k):
-        lhs = expected_factor_momentum(params, k + 1).momentum_term
-        rhs = params.a * expected_factor_momentum(params, k).momentum_term
-        checks.append(
-            VerificationCheck(
-                f"momentum_decay_k{k}",
-                lhs,
-                rhs,
-                None,
-                "rel",
-                _rel_close(lhs, rhs),
-                "momentum term decays geometrically at rate a",
-            )
-        )
+    for k in range(1, VERIFY_FACTOR_K):
+        checks.append(_rel_row(
+            f"momentum_decay_k{k}",
+            expected_factor_momentum(params, k + 1).momentum_term,
+            params.a * expected_factor_momentum(params, k).momentum_term,
+            "momentum term decays geometrically at rate a",
+        ))
 
-    for k in range(1, stock_k + 1):
-        mc, se = stock_moment_mc(R, k, n_batches)
+    for k in range(1, VERIFY_STOCK_K + 1):
+        mc, se = stock_moment_mc(R, k)
         moment = expected_stock_momentum(params, k, omegas)
-        checks.append(
+        plain = moment.reduced_term + moment.drift_term
+        checks += [
+            _three_se_row(f"stock_momentum_k{k}", moment.total, mc, se),
             VerificationCheck(
-                f"stock_momentum_k{k}",
-                mc,
-                moment.total,
-                se,
-                "3se",
-                abs(mc - moment.total) <= 3.0 * se,
-            )
-        )
-        checks.append(
-            VerificationCheck(
-                f"stock_momentum_reduced_k{k}",
-                moment.reduced_term,
-                moment.trace_term,
-                None,
-                "info",
-                None,
+                f"stock_momentum_reduced_k{k}", moment.reduced_term, moment.trace_term,
+                None, "info", None,
                 "reduced scalar form vs tr(Omega_k); "
                 f"agree={_rel_close(moment.reduced_term, moment.trace_term)}",
-            )
-        )
-        checks.append(
+            ),
             VerificationCheck(
-                f"stock_momentum_plain_drift_k{k}",
-                moment.reduced_term + moment.drift_term,
-                mc,
-                se,
-                "info",
-                None,
+                f"stock_momentum_plain_drift_k{k}", plain, mc, se, "info", None,
                 "reduced form with plain mu'mu mean term vs Monte Carlo; "
-                f"agree={abs(moment.reduced_term + moment.drift_term - mc) <= 3.0 * se}",
-            )
-        )
+                f"agree={_within_3se(plain - mc, se)}",
+            ),
+        ]
 
-    recon = reconstruction_check(params, recon_T, seed + 1, depth, burn_in)
+    recon = reconstruction_check(params, seed=seed + 1)
     checks.append(
         VerificationCheck(
             "return_solution",
@@ -808,11 +777,13 @@ def verify_model(
             None,
             "bound",
             recon.passed,
-            f"max deviation vs geometric tail bound at depth {depth}",
+            f"max deviation vs geometric tail bound at depth {recon.depth}",
         )
     )
 
     if eq3 is not None:
+        # the verdict adds one-sided positivity to the rule on the batchwise
+        # difference, so this row is built from the check, not from its sides
         cov = momentum_covariance_check(**eq3)
         checks.append(
             VerificationCheck(

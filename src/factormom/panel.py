@@ -11,7 +11,7 @@ silent zeros.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -245,7 +245,7 @@ class NamedSeries:
         object.__setattr__(self, "values", arr)
 
     def head(self, k: int) -> "NamedSeries":
-        return type(self)(self.calendar.head(k), self.name, self.values[:k])
+        return replace(self, calendar=self.calendar.head(k), values=self.values[:k])
 
 
 def require_aligned(*objs) -> Calendar:
@@ -438,7 +438,8 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
     Fixed 12-significant-digit decimal formatting, fixed column order,
     RFC-4180 quoting. ``header`` entries become leading ``# key=value``
     comment lines (skipped on load). Dates are ISO labels, so a calendar
-    outside 0000-01 .. 9999-12 is refused before the file is opened.
+    outside 0000-01 .. 9999-12 is refused before the file is opened, as is
+    an empty asset id or series name or one with surrounding whitespace.
     """
     if isinstance(obj, (ReturnPanel, NamedSeries)):
         cal = obj.calendar
@@ -448,6 +449,12 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
                 "CSV dates run from 0000-01 to 9999-12"
             )
         names = obj.assets if isinstance(obj, ReturnPanel) else (obj.name,)
+        for name in names:
+            if not name or name != name.strip():
+                raise PanelError(
+                    f"cannot write name {name!r}: CSV cells load stripped, so asset ids "
+                    "and series names must be non-empty without surrounding whitespace"
+                )
         columns, keys = ["date", *names], cal.labels
         cells = obj.values.reshape(len(cal), len(names))
     elif hasattr(obj, "m_values") and hasattr(obj, "n_values"):

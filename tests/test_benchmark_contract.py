@@ -47,3 +47,36 @@ def test_tracer_installs_and_counts(tmp_path):
     assert result["counters"]["panel.emit_csv.cells"] > 0
     assert {"panel.Calendar.periods", "panel.resample_monthly", "model.simulate"} <= set(
         result["spans"])
+
+
+VERIFY_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import factormom, tracer
+from factormom import cli
+
+tr = tracer.Tracer()
+tr.install(factormom)
+code = cli.main(["--seed", "1", "--out-dir", sys.argv[2], "verify", "--T", "4000", "--k-max", "1"])
+trace = tr.export()
+print(json.dumps({"code": code, "counters": trace["counters"], "wrapped": trace["wrapped"],
+                  "spans": sorted({span[0] for span in trace["spans"]})}))
+"""
+
+
+def test_tracer_spans_verify_and_wraps_every_declared_layer(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_SCRIPT, str(ROOT / "perfbench"), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] in (0, 1)  # a small-T verify can miss a 3-SE check
+    assert {"model.verify_model", "model.simulate", "model.sample_autocovariance",
+            "model.reconstruction_check"} <= set(result["spans"])
+    assert result["counters"]["model.simulated_cells"] > 0
+    # a traced benchmark run is marked incorrect when a declared layer never reports
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    declared = {m["name"].removesuffix(".calls") for m in per_layer if m["name"].endswith(".calls")}
+    assert declared <= set(result["wrapped"])

@@ -461,6 +461,20 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     ("verify", {"T": 2000, "eq3": {
         "beta": [0.8] * 2, "factor": {"rho": "x", "mu": 0.0, "sigma_u": 1.0},
         "idio_vol": 1.0, "m": 2, "n": 2, "T": 2000, "seed": 3}}, "eq3.factor.rho"),
+    ("resample", {"input": "daily.csv", "allow_missing": "false"}, "allow_missing"),
+    ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": 3,
+                  "allow_missing": "no"}, "allow_missing"),
+    ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": 3,
+                  "strategies_risk_managed": "false"}, "strategies_risk_managed"),
+    ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": 3,
+                  "menagerie_risk_managed": 0}, "menagerie_risk_managed"),
+    ("sweep", {"factor_panel": "factors.csv", "allow_missing": "false"}, "allow_missing"),
+    ("sweep", {"factor_panel": "factors.csv", "risk_managed": "true"}, "risk_managed"),
+    ("sweep", {"factor_panel": "factors.csv", "menagerie_control": 0}, "menagerie_control"),
+    ("sweep", {"factor_panel": "factors.csv", "market_control": None}, "market_control"),
+    ("simulate", {"T": 50, "params": {
+        "N": 2, "alpha": 0.2, "w": [1, 1], "mu": [0, 0], "rho": 0.1,
+        "sigma": {"diag": [1, 1]}, "normalize_w": "false"}}, "normalize_w"),
 ])
 def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     (workdir / "cfg.json").write_text(json.dumps(cfg))
@@ -620,6 +634,20 @@ def test_resample_reads_allow_missing_from_config(workdir):
     assert main(argv) == 2
     assert main(["--config", "rs.json", *argv]) == 0
     assert panel.load_panel(workdir / "monthly.csv").values[0, 0] == pytest.approx(0.01)
+
+
+def test_resample_input_from_config(workdir):
+    (workdir / "rs.json").write_text(json.dumps({"input": "daily.csv"}))
+    assert main(["--out-dir", "flag", "resample", "--input", "daily.csv"]) == 0
+    assert main(["--config", "rs.json", "--out-dir", "config", "resample"]) == 0
+    written = [(workdir / run / "monthly.csv").read_bytes() for run in ("flag", "config")]
+    assert written[0] == written[1]
+
+
+def test_resample_without_input_exit_2(workdir, capsys):
+    assert main(["--out-dir", "out", "resample"]) == 2
+    assert "'input'" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def test_unwritable_output_exit_3(sim_inputs, tmp_path):

@@ -16,6 +16,7 @@ from factormom.momentum import GridResult
 from factormom.panel import (
     Calendar,
     NamedSeries,
+    PanelError,
     ReturnPanel,
     emit_csv,
     load_panel,
@@ -32,6 +33,9 @@ SPANS = {
 # full float64 range: -0.0, subnormals, 1e-300 and 1e300 scales
 floats = st.floats(allow_nan=False, allow_infinity=False)
 names = st.text("abcXYZ019_-,\" ", min_size=1, max_size=6).filter(lambda x: x == x.strip())
+# any name at all, weighted towards what CSV quoting or a stripping reader mangles
+any_names = st.text(st.sampled_from(" \t\n\r\x00\x1c\xa0\u2028,\"#a") | st.characters(),
+                    max_size=5)
 roundtrip_settings = settings(max_examples=150, deadline=None, derandomize=True)
 
 
@@ -94,3 +98,20 @@ def test_grid_round_trip(tmp_path_factory, m_values, n_values, data):
     assert [int(row[0]) for row in rows] == m_values
     back = np.array([[float(c) if c else np.nan for c in row[1:]] for row in rows])
     assert back.tobytes() == emitted(cells).tobytes()
+
+
+@roundtrip_settings
+@given(st.lists(any_names, min_size=1, max_size=3, unique=True), st.booleans())
+def test_any_name_round_trips_or_is_refused(tmp_path_factory, names, as_series):
+    cal = Calendar(["2000-01", "2000-02"])
+    values = np.zeros((2, len(names)))
+    obj = (NamedSeries(cal, names[0], values[:, 0]) if as_series
+           else ReturnPanel(cal, tuple(names), values))
+    path = tmp_path_factory.mktemp("names") / "n.csv"
+    try:
+        emit_csv(obj, path)
+    except PanelError:
+        assert not path.exists()
+        return
+    back = load_panel(path)
+    assert back.assets == ((names[0],) if as_series else tuple(names))

@@ -141,6 +141,13 @@ def test_vol_normalize_burn_in_and_meta():
     assert any(stage.startswith("vol_normalize") for stage in out.meta)
 
 
+def test_head_keeps_pnl_stage_record():
+    out = vol_normalize(series(np.random.default_rng(4).normal(0, 0.02, 60)), CFG)
+    cut = out.head(50)
+    assert type(cut) is type(out) and cut.meta == out.meta and cut.name == out.name
+    np.testing.assert_array_equal(cut.values, out.values[:50])
+
+
 # ---------------------------------------------------------------------------
 # menagerie
 
