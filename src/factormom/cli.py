@@ -165,6 +165,15 @@ def _as_bool(value, key: str) -> bool:
     raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
 
 
+def _as_list(value, key: str, what: str) -> list:
+    """``value`` of config key ``key`` as a list of ``what``. Only a JSON list
+    passes; anything else, a single string included, is a ``ConfigError``
+    naming the key."""
+    if isinstance(value, list):
+        return value
+    raise ConfigError(f"config key {key!r} must be a list of {what}, got {value!r}")
+
+
 def _parse_range(value, key: str) -> tuple[int, ...]:
     """Accept 4, "4", "1..12", "1,2,3" or a JSON list."""
     if isinstance(value, (list, tuple)):
@@ -267,9 +276,8 @@ def cmd_backtest(args, cfg: dict) -> int:
 def cmd_sweep(args, cfg: dict) -> int:
     m_values = _parse_range(cfg.get("m", "1..12"), "m")
     n_values = _parse_range(cfg.get("n", "1..12"), "n")
-    stats = cfg.get("stats", ["sharpe"])
-    if not isinstance(stats, list):
-        raise ConfigError(f"config key 'stats' must be a list of statistics, got {stats!r}")
+    stats = _as_list(cfg.get("stats", ["sharpe"]), "stats", "statistics")
+    control_paths = _as_list(cfg.get("control_series", []), "control_series", "paths")
     direction = cfg.get("direction", "factor-on-stock")
     if direction not in ("factor-on-stock", "stock-on-factor"):
         raise ConfigError(f"unknown direction {direction!r}")
@@ -292,8 +300,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     if cfg.get("market"):
         market = panel.load_series(_require_path(cfg, "market"), allow, name="market")
     fixed_controls = [
-        panel.load_series(_existing(p, "control series"), True)
-        for p in cfg.get("control_series", [])
+        panel.load_series(_existing(p, "control series"), allow) for p in control_paths
     ]
 
     factor_weighting = cfg.get("factor_weighting", "sign")
@@ -323,7 +330,7 @@ def cmd_sweep(args, cfg: dict) -> int:
 
     def make_reference():
         if cfg.get("reference"):
-            return panel.load_series(_require_path(cfg, "reference"), True)
+            return panel.load_series(_require_path(cfg, "reference"), allow)
         if fixed_controls:
             return fixed_controls[0]
         if other_panel is None:
@@ -376,10 +383,11 @@ def cmd_sweep(args, cfg: dict) -> int:
 def cmd_span(args, cfg: dict) -> int:
     if not cfg.get("controls"):
         raise ConfigError("span needs at least one control series")
+    control_paths = _as_list(cfg["controls"], "controls", "paths")
     header = _header(args, cfg)
 
     target = panel.load_series(_require_path(cfg, "target"), True)
-    controls = [panel.load_series(_existing(p, "control"), True) for p in cfg["controls"]]
+    controls = [panel.load_series(_existing(p, "control"), True) for p in control_paths]
     result = analytics.spanning_regression(target, controls)
 
     payload = {

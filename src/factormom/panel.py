@@ -413,14 +413,6 @@ def resample_monthly(panel: ReturnPanel) -> ReturnPanel:
 # Emission
 
 
-def _fmt(x: float) -> str:
-    if not np.isfinite(x):
-        return ""
-    if x == 0.0:
-        x = 0.0  # normalize -0.0 for byte-stable output
-    return _FLOAT_FMT.format(x)
-
-
 def round_float(x: float) -> float:
     """``x`` rounded to the emitted precision (12 significant digits).
 
@@ -440,6 +432,11 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
     comment lines (skipped on load). Dates are ISO labels, so a calendar
     outside 0000-01 .. 9999-12 is refused before the file is opened, as is
     an empty asset id or series name or one with surrounding whitespace.
+
+    Only the column header can need quoting; it goes through ``csv.writer``.
+    A complete row is formatted in one call of a row template; a row with a
+    missing or infinite cell is then split and joined cell by cell, each such
+    cell written empty. ``-0.0`` is written as ``0``.
     """
     if isinstance(obj, (ReturnPanel, NamedSeries)):
         cal = obj.calendar
@@ -462,11 +459,24 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
         keys, cells = [str(m) for m in obj.m_values], obj.cells
     else:
         raise PanelError(f"cannot emit object of type {type(obj).__name__}")
+    finite = np.isfinite(cells)
+    clean = np.where(finite, cells, 0.0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    row = ",".join(["{}", *[_FLOAT_FMT] * (len(columns) - 1)]).format
+
+    def lines():
+        # row keys (ISO dates, grid m) and formatted numbers never need quoting
+        for key, values, seen, complete in zip(keys, clean, finite, finite.all(axis=1).tolist()):
+            line = row(key, *values.tolist())
+            if not complete:
+                parts = line.split(",")
+                for j in np.flatnonzero(~seen).tolist():
+                    parts[j + 1] = ""
+                line = ",".join(parts)
+            yield line + "\r\n"
+
     with open(path, "w", newline="") as fh:
         if header:
             for key, val in header.items():
                 fh.write(f"# {key}={val}\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for key, row in zip(keys, cells):
-            writer.writerow([key, *(_fmt(v) for v in row)])
+        csv.writer(fh).writerow(columns)
+        fh.writelines(lines())

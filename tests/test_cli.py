@@ -475,6 +475,10 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     ("simulate", {"T": 50, "params": {
         "N": 2, "alpha": 0.2, "w": [1, 1], "mu": [0, 0], "rho": 0.1,
         "sigma": {"diag": [1, 1]}, "normalize_w": "false"}}, "normalize_w"),
+    ("sweep", {"factor_panel": "factors.csv", "control_series": "f0.csv"}, "control_series"),
+    ("sweep", {"factor_panel": "factors.csv", "control_series": None}, "control_series"),
+    ("span", {"target": "f0.csv", "controls": "market.csv"}, "controls"),
+    ("span", {"target": "f0.csv", "controls": {"market": "market.csv"}}, "controls"),
 ])
 def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     (workdir / "cfg.json").write_text(json.dumps(cfg))
@@ -535,6 +539,30 @@ def test_sweep_fixed_control_series(sim_inputs, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "sweep"]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("key, stat", [("control_series", "residual"), ("reference", "corr")])
+def test_sweep_inputs_follow_allow_missing(sim_inputs, tmp_path, capsys, key, stat):
+    series = panel.load_panel(sim_inputs / "factors.csv").column("f3")
+    values = series.values.copy()
+    values[4] = np.nan  # the fifth date: line 6 after the header
+    gappy = str(tmp_path / "gappy.csv")
+    panel.emit_csv(panel.NamedSeries(series.calendar, "f3", values), gappy)
+    cfg = {
+        "factor_panel": str(sim_inputs / "factors.csv"),
+        "market": str(sim_inputs / "market.csv"),
+        key: [gappy] if key == "control_series" else gappy,
+        "stats": [stat],
+        "m": "1..2",
+        "n": "1..2",
+    }
+    for allow, code in ((True, 0), (False, 2)):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, "allow_missing": allow}))
+        out = tmp_path / f"out_{allow}"
+        assert main(["--config", str(cfg_path), "--out-dir", str(out), "sweep"]) == code
+    assert "line 6" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Every float is written at 12 significant digits, so the loaded value is
 exactly ``round_float(x)``: -0.0 comes back as 0.0, holes as NaN, and
 subnormals and values near the float64 limits survive. Calendars are monthly
-or daily and reach the last writable month, 9999-12.
+or daily and reach the last writable month, 9999-12. The bytes themselves
+match a reference writer that formats and quotes every cell on its own.
 """
 
 import csv
+import io
 
 import numpy as np
 from hypothesis import given, settings
@@ -115,3 +117,68 @@ def test_any_name_round_trips_or_is_refused(tmp_path_factory, names, as_series):
         return
     back = load_panel(path)
     assert back.assets == ((names[0],) if as_series else tuple(names))
+
+
+# every cell at the edges of formatting: signed zeros, holes, infinities,
+# subnormals and values at the float64 limit
+edge_floats = st.sampled_from([
+    0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.79e308, -1.8e307, 1e-300,
+]) | st.floats()
+quoted_names = st.sampled_from(["a,b", 'q"x']) | names
+headers = st.none() | st.dictionaries(st.sampled_from(["command", "seed", "stat"]),
+                                      st.integers(0, 99) | st.text("ab-_", max_size=4))
+
+
+def reference_csv(columns, keys, cells, header) -> bytes:
+    """The per-cell writer: each cell formatted alone, every row through
+    ``csv.writer``; holes and infinities empty, -0.0 written as 0."""
+    def fmt(x):
+        if not np.isfinite(x):
+            return ""
+        return "{:.12g}".format(0.0 if x == 0.0 else x)
+
+    out = io.StringIO(newline="")
+    for key, val in (header or {}).items():
+        out.write(f"# {key}={val}\r\n")
+    writer = csv.writer(out)
+    writer.writerow(columns)
+    for key, row in zip(keys, cells):
+        writer.writerow([key, *(fmt(x) for x in row)])
+    return out.getvalue().encode()
+
+
+@st.composite
+def emittables(draw):
+    """(object, its columns, row keys and cells) for a panel, series or grid,
+    with some rows all missing."""
+    kind = draw(st.sampled_from(["panel", "series", "grid"]))
+    if kind == "grid":
+        m_values = draw(st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True))
+        n_values = draw(st.lists(st.integers(1, 99), min_size=1, max_size=4, unique=True))
+        columns, keys = ["m", *map(str, n_values)], [str(m) for m in m_values]
+    else:
+        cal = draw(calendars(max_len=6))
+        width = 1 if kind == "series" else draw(st.integers(1, 4))
+        assets = draw(st.lists(quoted_names, min_size=width, max_size=width, unique=True))
+        columns, keys = ["date", *assets], list(cal.labels)
+    shape = (len(keys), len(columns) - 1)
+    cells = np.array(draw(st.lists(edge_floats, min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1])), float).reshape(shape)
+    cells[draw(st.lists(st.booleans(), min_size=shape[0], max_size=shape[0]))] = np.nan
+    if kind == "grid":
+        obj = GridResult(tuple(m_values), tuple(n_values), cells, "sharpe")
+    elif kind == "series":
+        obj = NamedSeries(cal, assets[0], cells[:, 0])
+    else:
+        obj = ReturnPanel(cal, tuple(assets), cells)
+    return obj, columns, keys, cells
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(emittables(), headers)
+def test_emit_bytes_match_per_cell_writer(tmp_path_factory, case, header):
+    obj, columns, keys, cells = case
+    path = tmp_path_factory.mktemp("bytes") / "b.csv"
+    emit_csv(obj, path, header)
+    assert path.read_bytes() == reference_csv(columns, keys, cells, header)
