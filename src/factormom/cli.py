@@ -281,6 +281,8 @@ def cmd_sweep(args, cfg: dict) -> int:
     direction = cfg.get("direction", "factor-on-stock")
     if direction not in ("factor-on-stock", "stock-on-factor"):
         raise ConfigError(f"unknown direction {direction!r}")
+    if not stats:
+        raise ConfigError("config key 'stats' must name at least one statistic")
     unknown = [s for s in stats if s not in ("sharpe", "corr", "residual")]
     if unknown:
         raise ConfigError(f"unknown statistics {unknown}")
@@ -317,7 +319,7 @@ def cmd_sweep(args, cfg: dict) -> int:
 
     pipe = _pipeline_config(cfg["pipeline"])
     min_months = _as_int(cfg.get("min_months", 24), "min_months")
-    control_grid = {}
+    target_grid, control_grid = {}, {}
 
     def other_momentum(m, n):
         """The same-(m, n) strategy on the other panel, from one grid per run."""
@@ -358,6 +360,11 @@ def cmd_sweep(args, cfg: dict) -> int:
             kwargs["reference"] = make_reference()
         elif stat == "residual":
             kwargs["controls"] = make_controls()
+        if not target_grid:
+            target_grid.update(momentum.pnl_grid(
+                target_panel, m_values, n_values, target_weighting,
+                risk_managed=risk_managed, cfg=pipe,
+            ))
         grid = momentum.grid_sweep(
             target_panel,
             m_values,
@@ -367,6 +374,7 @@ def cmd_sweep(args, cfg: dict) -> int:
             risk_managed=risk_managed,
             cfg=pipe,
             min_months=min_months,
+            pnls=target_grid,
             **kwargs,
         )
         path = _output(args, f"grid_{stat}.csv", args.out if len(stats) == 1 else None)

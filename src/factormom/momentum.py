@@ -135,29 +135,53 @@ def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weightin
     summed in the same order. Rank weighting sorts each (m0, n) signal row
     once, missing signals last, and every m reads its ranks from that order.
     An asset is tradeable at t when its signal window is complete and its
-    return at t is observed. Yields ``(i, rows, weights, tradeable)`` for
-    ``m_values[i]``; rows before the first (m, n) signal are not yielded.
+    return at t is observed, so on a row with no missing return the (m, n)
+    weights are the (m0, n) weights of row t - (m - m0): one weight pass per
+    n over the rows that complete rows read serves every lag there, and only
+    rows with a hole get a per-lag pass (the whole block's, when holes fill
+    most of it).
+    Yields ``(i, rows, weights, tradeable)`` for ``m_values[i]``; rows before
+    the first (m, n) signal are not yielded.
     """
     T, N = panel.values.shape
     m0 = min(m_values)
     base = signal(panel, m0, n).values
     has_signal = np.isfinite(base)
-    if weighting == "rank":
-        order = np.argsort(np.where(has_signal, base, np.inf), axis=1, kind="stable")
-    else:
-        signs = np.sign(np.where(has_signal, base, 0.0))
     has_return = np.isfinite(panel.values)
     step = max(1, _BLOCK_CELLS // max(N, 1))
+    shared = None
+    if weighting == "rank":
+        order = np.argsort(np.where(has_signal, base, np.inf), axis=1, kind="stable")
+        complete = has_return.all(axis=1)
+        used = np.zeros(T, bool)  # (m0, n) rows some lag reads on a complete row
+        for m in m_values:
+            used[: max(T - (m - m0), 0)] |= complete[m - m0:]
+        if used.any():
+            shared = np.empty((T, N))
+            reads = np.flatnonzero(used)
+            for start in range(0, len(reads), step):
+                src = reads[start:start + step]
+                shared[src] = _ranked_weights(order[src], has_signal[src])
+    else:
+        signs = np.sign(np.where(has_signal, base, 0.0))
     for i, m in enumerate(m_values):
         shift = m - m0
         for start in range(shift, T, step):
             rows = slice(start, min(start + step, T))
             src = slice(rows.start - shift, rows.stop - shift)
             tradeable = has_signal[src] & has_return[rows]
-            if weighting == "rank":
-                weights = _ranked_weights(order[src], tradeable)
-            else:
+            if weighting == "sign":
                 weights = np.where(tradeable, signs[src], 0.0)
+            else:
+                holes = ~complete[rows]
+                # a block mostly of holes costs less whole than gathered
+                if shared is None or 2 * holes.sum() > len(holes):
+                    weights = _ranked_weights(order[src], tradeable)
+                else:
+                    weights = shared[src]
+                    if holes.any():
+                        weights = weights.copy()
+                        weights[holes] = _ranked_weights(order[src][holes], tradeable[holes])
             yield i, rows, weights, tradeable
 
 
@@ -196,6 +220,8 @@ def pnl_grid(
     One signal pass and, for rank weighting, one sort per holding period n
     serve every lag m; each cell is bit-identical to computing it alone.
     """
+    if not m_values or not n_values:
+        raise ValueError("empty (m, n) grid range")
     for m in m_values:
         for n in n_values:
             StrategySpec(m, n, weighting, leg, risk_managed)  # validates the cell
@@ -275,6 +301,7 @@ def grid_sweep(
     reference=None,
     controls=None,
     min_months: int = 24,
+    pnls: dict[tuple[int, int], PnlSeries] | None = None,
 ) -> GridResult:
     """Evaluate one statistic over a rectangle of (m, n) strategies.
 
@@ -285,6 +312,11 @@ def grid_sweep(
     same-(m, n) strategy on another panel are possible. Cells with fewer
     than ``min_months`` PNL observations, or degenerate statistics, are
     missing. Cells are independent; evaluation order never affects values.
+
+    ``pnls`` is a grid already built by :func:`pnl_grid` on ``panel`` with
+    the same weighting, leg, risk management and ``cfg``, holding every
+    (m, n) cell of the sweep; several statistics of one sweep then share it
+    instead of each rebuilding the grid. Without it the grid is built here.
     """
     m_values = tuple(int(m) for m in m_values)
     n_values = tuple(int(n) for n in n_values)
@@ -297,7 +329,8 @@ def grid_sweep(
     if stat == "residual_sharpe" and controls is None:
         raise ValueError("stat='residual_sharpe' needs control series")
 
-    pnls = pnl_grid(panel, m_values, n_values, weighting, leg, risk_managed, cfg)
+    if pnls is None:
+        pnls = pnl_grid(panel, m_values, n_values, weighting, leg, risk_managed, cfg)
     cells = np.full((len(m_values), len(n_values)), np.nan)
     for i, m in enumerate(m_values):
         for j, n in enumerate(n_values):

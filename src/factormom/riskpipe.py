@@ -123,17 +123,13 @@ def beta_hedge(factor: NamedSeries, market: NamedSeries, cfg: PipelineConfig | N
     var = (dm * dm).sum(axis=1)
     cov = (dm * df).sum(axis=1)
 
-    n_win = len(var)
-    betas = np.full(n_win, np.nan)
-    last = np.nan
-    for j in range(n_win):
-        if cnt[j] < min_obs:
-            continue
-        if var[j] > 0.0:
-            last = cov[j] / var[j]
-        # zero market variance: keep the previous beta if there is one
-        if np.isfinite(last):
-            betas[j] = last
+    enough = cnt >= min_obs
+    fitted = enough & (var > 0.0)
+    slope = np.divide(cov, var, out=np.full(len(var), np.nan), where=fitted)
+    # zero market variance: carry the beta of the last fitted window forward
+    last = np.maximum.accumulate(np.where(fitted, np.arange(len(var)), -1))
+    carried = slope[last]
+    betas = np.where(enough & (last >= 0) & np.isfinite(carried), carried, np.nan)
 
     # window ending at t - L is window index t - L - (W - 1)
     t = np.arange(W + L - 1, T)

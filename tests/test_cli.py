@@ -1,11 +1,12 @@
 import json
 import math
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from factormom import cli, model, panel
+from factormom import cli, model, momentum, panel, riskpipe
 from factormom.cli import main
 
 
@@ -220,6 +221,64 @@ def test_sweep_missing_controls_exit_2(sim_inputs, tmp_path):
         "--stat", "residual",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("m, n", [("3..2", "1..2"), ("1..2", "5..4")])
+def test_sweep_empty_range_names_the_range(sim_inputs, tmp_path, capsys, m, n):
+    code = main([
+        "--out-dir", str(tmp_path / "out"), "sweep",
+        "--input", str(sim_inputs / "factors.csv"),
+        "--m", m, "--n", n,
+        "--stat", "sharpe",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: empty (m, n) grid range\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_empty_stats_exit_2(sim_inputs, tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "factor_panel": str(sim_inputs / "factors.csv"), "stats": [],
+    }))
+    code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "sweep"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'stats'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _sweep_config(sim_inputs, tmp_path, **extra):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({
+        "factor_panel": str(sim_inputs / "factors.csv"),
+        "stock_panel": str(sim_inputs / "stocks.csv"),
+        "market": str(sim_inputs / "market.csv"),
+        **extra,
+    }))
+    return ["--config", str(cfg_path), "--out-dir", str(tmp_path), "sweep"]
+
+
+def test_sweep_builds_target_grid_once_for_all_stats(sim_inputs, tmp_path):
+    argv = _sweep_config(sim_inputs, tmp_path, stats=["sharpe", "corr", "residual"],
+                         m="1..3", n="1..2")
+    with mock.patch.object(momentum, "pnl_grid", wraps=momentum.pnl_grid) as grid:
+        assert main(argv) == 0
+    # one target grid shared by the three statistics, one control grid
+    assert grid.call_count == 2
+    panels = [call.args[0].n_assets for call in grid.call_args_list]
+    assert sorted(panels) == [4, 40]
+
+
+def test_risk_managed_sweep_normalizes_each_cell_once(sim_inputs, tmp_path):
+    argv = _sweep_config(sim_inputs, tmp_path, stats=["sharpe", "residual"],
+                         risk_managed=True)
+    counter = mock.Mock(wraps=riskpipe.vol_normalize)
+    with mock.patch.object(momentum, "vol_normalize", counter), \
+            mock.patch.object(riskpipe, "vol_normalize", counter):
+        assert main(argv) == 0
+    # 144 target cells plus 144 control cells, not 144 per statistic
+    assert counter.call_count == 288
 
 
 # ---------------------------------------------------------------------------

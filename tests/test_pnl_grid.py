@@ -98,6 +98,32 @@ def test_pnl_grid_cells_bit_identical_to_per_cell(panel, ms, ns, weighting, leg,
         assert pnl.name == single[m, n].name and pnl.meta == single[m, n].meta
 
 
+@st.composite
+def panels_with_gappy_rows(draw):
+    """Random panels whose holes fall on a few whole rows only, so most rows
+    are complete and the rank kernel mixes shared and per-lag rows."""
+    t_len, n_assets = draw(st.integers(1, 30)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(-2, 3, (t_len, n_assets)).astype(float)
+    else:
+        values = rng.normal(0, 0.05, (t_len, n_assets))
+    for t in draw(st.lists(st.integers(0, t_len - 1), max_size=4, unique=True)):
+        values[t, rng.random(n_assets) < draw(st.sampled_from([0.2, 0.6, 1.0]))] = np.nan
+    return make_panel(values)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, momentum._BLOCK_CELLS])
+@kernel_settings
+@given(panels_with_gappy_rows(), st.lists(st.integers(1, 14), min_size=2, max_size=5, unique=True),
+       holding, st.sampled_from(LEGS))
+def test_rank_grid_with_gappy_rows_bit_identical_to_per_cell(block, panel, ms, ns, leg):
+    with mock.patch.object(momentum, "_BLOCK_CELLS", block):
+        grid = pnl_grid(panel, ms, ns, "rank", leg)
+    for (m, n), pnl in grid.items():
+        assert pnl.values.tobytes() == reference_pnl(panel, m, n, "rank", leg).tobytes(), (m, n)
+
+
 @kernel_settings
 @given(gappy_panels(), st.integers(0, 14), st.integers(1, 14), st.sampled_from(WEIGHTINGS), blocks)
 def test_weights_panel_bit_identical_to_per_cell(panel, m, n, weighting, block):
@@ -130,6 +156,12 @@ def test_risk_managed_grid_normalizes_each_per_cell_pnl():
         expected = vol_normalize(raw, cfg)
         assert pnl.values.tobytes() == expected.values.tobytes()
         assert pnl.meta == expected.meta
+
+
+@pytest.mark.parametrize("ms, ns", [((), (1, 2)), ((1, 2), ()), ((), ())])
+def test_pnl_grid_refuses_empty_range(ms, ns):
+    with pytest.raises(ValueError, match=r"^empty \(m, n\) grid range$"):
+        pnl_grid(make_panel(np.zeros((20, 3))), ms, ns)
 
 
 def test_pnl_grid_refuses_lookahead():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factormom.panel import Calendar, NamedSeries, ReturnPanel
 from factormom.riskpipe import (
     InsufficientHistoryError,
     PipelineConfig,
+    _window_moments,
     beta_hedge,
     menagerie,
     vol_normalize,
@@ -89,6 +92,65 @@ def test_degenerate_market_window_carries_previous_beta():
     fac = 0.4 * mkt + rng.normal(0, 0.005, 120)
     hedged = beta_hedge(series(fac, "f"), series(mkt, "m"), CFG)
     assert np.isfinite(hedged.values[88])  # carried beta keeps output defined
+
+
+def reference_beta_hedge(factor, market, cfg):
+    """Hedged values from the same window moments, with the last beta
+    carried forward one window at a time."""
+    W, L, min_obs = cfg.window_months, cfg.lag_months, cfg.effective_min_obs
+    pair = np.isfinite(factor) & np.isfinite(market)
+    cnt, _, dm = _window_moments(np.where(pair, market, np.nan), W)
+    _, _, df = _window_moments(np.where(pair, factor, np.nan), W)
+    var, cov = (dm * dm).sum(axis=1), (dm * df).sum(axis=1)
+    betas = np.full(len(var), np.nan)
+    last = np.nan
+    for j in range(len(var)):
+        if cnt[j] < min_obs:
+            continue
+        if var[j] > 0.0:
+            last = cov[j] / var[j]
+        if np.isfinite(last):
+            betas[j] = last
+    T = len(factor)
+    out = np.full(T, np.nan)
+    t = np.arange(W + L - 1, T)
+    out[t] = factor[t] - betas[t - L - (W - 1)] * market[t]
+    return out
+
+
+@st.composite
+def hedge_inputs(draw):
+    """Factor and market series with leading NaNs, scattered holes, constant
+    market stretches (zero-variance windows) and infinite slopes."""
+    W = draw(st.integers(2, 8))
+    cfg = PipelineConfig(window_months=W, lag_months=draw(st.integers(1, 3)),
+                         min_obs=draw(st.integers(2, W)))
+    T = draw(st.integers(W, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    market = rng.normal(0.0, 0.04, T)
+    factor = draw(st.sampled_from([0.0, 0.5, -1.2])) * market + rng.normal(0.0, 0.02, T)
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, T - 1))
+        market[start:start + draw(st.integers(1, 2 * W))] = draw(st.sampled_from([0.0, 0.01]))
+    factor[: draw(st.integers(0, T // 2))] = np.nan
+    for values in (factor, market):
+        values[rng.random(T) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = np.nan
+    # a near-subnormal market variance under a huge factor overflows the slope
+    m_scale, f_scale = draw(st.sampled_from([(1.0, 1.0), (1e-155, 1e160)]))
+    return f_scale * factor, m_scale * market, cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hedge_inputs())
+def test_beta_hedge_bit_identical_to_window_loop(inputs):
+    factor, market, cfg = inputs
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            hedged = beta_hedge(series(factor, "f"), series(market, "m"), cfg)
+        except InsufficientHistoryError:
+            return
+        expected = reference_beta_hedge(factor, market, cfg)
+    assert hedged.values.tobytes() == expected.tobytes()
 
 
 def test_beta_hedge_requires_overlap():
