@@ -57,6 +57,8 @@ DEFAULT_BATCHES = 100
 # lags of the factor and stock momentum moments that verify_model checks
 VERIFY_FACTOR_K = 6
 VERIFY_STOCK_K = 3
+# rows per block of the Monte Carlo kernels: bounds their temporaries
+_BLOCK_ROWS = 1 << 16
 
 
 class ParameterError(Exception):
@@ -232,22 +234,57 @@ def _ar1(x: np.ndarray, coef: float, init: float) -> np.ndarray:
     return np.fromiter(steps, np.float64, len(x) + 1)[1:]
 
 
+def _row_blocks(start: int, stop: int):
+    """(lo, hi) bounds of consecutive blocks of ``_BLOCK_ROWS`` rows covering
+    [start, stop). No block holds a single row unless the range does: numpy
+    sends a one-row matrix product to BLAS gemv, which rounds differently
+    from the whole-array gemm, so a one-row tail joins the block before it."""
+    step = max(_BLOCK_ROWS, 2)
+    while start < stop:
+        hi = stop if stop - start <= step + 1 else start + step
+        yield start, hi
+        start = hi
+
+
+def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = None) -> None:
+    """Fill ``r`` (length, N) with a path started from the unconditional mean
+    with e_{-1} = 0, and ``e`` with its innovations when one is given.
+
+    Row blocks (:func:`_row_blocks`) carry e_{t-1} and the AR(1) state across
+    their edges, so every row is bit-identical to the whole-array formulas.
+    x = eps'w stays one whole-array product: the BLAS matrix-vector kernel
+    may round differently when its rows are split or threaded.
+    """
+    rng = np.random.default_rng(seed)
+    chol_t = _chol_psd(params.sigma).T
+    rho = params.rho
+    for start, stop in _row_blocks(0, len(r)):
+        eb = rng.standard_normal((stop - start, params.n)) @ chol_t
+        if e is not None:
+            e[start:stop] = eb
+        r[start:stop] = eb
+        if rho != 0.0:
+            r[start + 1 : stop] -= rho * eb[:-1]
+            if start:
+                r[start] -= rho * e_last
+        e_last = eb[-1].copy()
+        del eb  # not alive next to the next block's draw
+    x = r @ params.w + params.factor_drift
+    load = params.alpha * params.w
+    state = params.factor_mean
+    for start, stop in _row_blocks(0, len(r)):
+        s = _ar1(x[start:stop], params.a, state)
+        s_prev = np.concatenate(([state], s[:-1]))
+        state = s[-1]
+        r[start:stop] += params.mu
+        r[start:stop] += np.outer(s_prev, load)
+
+
 def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Return (r, e) arrays of shape (length, N), starting from the
     unconditional mean with e_{-1} = 0."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((length, params.n))
-    e = z @ _chol_psd(params.sigma).T
-    del z
-    eps = e.copy()
-    if params.rho != 0.0:
-        eps[1:] -= params.rho * e[:-1]
-    x = eps @ params.w + params.factor_drift
-    s_init = params.factor_mean
-    s_prev = np.concatenate(([s_init], _ar1(x, params.a, s_init)[:-1]))
-    r = eps
-    r += params.mu
-    r += np.outer(s_prev, params.alpha * params.w)
+    r, e = np.empty((length, params.n)), np.empty((length, params.n))
+    _fill_raw(params, r, seed, e)
     return r, e
 
 
@@ -270,12 +307,16 @@ def simulate(
     """Simulate T months of the model, discarding ``burn_in`` start-up months.
 
     Fully deterministic per seed: the same seed yields bit-identical paths.
+    The panel's values are a read-only view of the one simulated array, so
+    the burn-in rows stay allocated with it and nothing is copied.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
     if burn_in < 0:
         raise ParameterError("burn_in must be >= 0")
-    r, _ = _simulate_raw(params, burn_in + T, seed)
+    r = np.empty((burn_in + T, params.n))
+    _fill_raw(params, r, seed)
+    r.setflags(write=False)
     values = r[burn_in:]
     calendar = Calendar.periods(T)
     width = max(2, len(str(params.n - 1)))
@@ -422,12 +463,18 @@ def expected_stock_momentum(
 # Monte Carlo estimators (batch-means standard errors)
 
 
+def _batch_size(count: int, n_batches: int) -> int:
+    """Rows per batch when ``count`` observations form ``n_batches`` batches."""
+    size = count // n_batches
+    if size < 1:
+        raise ParameterError(f"{count} observations cannot form {n_batches} batches")
+    return size
+
+
 def _batches(x: np.ndarray, n_batches: int) -> np.ndarray:
     """The leading rows of ``x`` split into ``n_batches`` equal consecutive
     batches along a new axis 0; the remainder rows are dropped."""
-    size = len(x) // n_batches
-    if size < 1:
-        raise ParameterError(f"{len(x)} observations cannot form {n_batches} batches")
+    size = _batch_size(len(x), n_batches)
     return x[: size * n_batches].reshape(n_batches, size, *x.shape[1:])
 
 
@@ -465,9 +512,17 @@ def sample_autocovariance(
     T = len(x)
     if k < 1 or k >= T:
         raise ParameterError(f"need 1 <= k < {T}, got {k}")
-    xm = x - x.mean(axis=0)
-    lead, lag = _batches(xm[k:], n_batches), _batches(xm[:-k], n_batches)
-    est, se = _mean_se(np.einsum("bti,btj->bij", lead, lag) / lead.shape[1])
+    size = _batch_size(T - k, n_batches)
+    mean = x.mean(axis=0)
+    # centre one group of whole batches at a time, with the k rows its lead needs
+    per_batch = np.empty((n_batches, x.shape[1], x.shape[1]))
+    group = max(1, _BLOCK_ROWS // size)
+    for b0 in range(0, n_batches, group):
+        nb = min(group, n_batches - b0)
+        xm = x[b0 * size : (b0 + nb) * size + k] - mean
+        lead, lag = _batches(xm[k:], nb), _batches(xm[: nb * size], nb)
+        per_batch[b0 : b0 + nb] = np.einsum("bti,btj->bij", lead, lag)
+    est, se = _mean_se(per_batch / size)
     if scalar:
         return float(est[0, 0]), float(se[0, 0])
     return est, se
@@ -485,8 +540,13 @@ def stock_moment_mc(
     return_values: np.ndarray, k: int, n_batches: int = DEFAULT_BATCHES
 ) -> tuple[float, float]:
     """Monte Carlo E[r_{t-k}' r_t] (uncentered) with batch-means SE."""
+    if k < 1:
+        raise ParameterError(f"need k >= 1, got {k}")
     r = np.asarray(return_values, float)
-    return _batch_mean_se((r[k:] * r[:-k]).sum(axis=1), n_batches)
+    products = np.empty(max(len(r) - k, 0))
+    for start, stop in _row_blocks(0, len(products)):
+        products[start:stop] = (r[start + k : stop + k] * r[start:stop]).sum(axis=1)
+    return _batch_mean_se(products, n_batches)
 
 
 # ---------------------------------------------------------------------------
@@ -531,17 +591,21 @@ def reconstruction_check(
     g = e @ params.w
     kernel = a ** np.arange(depth - 1)  # exponents 0 .. depth-2 for k = 2 .. depth
     conv = np.convolve(g, kernel)
-    start = max(burn_in, depth)
-    t = np.arange(start, length)
+    lag_map = (params.impact_matrix - rho * np.eye(params.n)).T
+    first = max(burn_in, depth)
+    if first >= length:
+        raise ParameterError(f"burn_in + T = {length} leaves no rows past depth {depth}")
 
-    recon = np.empty((len(t), params.n))
-    recon[:] = params.mean_returns
-    recon += e[t]
-    recon += e[t - 1] @ (params.impact_matrix - rho * np.eye(params.n)).T
-    recon += np.outer(c * alpha * conv[t - 2], params.w)
-
-    deviation = float(np.max(np.abs(r[t] - recon)))
-    scale = float(np.max(np.abs(r[t])))
+    deviation = scale = 0.0
+    for start, stop in _row_blocks(first, length):
+        recon = np.empty((stop - start, params.n))
+        recon[:] = params.mean_returns
+        recon += e[start:stop]
+        recon += e[start - 1 : stop - 1] @ lag_map
+        recon += np.outer(c * alpha * conv[start - 2 : stop - 2], params.w)
+        rows = r[start:stop]
+        deviation = max(deviation, float(np.max(np.abs(rows - recon))))
+        scale = max(scale, float(np.max(np.abs(rows))))
     float_floor = 1e-12 * (1.0 + scale)
     # a = 0 leaves no tail: a ** (depth - 1) is then exactly 0
     tail = (
@@ -722,7 +786,21 @@ def verify_model(
     with the plain mu'mu mean term) without affecting the verdict. ``eq3`` is
     an optional dict of keyword arguments for
     :func:`momentum_covariance_check`.
+
+    Raises :class:`ParameterError` before simulating anything when T leaves
+    fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked.
     """
+    if k_max < 1:
+        raise ParameterError("k_max must be >= 1")
+    k_top = max(k_max, VERIFY_FACTOR_K)
+    if T - k_top < DEFAULT_BATCHES:
+        raise ParameterError(
+            f"T = {T} with k_max = {k_max}: the largest lag checked, {k_top}, leaves "
+            f"{T - k_top} observations for {DEFAULT_BATCHES} batches; "
+            f"need T >= {k_top + DEFAULT_BATCHES}"
+        )
+    # its own path on seed + 1, run first so its arrays are gone before the panel
+    recon = reconstruction_check(params, seed=seed + 1)
     path = simulate(params, T, seed)
     R = path.panel.values
     F = path.factor.values
@@ -768,7 +846,6 @@ def verify_model(
             ),
         ]
 
-    recon = reconstruction_check(params, seed=seed + 1)
     checks.append(
         VerificationCheck(
             "return_solution",

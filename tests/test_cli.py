@@ -414,6 +414,27 @@ def test_verify_nonstationary_params_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--T", "50"], "T = 50 with k_max = 3: the largest lag checked, 6, leaves 44 "
+                    "observations for 100 batches; need T >= 106"),
+    (["--T", "1000000", "--k-max", "999950"],
+     "T = 1000000 with k_max = 999950: the largest lag checked, 999950, leaves 50 "
+     "observations for 100 batches; need T >= 1000050"),
+])
+def test_verify_rejects_unestimable_lag_before_simulating(tmp_path, capsys, monkeypatch,
+                                                          argv, message):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating T and k_max")
+
+    monkeypatch.setattr(model, "simulate", no_simulation)
+    monkeypatch.setattr(model, "_simulate_raw", no_simulation)
+    monkeypatch.setattr(model, "autocovariance_matrices", no_simulation)
+    code = main(["--seed", "0", "--out-dir", str(tmp_path), "verify", *argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_verify_boundary_a_equals_rho(tmp_path, capsys):
     params = tmp_path / "boundary.json"
     params.write_text(json.dumps({

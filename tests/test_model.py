@@ -2,17 +2,20 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import factormom
+from factormom import model
 from factormom.analytics import AR1Params, NonStationaryError
 from factormom.model import (
     ModelParams,
     ParameterError,
     _ar1,
+    _chol_psd,
     _simulate_raw,
     autocovariance_matrices,
     check_autocovariances,
@@ -158,6 +161,57 @@ def test_simulators_match_lfilter_formulas_bit_for_bit():
     x = (1.0 - q.rho) * q.mu + u
     f = signal.lfilter([1.0], [1.0, -q.rho], x, zi=np.array([q.rho * q.mu]))[0]
     assert simulate_ar1(q, 3000, seed=80).tobytes() == f[100:].tobytes()
+
+
+def whole_array_raw(p, length, seed):
+    """The one-shot simulation formulas the blocked kernel reproduces."""
+    e = np.random.default_rng(seed).standard_normal((length, p.n)) @ _chol_psd(p.sigma).T
+    eps = e.copy()
+    if p.rho != 0.0:
+        eps[1:] -= p.rho * e[:-1]
+    x = eps @ p.w + p.factor_drift
+    s_prev = np.concatenate(([p.factor_mean], _ar1(x, p.a, p.factor_mean)[:-1]))
+    r = eps
+    r += p.mu
+    r += np.outer(s_prev, p.alpha * p.w)
+    return r, e
+
+
+BLOCK_EDGE_PARAMS = {
+    "rho=0": make_params(n=3, alpha=0.45, rho=0.0, mu=0.02, seed=4),
+    "rho!=0": make_params(n=3, alpha=0.3, rho=-0.25, mu=[0.01, 0.0, -0.03],
+                          sigma=random_psd(3, 5), seed=6),
+    # exactly singular: Cholesky fails and the eigh square root is used
+    "singular": make_params(n=3, alpha=0.5, rho=0.2, sigma=np.array(
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]), seed=8),
+}
+
+
+# block 1 runs as 2-row blocks: model._row_blocks never makes a one-row block
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+@pytest.mark.parametrize("case", sorted(BLOCK_EDGE_PARAMS))
+def test_simulation_blocks_bit_identical_to_whole_array(monkeypatch, case, block):
+    p = BLOCK_EDGE_PARAMS[case]
+    if case == "singular":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(p.sigma)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+    for length in sorted({1, 2, block - 1, block, block + 1, 2 * block + 3} - {0}):
+        ref_r, ref_e = whole_array_raw(p, length, seed=length)
+        r, e = _simulate_raw(p, length, seed=length)
+        assert r.tobytes() == ref_r.tobytes(), length
+        assert e.tobytes() == ref_e.tobytes(), length
+        if length > 1:  # the same total length, one row of burn-in
+            path = simulate(p, length - 1, seed=length, burn_in=1)
+            assert path.panel.values.tobytes() == ref_r[1:].tobytes(), length
+            assert path.factor.values.tobytes() == (ref_r[1:] @ p.w).tobytes(), length
+
+
+def test_simulated_panel_is_a_read_only_view_of_one_array():
+    path = simulate(make_params(), 50, seed=1, burn_in=7)
+    values = path.panel.values
+    assert not values.flags.writeable
+    assert values.base is not None and values.base.shape == (57, 5)
 
 
 def test_importing_the_cli_loads_no_scipy():
@@ -350,6 +404,11 @@ def test_reconstruction_within_tail_bound():
         assert check.max_deviation < 1e-10
 
 
+def test_reconstruction_refuses_a_path_shorter_than_its_depth():
+    with pytest.raises(ParameterError, match="leaves no rows past depth 200"):
+        reconstruction_check(make_params(), T=150, seed=1, burn_in=0)
+
+
 def test_reconstruction_deviation_decreases_with_depth():
     p = make_params(n=3, alpha=0.85, rho=0.1, seed=55)
     devs = [
@@ -437,6 +496,69 @@ def test_sample_autocovariance_scalar_path():
         est, se = sample_autocovariance(x, k)
         target = rho**k / (1 - rho**2)
         assert abs(est - target) <= 3 * se
+
+
+def one_shot_autocovariance(x, k, n_batches):
+    xm = x - x.mean(axis=0)
+    size = (len(x) - k) // n_batches
+    lead = xm[k:][: size * n_batches].reshape(n_batches, size, -1)
+    lag = xm[:-k][: size * n_batches].reshape(n_batches, size, -1)
+    per_batch = np.einsum("bti,btj->bij", lead, lag) / size
+    return per_batch.mean(axis=0), per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
+
+
+def one_shot_stock_moment(r, k, n_batches):
+    products = (r[k:] * r[:-k]).sum(axis=1)
+    size = len(products) // n_batches
+    per_batch = products[: size * n_batches].reshape(n_batches, size).mean(axis=1)
+    return per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(n_batches)
+
+
+# block 1 gives single-batch groups; 5 and 17 leave a partial last group
+@pytest.mark.parametrize("block", [1, 5, 17, 1 << 16])
+@pytest.mark.parametrize("T, n_batches", [(60, 7), (230, 100)])
+def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_batches):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+    x = np.random.default_rng(T).normal(0.1, 1.0, (T, 4))
+    for k in range(1, T - n_batches + 1):
+        est, se = sample_autocovariance(x, k, n_batches)
+        ref_est, ref_se = one_shot_autocovariance(x, k, n_batches)
+        assert (est.tobytes(), se.tobytes()) == (ref_est.tobytes(), ref_se.tobytes()), k
+        est, se = sample_autocovariance(x[:, 2], k, n_batches)
+        ref_est, ref_se = one_shot_autocovariance(x[:, 2:3], k, n_batches)
+        assert (est, se) == (ref_est[0, 0], ref_se[0, 0]), k
+        mc, mc_se = stock_moment_mc(x, k, n_batches)
+        ref_mc, ref_mc_se = one_shot_stock_moment(x, k, n_batches)
+        assert (mc, mc_se) == (ref_mc, ref_mc_se), k
+    k = T - n_batches + 1
+    short = f"^{n_batches - 1} observations cannot form {n_batches} batches$"
+    for values in (x, x[:, 0]):
+        with pytest.raises(ParameterError, match=short):
+            sample_autocovariance(values, k, n_batches)
+    with pytest.raises(ParameterError, match=short):
+        stock_moment_mc(x, k, n_batches)
+    with pytest.raises(ParameterError, match="need k >= 1"):
+        stock_moment_mc(x, 0, n_batches)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), over what was live before it;
+    numpy reports its data buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_peak_memory_stays_near_one_panel():
+    p, T = default_params(), 200_000
+    panel_bytes = T * p.n * 8
+    assert _traced_peak(lambda: simulate(p, T, seed=3)) <= 2.5 * panel_bytes
+    assert _traced_peak(lambda: verify_model(p, seed=3, T=T)) <= 4 * panel_bytes
 
 
 def test_simulate_ar1_hits_stationary_moments():
