@@ -11,7 +11,7 @@ Run with: python demos/03_momentum_grids.py
 import numpy as np
 
 from factormom.model import default_params, simulate
-from factormom.momentum import grid_sweep
+from factormom.momentum import grid_sweep, pnl_grid
 from factormom.panel import ReturnPanel
 
 params = default_params()
@@ -36,8 +36,9 @@ def show(grid, title):
         print(f"m={m}  {cells}")
 
 
-stock_grid = grid_sweep(stock_panel, range(1, 7), range(1, 7), "rank", "sharpe")
-factor_grid = grid_sweep(factor_panel, range(1, 7), range(1, 7), "sign", "sharpe")
+lags = holds = range(1, 7)
+stock_grid = grid_sweep(pnl_grid(stock_panel, lags, holds, "rank"), lags, holds)
+factor_grid = grid_sweep(pnl_grid(factor_panel, lags, holds, "sign"), lags, holds)
 show(stock_grid, "cross-sectional stock momentum")
 show(factor_grid, "directional factor momentum")
 

@@ -273,6 +273,20 @@ def cmd_backtest(args, cfg: dict) -> int:
 # sweep
 
 
+# The sweep's statistics: CLI and file name -> ``momentum.grid_sweep`` name.
+_SWEEP_STATS = {"sharpe": "sharpe", "corr": "corr", "residual": "residual_sharpe"}
+
+
+def _weighting(cfg: dict, key: str, default: str) -> str:
+    """Config key ``key`` (else ``default``) as a momentum weighting scheme."""
+    value = cfg.get(key, default)
+    if value not in momentum.WEIGHTINGS:
+        raise ConfigError(
+            f"config key {key!r} must be one of {momentum.WEIGHTINGS}, got {value!r}"
+        )
+    return value
+
+
 def cmd_sweep(args, cfg: dict) -> int:
     m_values = _parse_range(cfg.get("m", "1..12"), "m")
     n_values = _parse_range(cfg.get("n", "1..12"), "n")
@@ -283,9 +297,11 @@ def cmd_sweep(args, cfg: dict) -> int:
         raise ConfigError(f"unknown direction {direction!r}")
     if not stats:
         raise ConfigError("config key 'stats' must name at least one statistic")
-    unknown = [s for s in stats if s not in ("sharpe", "corr", "residual")]
+    unknown = [s for s in stats if not isinstance(s, str) or s not in _SWEEP_STATS]
     if unknown:
         raise ConfigError(f"unknown statistics {unknown}")
+    factor_weighting = _weighting(cfg, "factor_weighting", "sign")
+    stock_weighting = _weighting(cfg, "stock_weighting", "rank")
     cfg["m"], cfg["n"] = list(m_values), list(n_values)
     header = _header(args, cfg)
     allow = _as_bool(cfg.get("allow_missing", True), "allow_missing")
@@ -305,8 +321,6 @@ def cmd_sweep(args, cfg: dict) -> int:
         panel.load_series(_existing(p, "control series"), allow) for p in control_paths
     ]
 
-    factor_weighting = cfg.get("factor_weighting", "sign")
-    stock_weighting = cfg.get("stock_weighting", "rank")
     if direction == "factor-on-stock":
         target_panel, target_weighting = factor_panel, factor_weighting
         other_panel, other_weighting = stock_panel, stock_weighting
@@ -315,11 +329,11 @@ def cmd_sweep(args, cfg: dict) -> int:
             raise ConfigError("direction stock-on-factor needs a stock_panel")
         target_panel, target_weighting = stock_panel, stock_weighting
         other_panel, other_weighting = factor_panel, factor_weighting
-    target_weighting = cfg.get("weighting", target_weighting)
+    target_weighting = _weighting(cfg, "weighting", target_weighting)
 
     pipe = _pipeline_config(cfg["pipeline"])
     min_months = _as_int(cfg.get("min_months", 24), "min_months")
-    target_grid, control_grid = {}, {}
+    control_grid = {}
 
     def other_momentum(m, n):
         """The same-(m, n) strategy on the other panel, from one grid per run."""
@@ -330,53 +344,46 @@ def cmd_sweep(args, cfg: dict) -> int:
             ))
         return control_grid[m, n]
 
-    def make_reference():
-        if cfg.get("reference"):
-            return panel.load_series(_require_path(cfg, "reference"), allow)
-        if fixed_controls:
-            return fixed_controls[0]
-        if other_panel is None:
-            raise ConfigError("stat 'corr' needs a stock_panel, reference or control_series")
-        return other_momentum
+    def stat_inputs(stat) -> dict:
+        """The ``grid_sweep`` keyword arguments statistic ``stat`` needs."""
+        if stat == "corr":
+            if cfg.get("reference"):
+                return {"reference": panel.load_series(_require_path(cfg, "reference"), allow)}
+            if fixed_controls:
+                return {"reference": fixed_controls[0]}
+            if other_panel is None:
+                raise ConfigError("stat 'corr' needs a stock_panel, reference or control_series")
+            return {"reference": other_momentum}
+        if stat == "residual":
+            fixed = []
+            if menagerie_control:
+                fixed.append(riskpipe.menagerie(factor_panel))
+            if market is not None:
+                fixed.append(market)
+            elif market_control:
+                raise ConfigError(
+                    "stat 'residual' needs a market series (or market_control=false)"
+                )
+            if fixed_controls:
+                return {"controls": fixed_controls + fixed}
+            if other_panel is None:
+                raise ConfigError("stat 'residual' needs a stock_panel or control_series")
+            return {"controls": lambda m, n: [other_momentum(m, n)] + fixed}
+        return {}
 
-    def make_controls():
-        fixed = []
-        if menagerie_control:
-            fixed.append(riskpipe.menagerie(factor_panel))
-        if market is not None:
-            fixed.append(market)
-        elif market_control:
-            raise ConfigError("stat 'residual' needs a market series (or market_control=false)")
-        if fixed_controls:
-            return fixed_controls + fixed
-        if other_panel is None:
-            raise ConfigError("stat 'residual' needs a stock_panel or control_series")
-        return lambda m, n: [other_momentum(m, n)] + fixed
+    inputs = [(stat, stat_inputs(stat)) for stat in stats]
+    target_grid = momentum.pnl_grid(
+        target_panel, m_values, n_values, target_weighting,
+        risk_managed=risk_managed, cfg=pipe,
+    )
+    grids = [
+        (stat, momentum.grid_sweep(target_grid, m_values, n_values, _SWEEP_STATS[stat],
+                                   min_months=min_months, **kwargs))
+        for stat, kwargs in inputs
+    ]
 
     written = []
-    for stat in stats:
-        kwargs = {}
-        if stat == "corr":
-            kwargs["reference"] = make_reference()
-        elif stat == "residual":
-            kwargs["controls"] = make_controls()
-        if not target_grid:
-            target_grid.update(momentum.pnl_grid(
-                target_panel, m_values, n_values, target_weighting,
-                risk_managed=risk_managed, cfg=pipe,
-            ))
-        grid = momentum.grid_sweep(
-            target_panel,
-            m_values,
-            n_values,
-            target_weighting,
-            {"sharpe": "sharpe", "corr": "corr", "residual": "residual_sharpe"}[stat],
-            risk_managed=risk_managed,
-            cfg=pipe,
-            min_months=min_months,
-            pnls=target_grid,
-            **kwargs,
-        )
+    for stat, grid in grids:
         path = _output(args, f"grid_{stat}.csv", args.out if len(stats) == 1 else None)
         panel.emit_csv(grid, path, {**header, "stat": grid.stat, "direction": direction})
         written.append(str(path))
@@ -543,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighting", choices=momentum.WEIGHTINGS)
     p.add_argument("--m", help="lag range, e.g. 1..12")
     p.add_argument("--n", help="holding-period range, e.g. 1..12")
-    p.add_argument("--stat", dest="stats", nargs=1, choices=("sharpe", "corr", "residual"))
+    p.add_argument("--stat", dest="stats", nargs=1, choices=tuple(_SWEEP_STATS))
     p.add_argument("--direction", choices=("factor-on-stock", "stock-on-factor"))
     p.add_argument("--control-series", nargs="+", help="fixed control series CSVs")
     p.add_argument("--out", help="output CSV (single-stat runs)")

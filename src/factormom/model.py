@@ -531,9 +531,9 @@ def sample_autocovariance(
 def factor_moment_mc(
     factor_values: np.ndarray, k: int, n_batches: int = DEFAULT_BATCHES
 ) -> tuple[float, float]:
-    """Monte Carlo E[F_{t-k} F_t] (uncentered) with batch-means SE."""
-    f = np.asarray(factor_values, float)
-    return _batch_mean_se(f[k:] * f[:-k], n_batches)
+    """Monte Carlo E[F_{t-k} F_t] (uncentered) with batch-means SE: the
+    one-asset case of :func:`stock_moment_mc`."""
+    return stock_moment_mc(np.asarray(factor_values, float)[:, None], k, n_batches)
 
 
 def stock_moment_mc(

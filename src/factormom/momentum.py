@@ -285,26 +285,21 @@ class GridResult:
 
 STATISTICS = ("sharpe", "corr", "residual_sharpe")
 
-DEFAULT_GRID = tuple(range(1, 13))
-
 
 def grid_sweep(
-    panel: ReturnPanel,
-    m_values: Sequence[int] = DEFAULT_GRID,
-    n_values: Sequence[int] = DEFAULT_GRID,
-    weighting: str = "sign",
+    pnls: dict[tuple[int, int], PnlSeries],
+    m_values: Sequence[int],
+    n_values: Sequence[int],
     stat: str = "sharpe",
     *,
-    leg: str = "both",
-    risk_managed: bool = False,
-    cfg: PipelineConfig | None = None,
     reference=None,
     controls=None,
     min_months: int = 24,
-    pnls: dict[tuple[int, int], PnlSeries] | None = None,
 ) -> GridResult:
     """Evaluate one statistic over a rectangle of (m, n) strategies.
 
+    ``pnls`` is a grid built by :func:`pnl_grid` holding every (m, n) cell of
+    the rectangle, so several statistics can share one grid.
     ``stat="sharpe"`` needs nothing else; ``"corr"`` needs ``reference``;
     ``"residual_sharpe"`` needs ``controls``. Both ``reference`` and
     ``controls`` may be fixed series (a series / list of series) or a
@@ -312,11 +307,6 @@ def grid_sweep(
     same-(m, n) strategy on another panel are possible. Cells with fewer
     than ``min_months`` PNL observations, or degenerate statistics, are
     missing. Cells are independent; evaluation order never affects values.
-
-    ``pnls`` is a grid already built by :func:`pnl_grid` on ``panel`` with
-    the same weighting, leg, risk management and ``cfg``, holding every
-    (m, n) cell of the sweep; several statistics of one sweep then share it
-    instead of each rebuilding the grid. Without it the grid is built here.
     """
     m_values = tuple(int(m) for m in m_values)
     n_values = tuple(int(n) for n in n_values)
@@ -329,8 +319,6 @@ def grid_sweep(
     if stat == "residual_sharpe" and controls is None:
         raise ValueError("stat='residual_sharpe' needs control series")
 
-    if pnls is None:
-        pnls = pnl_grid(panel, m_values, n_values, weighting, leg, risk_managed, cfg)
     cells = np.full((len(m_values), len(n_values)), np.nan)
     for i, m in enumerate(m_values):
         for j, n in enumerate(n_values):

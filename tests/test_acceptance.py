@@ -32,7 +32,7 @@ from factormom.model import (
     simulate_ar1,
     stock_moment_mc,
 )
-from factormom.momentum import StrategySpec, grid_sweep, rank_weights, strategy_pnl
+from factormom.momentum import StrategySpec, grid_sweep, pnl_grid, rank_weights, strategy_pnl
 from factormom.panel import NamedSeries, ReturnPanel
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -181,11 +181,13 @@ def test_criterion_4_coexistence_pattern():
             assert abs(mcs - expected_stock_momentum(params, k).total) <= 3 * ses
 
         # the strategy layer reproduces the sign pattern on the same path
-        stock_grid = grid_sweep(path.panel, range(1, 7), range(1, 7), "rank", "sharpe")
+        stock_grid = grid_sweep(pnl_grid(path.panel, range(1, 7), range(1, 7), "rank"),
+                                range(1, 7), range(1, 7), "sharpe")
         factor_panel = ReturnPanel(
             path.panel.calendar, ("factor",), path.factor.values[:, None]
         )
-        factor_grid = grid_sweep(factor_panel, range(1, 7), range(1, 7), "sign", "sharpe")
+        factor_grid = grid_sweep(pnl_grid(factor_panel, range(1, 7), range(1, 7), "sign"),
+                                 range(1, 7), range(1, 7), "sharpe")
         assert stock_grid.cell(1, 1) < 0
         assert np.all(factor_grid.cells > 0)
 
@@ -259,8 +261,8 @@ def test_criterion_7_residual_grid_lag_one_alpha():
             return [control, menag, market]
 
         grid = grid_sweep(
-            factors, range(1, 7), range(1, 7), "sign", "residual_sharpe",
-            controls=controls_for,
+            pnl_grid(factors, range(1, 7), range(1, 7), "sign"),
+            range(1, 7), range(1, 7), "residual_sharpe", controls=controls_for,
         )
         for m in range(1, 7):
             for n in range(1, 7):

@@ -248,6 +248,30 @@ def test_sweep_empty_stats_exit_2(sim_inputs, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("inputs, extra, message", [
+    (("factor_panel",), {}, "stat 'corr' needs a stock_panel, reference or control_series"),
+    (("factor_panel", "stock_panel"), {"stats": ["sharpe", "residual"]},
+     "stat 'residual' needs a market series (or market_control=false)"),
+    (("factor_panel", "market"), {"stats": ["sharpe", "residual"]},
+     "stat 'residual' needs a stock_panel or control_series"),
+    (("factor_panel", "stock_panel", "market"), {"stock_weighting": "foo"},
+     "config key 'stock_weighting' must be one of ('rank', 'sign'), got 'foo'"),
+    (("factor_panel",), {"stats": ["sharpe", ["corr"]]}, "unknown statistics [['corr']]"),
+], ids=["corr", "residual-market", "residual-controls", "stock-weighting", "unhashable-stat"])
+def test_sweep_config_error_writes_nothing(sim_inputs, tmp_path, capsys, inputs, extra,
+                                           message):
+    files = {"factor_panel": "factors.csv", "stock_panel": "stocks.csv",
+             "market": "market.csv"}
+    cfg = {key: str(sim_inputs / files[key]) for key in inputs}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({**cfg, "stats": ["sharpe", "corr"], "m": "1..2",
+                                    "n": "1..2", **extra}))
+    code = main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "out"), "sweep"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _sweep_config(sim_inputs, tmp_path, **extra):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({
@@ -559,6 +583,9 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     ("sweep", {"factor_panel": "factors.csv", "control_series": None}, "control_series"),
     ("span", {"target": "f0.csv", "controls": "market.csv"}, "controls"),
     ("span", {"target": "f0.csv", "controls": {"market": "market.csv"}}, "controls"),
+    ("sweep", {"factor_panel": "factors.csv", "stock_weighting": "foo"}, "stock_weighting"),
+    ("sweep", {"factor_panel": "factors.csv", "factor_weighting": "Sign"}, "factor_weighting"),
+    ("sweep", {"factor_panel": "factors.csv", "weighting": ["rank"]}, "weighting"),
 ])
 def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     (workdir / "cfg.json").write_text(json.dumps(cfg))

@@ -541,6 +541,21 @@ def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_bat
         stock_moment_mc(x, 0, n_batches)
 
 
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_factor_moment_is_the_one_asset_stock_moment(monkeypatch, block):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+    f = np.random.default_rng(41).normal(0.05, 1.0, 1000)
+    for k in (1, 2, 3, 6, 900):
+        products = f[k:] * f[:-k]
+        size = len(products) // 100
+        per_batch = products[: size * 100].reshape(100, size).mean(axis=1)
+        expected = (per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(100))
+        assert factor_moment_mc(f, k) == expected, k
+    for k in (0, -1, -500):
+        with pytest.raises(ParameterError, match=f"^need k >= 1, got {k}$"):
+            factor_moment_mc(f, k)
+
+
 def _traced_peak(fn) -> int:
     """Bytes allocated at the peak of fn(), over what was live before it;
     numpy reports its data buffers to tracemalloc."""

@@ -9,6 +9,7 @@ from factormom.momentum import (
     LookaheadError,
     StrategySpec,
     grid_sweep,
+    pnl_grid,
     rank_weights,
     sign_weights,
     signal,
@@ -251,14 +252,16 @@ def test_weights_panel_rowsums_zero_for_rank():
 
 def test_grid_cell_equals_standalone_computation():
     panel = random_panel(200, 5, seed=12)
-    grid = grid_sweep(panel, (1, 2), (1, 3), "sign", "sharpe", min_months=24)
+    grid = grid_sweep(pnl_grid(panel, (1, 2), (1, 3), "sign"), (1, 2), (1, 3), "sharpe",
+                      min_months=24)
     pnl = strategy_pnl(panel, StrategySpec(2, 3, "sign"))
     assert grid.cell(2, 3) == perf_stats(pnl).sharpe_annual
 
 
 def test_grid_on_iid_panel_has_no_significant_sharpe():
     panel = random_panel(2400, 8, seed=13)
-    grid = grid_sweep(panel, range(1, 4), range(1, 4), "rank", "sharpe")
+    grid = grid_sweep(pnl_grid(panel, range(1, 4), range(1, 4), "rank"),
+                      range(1, 4), range(1, 4), "sharpe")
     # annualized Sharpe of a zero-mean strategy has SE ~ sqrt(12 / months)
     se = np.sqrt(12.0 / 2400)
     assert np.nanmax(np.abs(grid.cells)) < 2 * se
@@ -266,19 +269,21 @@ def test_grid_on_iid_panel_has_no_significant_sharpe():
 
 def test_grid_insufficient_history_cells_are_missing():
     panel = random_panel(30, 4, seed=14)
-    grid = grid_sweep(panel, (1, 25), (1, 2), "sign", "sharpe", min_months=24)
+    grid = grid_sweep(pnl_grid(panel, (1, 25), (1, 2), "sign"), (1, 25), (1, 2), "sharpe",
+                      min_months=24)
     assert np.isnan(grid.cell(25, 2))
     assert np.isfinite(grid.cell(1, 1))
 
 
 def test_grid_rejects_empty_ranges_and_bad_stat():
     panel = random_panel(40, 3, seed=15)
+    pnls = pnl_grid(panel, (1,), (1, 2), "sign")
     with pytest.raises(ValueError):
-        grid_sweep(panel, (), (1, 2), "sign", "sharpe")
+        grid_sweep(pnls, (), (1, 2), "sharpe")
     with pytest.raises(ValueError):
-        grid_sweep(panel, (1,), (1,), "sign", "nope")
+        grid_sweep(pnls, (1,), (1,), "nope")
     with pytest.raises(ValueError):
-        grid_sweep(panel, (1,), (1,), "sign", "corr")  # no reference
+        grid_sweep(pnls, (1,), (1,), "corr")  # no reference
 
 
 def test_corr_grid_uniformly_positive_on_feedback_data():
@@ -298,7 +303,8 @@ def test_corr_grid_uniformly_positive_on_feedback_data():
         return strategy_pnl(path.panel, StrategySpec(m, n, "rank"))
 
     grid = grid_sweep(
-        factor_panel, range(1, 5), range(1, 5), "sign", "corr", reference=stock_mom
+        pnl_grid(factor_panel, range(1, 5), range(1, 5), "sign"),
+        range(1, 5), range(1, 5), "corr", reference=stock_mom,
     )
     assert np.all(grid.cells > 0)
 
