@@ -174,16 +174,24 @@ def _as_list(value, key: str, what: str) -> list:
     raise ConfigError(f"config key {key!r} must be a list of {what}, got {value!r}")
 
 
+def _distinct(values, key: str):
+    """``values`` of config key ``key`` if none repeats; otherwise a
+    ``ConfigError`` naming the key."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"config key {key!r} must not repeat a value, got {list(values)!r}")
+    return values
+
+
 def _parse_range(value, key: str) -> tuple[int, ...]:
-    """Accept 4, "4", "1..12", "1,2,3" or a JSON list."""
+    """Accept 4, "4", "1..12", "1,2,3" or a JSON list, without repeats."""
     if isinstance(value, (list, tuple)):
-        return tuple(_as_int(x, key) for x in value)
+        return _distinct(tuple(_as_int(x, key) for x in value), key)
     text = str(value).strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(p) for p in text.split(","))
+        return _distinct(tuple(int(p) for p in text.split(",")), key)
     except ValueError:
         raise ConfigError(
             f"config key {key!r} must be a range such as 1..12 or 1,3,6, got {value!r}"
@@ -300,6 +308,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     unknown = [s for s in stats if not isinstance(s, str) or s not in _SWEEP_STATS]
     if unknown:
         raise ConfigError(f"unknown statistics {unknown}")
+    _distinct(stats, "stats")
     factor_weighting = _weighting(cfg, "factor_weighting", "sign")
     stock_weighting = _weighting(cfg, "stock_weighting", "rank")
     cfg["m"], cfg["n"] = list(m_values), list(n_values)

@@ -59,6 +59,8 @@ VERIFY_FACTOR_K = 6
 VERIFY_STOCK_K = 3
 # rows per block of the Monte Carlo kernels: bounds their temporaries
 _BLOCK_ROWS = 1 << 16
+# rows per slice of _project: 640 KB at N = 20
+_PROJECT_ROWS = 1 << 12
 
 
 class ParameterError(Exception):
@@ -246,18 +248,38 @@ def _row_blocks(start: int, stop: int):
         start = hi
 
 
+def _project(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """values @ w as a left-to-right sum over columns of elementwise products.
+
+    No BLAS call, so no thread count, CPU dispatch or row split can change a
+    bit. It works on slices of ``_PROJECT_ROWS`` rows so that the strided
+    column reads stay in cache; each row is summed in the same order at any
+    slicing.
+    """
+    out = np.empty(len(values))
+    for lo in range(0, len(values), _PROJECT_ROWS):
+        rows = values[lo : lo + _PROJECT_ROWS]
+        acc = out[lo : lo + _PROJECT_ROWS]
+        np.multiply(rows[:, 0], w[0], out=acc)
+        for j in range(1, len(w)):
+            acc += rows[:, j] * w[j]
+    return out
+
+
 def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = None) -> None:
     """Fill ``r`` (length, N) with a path started from the unconditional mean
     with e_{-1} = 0, and ``e`` with its innovations when one is given.
 
-    Row blocks (:func:`_row_blocks`) carry e_{t-1} and the AR(1) state across
-    their edges, so every row is bit-identical to the whole-array formulas.
-    x = eps'w stays one whole-array product: the BLAS matrix-vector kernel
-    may round differently when its rows are split or threaded.
+    One pass over row blocks (:func:`_row_blocks`) that carries e_{t-1} and
+    the AR(1) state across block edges, with x = eps'w by :func:`_project`:
+    every row is bit-identical to the whole-array formulas at any block size
+    and any BLAS thread count.
     """
     rng = np.random.default_rng(seed)
     chol_t = _chol_psd(params.sigma).T
     rho = params.rho
+    load = params.alpha * params.w
+    state = params.factor_mean
     for start, stop in _row_blocks(0, len(r)):
         eb = rng.standard_normal((stop - start, params.n)) @ chol_t
         if e is not None:
@@ -269,11 +291,8 @@ def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = N
                 r[start] -= rho * e_last
         e_last = eb[-1].copy()
         del eb  # not alive next to the next block's draw
-    x = r @ params.w + params.factor_drift
-    load = params.alpha * params.w
-    state = params.factor_mean
-    for start, stop in _row_blocks(0, len(r)):
-        s = _ar1(x[start:stop], params.a, state)
+        x = _project(r[start:stop], params.w) + params.factor_drift
+        s = _ar1(x, params.a, state)
         s_prev = np.concatenate(([state], s[:-1]))
         state = s[-1]
         r[start:stop] += params.mu
@@ -306,9 +325,11 @@ def simulate(
 ) -> SimPath:
     """Simulate T months of the model, discarding ``burn_in`` start-up months.
 
-    Fully deterministic per seed: the same seed yields bit-identical paths.
-    The panel's values are a read-only view of the one simulated array, so
-    the burn-in rows stay allocated with it and nothing is copied.
+    Fully deterministic per seed: the same seed yields bit-identical paths,
+    whatever the BLAS thread count, and the factor series is the fixed-order
+    projection :func:`_project` of the panel on w. The panel's values are a
+    read-only view of the one simulated array, so the burn-in rows stay
+    allocated with it and nothing is copied.
     """
     if T < 1:
         raise ParameterError("T must be >= 1")
@@ -322,7 +343,7 @@ def simulate(
     width = max(2, len(str(params.n - 1)))
     assets = tuple(f"s{i:0{width}d}" for i in range(params.n))
     panel = ReturnPanel(calendar, assets, values)
-    factor = NamedSeries(calendar, "factor", values @ params.w)
+    factor = NamedSeries(calendar, "factor", _project(values, params.w))
     return SimPath(panel, factor, seed, burn_in)
 
 
@@ -588,7 +609,7 @@ def reconstruction_check(
     r, e = _simulate_raw(params, length, seed)
     a, rho, alpha = params.a, params.rho, params.alpha
     c = a - rho
-    g = e @ params.w
+    g = _project(e, params.w)
     kernel = a ** np.arange(depth - 1)  # exponents 0 .. depth-2 for k = 2 .. depth
     conv = np.convolve(g, kernel)
     lag_map = (params.impact_matrix - rho * np.eye(params.n)).T

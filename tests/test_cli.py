@@ -257,7 +257,12 @@ def test_sweep_empty_stats_exit_2(sim_inputs, tmp_path, capsys):
     (("factor_panel", "stock_panel", "market"), {"stock_weighting": "foo"},
      "config key 'stock_weighting' must be one of ('rank', 'sign'), got 'foo'"),
     (("factor_panel",), {"stats": ["sharpe", ["corr"]]}, "unknown statistics [['corr']]"),
-], ids=["corr", "residual-market", "residual-controls", "stock-weighting", "unhashable-stat"])
+    (("factor_panel",), {"stats": ["sharpe", "sharpe"]},
+     "config key 'stats' must not repeat a value, got ['sharpe', 'sharpe']"),
+    (("factor_panel",), {"m": "1,1"}, "config key 'm' must not repeat a value, got [1, 1]"),
+    (("factor_panel",), {"n": [2, 2]}, "config key 'n' must not repeat a value, got [2, 2]"),
+], ids=["corr", "residual-market", "residual-controls", "stock-weighting", "unhashable-stat",
+        "repeated-stat", "repeated-m", "repeated-n"])
 def test_sweep_config_error_writes_nothing(sim_inputs, tmp_path, capsys, inputs, extra,
                                            message):
     files = {"factor_panel": "factors.csv", "stock_panel": "stocks.csv",

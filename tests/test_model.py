@@ -118,6 +118,15 @@ def test_derived_quantities():
 # simulation
 
 
+def fixed_order_dot(values, w):
+    """values @ w summed left to right over the columns, the one fixed order
+    that makes simulated paths independent of BLAS."""
+    out = values[:, 0] * w[0]
+    for j in range(1, len(w)):
+        out += values[:, j] * w[j]
+    return out
+
+
 def test_same_seed_gives_bit_identical_paths():
     p = make_params()
     a = simulate(p, 500, seed=123)
@@ -130,7 +139,7 @@ def test_same_seed_gives_bit_identical_paths():
 def test_factor_series_equals_w_dot_returns_exactly():
     p = make_params(n=6, alpha=0.4, rho=0.2, seed=3)
     path = simulate(p, 1000, seed=5)
-    np.testing.assert_array_equal(path.factor.values, path.panel.values @ p.w)
+    np.testing.assert_array_equal(path.factor.values, fixed_order_dot(path.panel.values, p.w))
 
 
 @pytest.mark.parametrize("length", [1, 2, 100_000])
@@ -149,7 +158,7 @@ def test_simulators_match_lfilter_formulas_bit_for_bit():
     e = np.random.default_rng(11).standard_normal((3000, 4)) @ np.linalg.cholesky(p.sigma).T
     eps = e.copy()
     eps[1:] -= p.rho * e[:-1]
-    x = eps @ p.w + p.factor_drift
+    x = fixed_order_dot(eps, p.w) + p.factor_drift
     s = signal.lfilter([1.0], [1.0, -p.a], x, zi=np.array([p.a * p.factor_mean]))[0]
     s_prev = np.concatenate(([p.factor_mean], s[:-1]))
     r, e_sim = _simulate_raw(p, 3000, seed=11)
@@ -169,7 +178,7 @@ def whole_array_raw(p, length, seed):
     eps = e.copy()
     if p.rho != 0.0:
         eps[1:] -= p.rho * e[:-1]
-    x = eps @ p.w + p.factor_drift
+    x = fixed_order_dot(eps, p.w) + p.factor_drift
     s_prev = np.concatenate(([p.factor_mean], _ar1(x, p.a, p.factor_mean)[:-1]))
     r = eps
     r += p.mu
@@ -204,7 +213,33 @@ def test_simulation_blocks_bit_identical_to_whole_array(monkeypatch, case, block
         if length > 1:  # the same total length, one row of burn-in
             path = simulate(p, length - 1, seed=length, burn_in=1)
             assert path.panel.values.tobytes() == ref_r[1:].tobytes(), length
-            assert path.factor.values.tobytes() == (ref_r[1:] @ p.w).tobytes(), length
+            ref_f = fixed_order_dot(ref_r[1:], p.w)
+            assert path.factor.values.tobytes() == ref_f.tobytes(), length
+
+
+THREAD_PROBE = """
+import hashlib
+from factormom.model import _simulate_raw, default_params, simulate
+r, e = _simulate_raw(default_params(), 65_537, 5)
+f = simulate(default_params(), 65_537, 5).factor.values
+print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (r, e, f)))
+"""
+
+
+def test_simulated_bits_do_not_depend_on_blas_threads():
+    src = str(Path(factormom.__file__).resolve().parents[1])
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        for threads in ("1", "2")
+    ]
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
 
 
 def test_simulated_panel_is_a_read_only_view_of_one_array():
