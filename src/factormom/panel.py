@@ -264,13 +264,16 @@ def require_aligned(*objs) -> Calendar:
 
 
 def _parse_cell(cell: str, allow_missing: bool, line: int) -> float:
-    text = cell.strip()
-    try:
-        return float(text)
-    except ValueError:
-        if allow_missing:
-            return np.nan
-        raise ParseError(f"non-numeric cell {cell!r}", line) from None
+    # one ASCII decimal grammar on both read paths: float() alone would also
+    # read "1_0" as 10 and non-ASCII digits or spaces, which numpy's reader refuses
+    if cell.isascii() and "_" not in cell:
+        try:
+            return float(cell)
+        except ValueError:
+            pass
+    if allow_missing:
+        return np.nan
+    raise ParseError(f"non-numeric cell {cell.strip()!r}", line)
 
 
 def _require_finite(values: np.ndarray, allow_missing: bool, lines, columns) -> None:
@@ -295,7 +298,108 @@ def _data_rows(path):
         for row in reader:
             if not row or (row[0].startswith("#")):
                 continue
-            yield reader.line_num, [c.strip() for c in row]
+            yield reader.line_num, row
+
+
+# Bulk wide reads parse about this many bytes of whole lines at a time: a
+# whole-file parse is no faster and holds the file, its filled copy and the
+# parsed values at once.
+_BULK_CHUNK = 1 << 20
+# the only bytes a bulk-read data row holds: ISO dates, ASCII decimals,
+# commas and LF or CRLF line ends
+_BULK_BYTES = b"0123456789+-.eE,\r\n"
+_NAN_BYTES = np.frombuffer(b"nan", np.uint8)
+
+
+def _bulk_header(fh) -> list[str] | None:
+    """The stripped header cells after any ``#`` and blank lines, or None if
+    a line there is one ``csv.reader`` could read otherwise than ``split``."""
+    line = fh.readline().removeprefix(b"\xef\xbb\xbf")
+    while line.endswith(b"\n"):
+        text = line[:-2] if line.endswith(b"\r\n") else line[:-1]
+        if not text.isascii() or any(c in text for c in b'"\r\0'):
+            return None
+        if text and not text.startswith(b"#"):
+            return [c.strip() for c in text.decode().split(",")]
+        line = fh.readline()
+    return None
+
+
+def _bulk_wide(path, allow_missing: bool) -> ReturnPanel | None:
+    """The wide panel in ``path`` read in bulk, or None to leave the file to
+    the per-line parser.
+
+    Reads whole lines in chunks of about ``_BULK_CHUNK`` bytes. Each chunk
+    must hold only ``_BULK_BYTES`` and rows of the header's length; its empty
+    cells are filled with ``nan`` (when missing values are allowed) in one
+    pass over the raw bytes, and numpy's C reader parses the numbers. Dates
+    are parsed together at the end and must render back to their labels, as
+    in :func:`_parse_date`. Returns a panel only when it equals the per-line
+    parser's bit for bit; anything that parser would reject, and anything
+    unusual (quotes, ``#`` lines between rows, whitespace, ``nan`` or
+    infinite cells), returns None. Raises nothing of its own.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        header = _bulk_header(fh)
+        if header is None or header[0] != "date" or len(header) < 2:
+            return None
+        assets = tuple(header[1:])
+        if len(set(assets)) != len(assets) or not all(assets):
+            return None
+        n = len(assets)
+        labels: list[bytes] = []
+        blocks: list[np.ndarray] = []
+        while chunk := fh.read(_BULK_CHUNK):
+            chunk += fh.readline()
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            if chunk.translate(None, _BULK_BYTES):
+                return None
+            buf = np.frombuffer(chunk, np.uint8)
+            ends = np.flatnonzero(buf == 10)
+            commas = np.flatnonzero(buf == 44)
+            if (np.diff(np.searchsorted(commas, ends), prepend=0) != n).any():
+                return None  # a row of the wrong length
+            # every row has n commas, so each n-th one ends a date label
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            labels += [chunk[a:b] for a, b in zip(starts.tolist(), commas[::n].tolist())]
+            after = buf[commas + 1]
+            empty = commas[(after == 44) | (after == 13) | (after == 10)] + 1
+            if empty.size:
+                if not allow_missing:
+                    return None
+                buf = np.insert(buf, np.repeat(empty, 3), np.tile(_NAN_BYTES, empty.size))
+            try:
+                block = np.loadtxt(buf.tobytes().decode().splitlines(), np.float64,
+                                   comments=None, delimiter=",", usecols=range(1, n + 1), ndmin=2)
+            except ValueError:
+                return None
+            if np.isinf(block).any():
+                return None
+            blocks.append(block)
+    if not labels:
+        return None
+    try:
+        dates = np.array(labels).astype("datetime64")
+    except ValueError:
+        return None
+    if (dates.dtype not in _RESOLUTIONS
+            or not (np.datetime_as_string(dates).astype(bytes) == labels).all()
+            or not ((_ISO_SPAN[0] <= dates) & (dates < _ISO_SPAN[1])).all()):
+        return None
+    values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if not (np.diff(dates) > np.timedelta64(0)).all():
+        order = np.argsort(dates)
+        dates = dates[order]
+        if not (np.diff(dates) > np.timedelta64(0)).all():
+            return None  # a duplicate date
+        values = values[order]
+    values.setflags(write=False)  # the panel takes this buffer, not a copy
+    return ReturnPanel(Calendar(dates), assets, values)
 
 
 def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> ReturnPanel:
@@ -304,18 +408,28 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
     ``wide`` layout: header ``date,<asset1>,<asset2>,...``, one row per date.
     ``long`` layout: header ``date,asset,return``, one row per observation.
     Dates are sorted ascending on load; duplicate (date, asset) pairs are
-    rejected. Non-numeric cells and ``nan`` become missing markers only when
-    ``allow_missing`` is set, otherwise they are parse errors. Infinite values
-    (``inf``, ``1e999``) are always parse errors. A UTF-8 byte-order mark
-    before the header is ignored.
+    rejected. Numbers are ASCII decimals as ``float()`` reads them, without
+    ``_`` separators; any other cell, and ``nan``, becomes a missing marker
+    only when ``allow_missing`` is set, otherwise it is a parse error.
+    Infinite values (``inf``, ``1e999``) are always parse errors. A UTF-8
+    byte-order mark before the header is ignored.
+
+    A wide file is first read in bulk, chunk by chunk, by numpy's C reader.
+    That path returns only a result the per-line parser would return bit for
+    bit; on anything unusual or wrong it declines and the per-line parser
+    reads the file. Only the per-line parser raises, so every error names
+    its line the same way.
     """
     if layout not in ("wide", "long"):
         raise PanelError(f"unknown layout {layout!r}")
+    if layout == "wide" and (bulk := _bulk_wide(path, allow_missing)) is not None:
+        return bulk
     rows = _data_rows(path)
     try:
-        header_line, header = next(rows)
+        header_line, row = next(rows)
     except StopIteration:
         raise EmptyInputError(f"{path}: no rows") from None
+    header = [c.strip() for c in row]
 
     if layout == "wide":
         if not header or header[0] != "date" or len(header) < 2:
@@ -332,10 +446,11 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
                 raise ParseError(
                     f"expected {len(assets) + 1} cells, got {len(row)}", line
                 )
-            date = _parse_date(row[0], dates[0] if dates else None, line)
-            if row[0] in seen:
-                raise DuplicateKeyError(f"line {line}: duplicate date {row[0]!r}")
-            seen.add(row[0])
+            label = row[0].strip()
+            date = _parse_date(label, dates[0] if dates else None, line)
+            if label in seen:
+                raise DuplicateKeyError(f"line {line}: duplicate date {label!r}")
+            seen.add(label)
             dates.append(date)
             lines.append(line)
             data.append([_parse_cell(c, allow_missing, line) for c in row[1:]])
@@ -355,11 +470,11 @@ def load_panel(path, layout: str = "wide", allow_missing: bool = False) -> Retur
     for line, row in rows:
         if len(row) != 3:
             raise ParseError(f"expected 3 cells, got {len(row)}", line)
-        date = row[0]
+        date = row[0].strip()
         if date not in label_dates:
             first = next(iter(label_dates.values()), None)
             label_dates[date] = _parse_date(date, first, line)
-        asset = row[1]
+        asset = row[1].strip()
         if not asset:
             raise ParseError("empty asset id", line)
         key = (date, asset)

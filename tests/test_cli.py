@@ -776,6 +776,20 @@ def test_resample_reads_allow_missing_from_config(workdir):
     assert panel.load_panel(workdir / "monthly.csv").values[0, 0] == pytest.approx(0.01)
 
 
+# cells float() reads but the ASCII decimal grammar does not: "_" digit
+# separators, Arabic-Indic and fullwidth digits, a no-break and an
+# ideographic space
+@pytest.mark.parametrize("cell", ["1_0", "0.0_1", "\u0661", "\uff11", "\u00a00.5", "0.5\u3000"])
+def test_non_ascii_decimal_cell_is_non_numeric(workdir, capsys, cell):
+    (workdir / "odd.csv").write_text(
+        f"date,A,B\n2000-01-03,0.01,0.02\n2000-01-04,{cell},0.03\n", encoding="utf-8")
+    argv = ["resample", "--input", "odd.csv", "--out", "monthly.csv"]
+    assert main(argv) == 2
+    assert "line 3: non-numeric cell" in capsys.readouterr().err
+    assert main([*argv, "--allow-missing"]) == 0
+    assert panel.load_panel(workdir / "monthly.csv").values[0, 0] == 0.01  # A's one day left
+
+
 def test_resample_input_from_config(workdir):
     (workdir / "rs.json").write_text(json.dumps({"input": "daily.csv"}))
     assert main(["--out-dir", "flag", "resample", "--input", "daily.csv"]) == 0

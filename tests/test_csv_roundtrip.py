@@ -5,15 +5,25 @@ exactly ``round_float(x)``: -0.0 comes back as 0.0, holes as NaN, and
 subnormals and values near the float64 limits survive. Calendars are monthly
 or daily and reach the last writable month, 9999-12. The bytes themselves
 match a reference writer that formats and quotes every cell on its own.
+
+Wide files are read in bulk where they can be: on any generated file, odd
+or wrong, that path either declines or returns exactly what the per-line
+parser returns, and the files the program and its benchmark write take it.
 """
 
 import csv
+import importlib.util
 import io
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factormom import panel
 from factormom.momentum import GridResult
 from factormom.panel import (
     Calendar,
@@ -182,3 +192,134 @@ def test_emit_bytes_match_per_cell_writer(tmp_path_factory, case, header):
     path = tmp_path_factory.mktemp("bytes") / "b.csv"
     emit_csv(obj, path, header)
     assert path.read_bytes() == reference_csv(columns, keys, cells, header)
+
+
+# ---------------------------------------------------------------------------
+# bulk wide reads: decline, or equal the per-line parser bit for bit
+
+ROOT = Path(__file__).resolve().parents[1]
+# file features; a file without any is what the bulk path reads
+FEATURES = ("bom", "preamble", "interior", "blank", "space", "quote", "special", "holes",
+            "trailing", "unsorted", "bad_dates", "bad_header", "ragged", "bare_cr",
+            "no_final_newline")
+special_cells = st.sampled_from(["nan", "NaN", "+nan", "-nan", "inf", "-inf", "1e999", "abc",
+                                 "1_0", "\u0661", "e5", "1e", ".", "--1", "0x1"])
+number_cells = (st.sampled_from([".5", "5.", "+1", "-0", "1E-5", "5e-324", "1e-400", "0"])
+                | floats.map("{:.12g}".format) | floats.map("%.10g".__mod__) | floats.map(repr))
+bad_dates = st.sampled_from(["+2000-01", "2000-1", "2000-13", "2000", "2000-01-01", "2000-01",
+                             "1e5", "", "-001-01", "10000-01"])
+
+
+def per_line(path, allow_missing):
+    """``load_panel``'s result, or the exception it raises, with the bulk
+    path switched off."""
+    with mock.patch.object(panel, "_bulk_wide", return_value=None):
+        try:
+            return load_panel(path, allow_missing=allow_missing)
+        except Exception as exc:  # any type: the bulk run must raise the same
+            return exc
+
+
+def same_panel(a, b) -> bool:
+    return (a.values.tobytes() == b.values.tobytes() and a.assets == b.assets
+            and a.calendar.dates.dtype == b.calendar.dates.dtype
+            and a.calendar.dates.tobytes() == b.calendar.dates.tobytes())
+
+
+@st.composite
+def wide_files(draw):
+    """The text of a wide CSV file with up to three of ``FEATURES``, each
+    applied once where it is one odd cell, line or row."""
+    features = draw(st.sets(st.sampled_from(FEATURES), max_size=3))
+    cal = draw(calendars(max_len=5))
+    width = draw(st.integers(1, 3))
+    labels = list(cal.labels)
+    if "unsorted" in features:
+        labels = draw(st.permutations(labels))
+    cells = number_cells | st.just("") if "holes" in features else number_cells
+    rows = [["date", *(f"a{j}" for j in range(width))]]
+    rows += [[label, *draw(st.lists(cells, min_size=width, max_size=width))] for label in labels]
+    data_row = st.integers(1, len(rows) - 1)
+    if "bad_header" in features:  # a misnamed date column, or an empty or repeated asset
+        rows[0][draw(st.integers(0, width))] = draw(st.sampled_from(["Date", "", "a0"]))
+    if "bad_dates" in features:  # bad, mixed or duplicate
+        rows[draw(data_row)][0] = draw(bad_dates | st.sampled_from(labels))
+    if "special" in features:
+        rows[draw(data_row)][draw(st.integers(1, width))] = draw(special_cells)
+    for feature, odd in (("space", " {} ".format), ("quote", '"{}"'.format)):
+        if feature in features:
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, width))
+            rows[i][j] = odd(rows[i][j])
+    if "ragged" in features:
+        row = rows[draw(data_row)]
+        row[:] = row[:-1] if draw(st.booleans()) else [*row, "0.5"]
+    if "trailing" in features:  # on every row, so each has the same length
+        rows[1:] = [[*row, ""] for row in rows[1:]]
+    lines = [",".join(row) for row in rows]
+    for feature, line in (("interior", "# mid=1"), ("blank", "")):
+        if feature in features:
+            lines.insert(draw(st.integers(2, len(lines))), line)
+    if "preamble" in features:
+        lines[:0] = draw(st.lists(st.sampled_from(["# seed=1", "#", "", "# note=a,b"]),
+                                  min_size=1, max_size=3))
+    if "bare_cr" in features:  # a CR that is not part of CRLF ends a line for csv too
+        i = draw(st.integers(0, len(lines) - 2))
+        cr = draw(st.sampled_from(["\r", "\r\r\n", "\r\n\r", ",\r"]))
+        lines[i:i + 2] = [lines[i] + cr + lines[i + 1]]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + ("" if "no_final_newline" in features else eol)
+    return ("\ufeff" if "bom" in features else "") + text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(wide_files(), st.booleans())
+def test_bulk_read_declines_or_matches_per_line(tmp_path_factory, text, allow_missing):
+    path = tmp_path_factory.mktemp("bulk") / "w.csv"
+    path.write_bytes(text.encode())
+    expected = per_line(path, allow_missing)
+    bulk = panel._bulk_wide(path, allow_missing)
+    if isinstance(expected, Exception):
+        assert bulk is None
+        with pytest.raises(type(expected)) as got:
+            load_panel(path, allow_missing=allow_missing)
+        assert type(got.value) is type(expected) and str(got.value) == str(expected)
+    else:
+        assert bulk is None or same_panel(bulk, expected)
+        assert same_panel(load_panel(path, allow_missing=allow_missing), expected)
+
+
+def benchmark_write_csv(monkeypatch):
+    """The benchmark's own input writer, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.write_csv
+
+
+def gappy(shape):
+    rng = np.random.default_rng(0)
+    values = rng.normal(0.0, 0.05, shape)
+    values[rng.random(shape) < 0.05] = np.nan
+    values[0, 0] = values[-1, -1] = np.nan  # holes in the first and last column
+    return values
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 100])
+def test_bulk_read_serves_emitted_and_benchmark_files(tmp_path, monkeypatch, chunk):
+    """Both file shapes that reach ``load_panel`` take the bulk path, also
+    when chunk edges fall inside rows and holes."""
+    if chunk is not None:
+        monkeypatch.setattr(panel, "_BULK_CHUNK", chunk)
+    cal = Calendar.periods(40, "1990-01")
+    values = gappy((40, 6))
+    emitted_path = tmp_path / "emitted.csv"  # CRLF, '#' header lines, empty holes
+    emit_csv(ReturnPanel(cal, tuple("abcdef"), values), emitted_path, header={"seed": 7})
+    bench_path = tmp_path / "bench.csv"  # LF, %.10g, empty holes
+    benchmark_write_csv(monkeypatch)(bench_path, cal.labels, list("abcdef"), values)
+    for path in (emitted_path, bench_path):
+        bulk = panel._bulk_wide(path, True)
+        assert bulk is not None, path.name
+        assert same_panel(bulk, per_line(path, True))
