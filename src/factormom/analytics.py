@@ -228,8 +228,10 @@ class AR1Params:
     def __post_init__(self):
         if not abs(self.rho) < 1:
             raise NonStationaryError(f"|rho| must be < 1, got {self.rho}")
-        if self.sigma_u < 0:
-            raise ValueError("sigma_u must be non-negative")
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not (np.isfinite(self.sigma_u) and self.sigma_u >= 0):
+            raise ValueError(f"sigma_u must be finite and non-negative, got {self.sigma_u}")
 
     @property
     def sigma_f(self) -> float:

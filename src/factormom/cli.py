@@ -150,11 +150,13 @@ def _as_int(value, key: str) -> int:
 
 
 def _as_float(value, key: str) -> float:
-    """``value`` of config key ``key`` as a float. JSON numbers pass; anything
-    else is a ``ConfigError`` naming the key."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """``value`` of config key ``key`` as a float. Finite JSON numbers pass;
+    anything else, ``NaN``, ``Infinity`` and integers past the float range
+    included, is a ``ConfigError`` naming the key."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # false for NaN
         return float(value)
-    raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
 
 
 def _as_bool(value, key: str) -> bool:
@@ -309,6 +311,9 @@ def cmd_sweep(args, cfg: dict) -> int:
     if unknown:
         raise ConfigError(f"unknown statistics {unknown}")
     _distinct(stats, "stats")
+    if args.out and len(stats) > 1:
+        raise ConfigError(f"--out names one file, but {len(stats)} statistics were "
+                          "requested; each is written as grid_<stat>.csv under --out-dir")
     factor_weighting = _weighting(cfg, "factor_weighting", "sign")
     stock_weighting = _weighting(cfg, "stock_weighting", "rank")
     cfg["m"], cfg["n"] = list(m_values), list(n_values)
@@ -393,7 +398,7 @@ def cmd_sweep(args, cfg: dict) -> int:
 
     written = []
     for stat, grid in grids:
-        path = _output(args, f"grid_{stat}.csv", args.out if len(stats) == 1 else None)
+        path = _output(args, f"grid_{stat}.csv", args.out)
         panel.emit_csv(grid, path, {**header, "stat": grid.stat, "direction": direction})
         written.append(str(path))
     print("wrote " + ", ".join(written))

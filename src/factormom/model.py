@@ -57,10 +57,8 @@ DEFAULT_BATCHES = 100
 # lags of the factor and stock momentum moments that verify_model checks
 VERIFY_FACTOR_K = 6
 VERIFY_STOCK_K = 3
-# rows per block of the Monte Carlo kernels: bounds their temporaries
-_BLOCK_ROWS = 1 << 16
-# rows per slice of _project: 640 KB at N = 20
-_PROJECT_ROWS = 1 << 12
+# rows per block of every row-blocked kernel: 640 KB at N = 20, in cache
+_BLOCK_ROWS = 1 << 12
 
 
 class ParameterError(Exception):
@@ -84,6 +82,9 @@ class ModelParams:
     normalize_w: bool = True
 
     def __post_init__(self):
+        for name in ("alpha", "rho", "w", "mu", "sigma"):
+            if not np.isfinite(np.asarray(getattr(self, name), float)).all():
+                raise ParameterError(f"{name!r} must be finite")
         w = np.asarray(self.w, float).copy()
         if w.ndim != 1 or len(w) < 1:
             raise ParameterError("w must be a non-empty vector")
@@ -252,14 +253,12 @@ def _project(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     """values @ w as a left-to-right sum over columns of elementwise products.
 
     No BLAS call, so no thread count, CPU dispatch or row split can change a
-    bit. It works on slices of ``_PROJECT_ROWS`` rows so that the strided
-    column reads stay in cache; each row is summed in the same order at any
-    slicing.
+    bit. It walks :func:`_row_blocks` so that the strided column reads stay
+    in cache; each row is summed in the same order at any block size.
     """
     out = np.empty(len(values))
-    for lo in range(0, len(values), _PROJECT_ROWS):
-        rows = values[lo : lo + _PROJECT_ROWS]
-        acc = out[lo : lo + _PROJECT_ROWS]
+    for lo, hi in _row_blocks(0, len(values)):
+        rows, acc = values[lo:hi], out[lo:hi]
         np.multiply(rows[:, 0], w[0], out=acc)
         for j in range(1, len(w)):
             acc += rows[:, j] * w[j]
@@ -492,22 +491,18 @@ def _batch_size(count: int, n_batches: int) -> int:
     return size
 
 
-def _batches(x: np.ndarray, n_batches: int) -> np.ndarray:
-    """The leading rows of ``x`` split into ``n_batches`` equal consecutive
-    batches along a new axis 0; the remainder rows are dropped."""
-    size = _batch_size(len(x), n_batches)
-    return x[: size * n_batches].reshape(n_batches, size, *x.shape[1:])
+def _lag_windows(x: np.ndarray, k: int, n_batches: int):
+    """Each of the ``n_batches`` consecutive batches of the len(x) - k lag-k
+    pairs as one window of ``size + k`` rows: window[:size] holds the lags
+    and window[k:] the leads. The leftover pairs are dropped."""
+    size = _batch_size(max(len(x) - k, 0), n_batches)
+    for b in range(n_batches):
+        yield x[b * size : (b + 1) * size + k]
 
 
 def _mean_se(per_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the batches (axis 0) and its batch-means standard error."""
     return per_batch.mean(axis=0), per_batch.std(axis=0, ddof=1) / np.sqrt(len(per_batch))
-
-
-def _batch_mean_se(x: np.ndarray, n_batches: int) -> tuple[float, float]:
-    """Mean of a 1-d array and its batch-means standard error."""
-    mean, se = _mean_se(_batches(x, n_batches).mean(axis=1))
-    return float(mean), float(se)
 
 
 def _within_3se(deviation, se) -> bool:
@@ -524,7 +519,8 @@ def sample_autocovariance(
 
     Returns ``(estimate, se)``; both are scalars for a 1-d input and (N, N)
     matrices for a (T, N) input, oriented so estimate[i, j] pairs the lead
-    at i with the lag at j.
+    at i with the lag at j. Each batch's window (:func:`_lag_windows`) is
+    centred on the full-sample mean on its own, so temporaries are one batch.
     """
     x = np.asarray(values, float)
     scalar = x.ndim == 1
@@ -533,17 +529,13 @@ def sample_autocovariance(
     T = len(x)
     if k < 1 or k >= T:
         raise ParameterError(f"need 1 <= k < {T}, got {k}")
-    size = _batch_size(T - k, n_batches)
     mean = x.mean(axis=0)
-    # centre one group of whole batches at a time, with the k rows its lead needs
-    per_batch = np.empty((n_batches, x.shape[1], x.shape[1]))
-    group = max(1, _BLOCK_ROWS // size)
-    for b0 in range(0, n_batches, group):
-        nb = min(group, n_batches - b0)
-        xm = x[b0 * size : (b0 + nb) * size + k] - mean
-        lead, lag = _batches(xm[k:], nb), _batches(xm[: nb * size], nb)
-        per_batch[b0 : b0 + nb] = np.einsum("bti,btj->bij", lead, lag)
-    est, se = _mean_se(per_batch / size)
+    per_batch = []
+    for window in _lag_windows(x, k, n_batches):
+        xm = window - mean
+        size = len(xm) - k
+        per_batch.append(np.einsum("ti,tj->ij", xm[k:], xm[:size]) / size)
+    est, se = _mean_se(np.array(per_batch))
     if scalar:
         return float(est[0, 0]), float(se[0, 0])
     return est, se
@@ -564,10 +556,12 @@ def stock_moment_mc(
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     r = np.asarray(return_values, float)
-    products = np.empty(max(len(r) - k, 0))
-    for start, stop in _row_blocks(0, len(products)):
-        products[start:stop] = (r[start + k : stop + k] * r[start:stop]).sum(axis=1)
-    return _batch_mean_se(products, n_batches)
+    per_batch = [
+        (window[k:] * window[:-k]).sum(axis=1).mean()
+        for window in _lag_windows(r, k, n_batches)
+    ]
+    mean, se = _mean_se(np.array(per_batch))
+    return float(mean), float(se)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +700,8 @@ def momentum_covariance_check(
     sig_r = signal(ReturnPanel(cal, assets, r), m, n).values[t0:]
     ps = ((sig_r * r[t0:]).sum(axis=1))[burn_in:]
 
-    pf, ps = _batches(pf, n_batches), _batches(ps, n_batches)
+    used = _batch_size(len(pf), n_batches) * n_batches  # the remainder is dropped
+    pf, ps = pf[:used].reshape(n_batches, -1), ps[:used].reshape(n_batches, -1)
     dpf, dps = pf - pf.mean(), ps - ps.mean()
     bpb = float(beta @ beta)
     lhs_b = (dpf * dps).mean(axis=1)

@@ -49,8 +49,8 @@ class PipelineConfig:
             raise ValueError("window_months must be >= 2")
         if self.lag_months < 1:
             raise ValueError("lag_months must be >= 1 (causality)")
-        if not self.vol_target > 0:
-            raise ValueError("vol_target must be positive")
+        if not (np.isfinite(self.vol_target) and self.vol_target > 0):
+            raise ValueError(f"vol_target must be finite and positive, got {self.vol_target}")
         if self.min_obs is not None and not 2 <= self.min_obs <= self.window_months:
             raise ValueError("min_obs must lie in [2, window_months]")
 

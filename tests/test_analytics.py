@@ -263,3 +263,10 @@ def test_ar1_unconditional_is_gauss_hermite_average_of_conditional():
 def test_ar1_rejects_nonstationary():
     with pytest.raises(NonStationaryError):
         AR1Params(rho=1.0, mu=0.0, sigma_u=1.0)
+
+
+def test_ar1_rejects_non_finite_mean_and_noise():
+    for mu, sigma_u, word in ((np.nan, 1.0, "mu"), (0.0, np.inf, "sigma_u"),
+                              (0.0, np.nan, "sigma_u")):
+        with pytest.raises(ValueError, match=f"^{word} must be finite"):
+            AR1Params(rho=0.5, mu=mu, sigma_u=sigma_u)

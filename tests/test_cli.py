@@ -277,6 +277,17 @@ def test_sweep_config_error_writes_nothing(sim_inputs, tmp_path, capsys, inputs,
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_out_with_several_stats_exit_2(workdir, capsys):
+    # nothing is loaded first: the panel path does not exist
+    (workdir / "cfg.json").write_text(json.dumps({
+        "factor_panel": "missing.csv", "stats": ["sharpe", "corr"],
+    }))
+    code = main(["--config", "cfg.json", "--out-dir", "out", "sweep", "--out", "mine.csv"])
+    assert code == 2
+    assert "--out names one file" in capsys.readouterr().err
+    assert not (workdir / "out").exists() and not (workdir / "mine.csv").exists()
+
+
 def _sweep_config(sim_inputs, tmp_path, **extra):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({
@@ -415,6 +426,12 @@ def test_simulated_series_ending_9999_12_reloads(tmp_path):
 @pytest.mark.parametrize("bad, word", [
     ({"sigma": 1.0}, "sigma"),
     ({"w": 1}, "w has shape"),
+    # json reads NaN and Infinity, and float() reads "nan"
+    ({"alpha": "nan"}, "'alpha'"),
+    ({"rho": math.inf}, "'rho'"),
+    ({"mu": [0, math.nan]}, "'mu'"),
+    ({"w": [1, -math.inf]}, "'w'"),
+    ({"sigma": {"diag": [1, math.nan]}}, "'sigma'"),
 ])
 def test_malformed_params_file_exit_2(tmp_path, capsys, bad, word):
     params = tmp_path / "p.json"
@@ -428,6 +445,7 @@ def test_malformed_params_file_exit_2(tmp_path, capsys, bad, word):
     ])
     assert code == 2
     assert word in capsys.readouterr().err
+    assert not (tmp_path / "panel.csv").exists()
 
 
 def test_verify_nonstationary_params_exit_2(tmp_path):
@@ -591,6 +609,26 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     ("sweep", {"factor_panel": "factors.csv", "stock_weighting": "foo"}, "stock_weighting"),
     ("sweep", {"factor_panel": "factors.csv", "factor_weighting": "Sign"}, "factor_weighting"),
     ("sweep", {"factor_panel": "factors.csv", "weighting": ["rank"]}, "weighting"),
+    # non-finite numbers: json reads NaN and Infinity
+    ("verify", {"T": 2000, "params": {
+        "N": 2, "alpha": 0.2, "w": [1, 1], "mu": [0, math.nan], "rho": 0.1,
+        "sigma": {"diag": [1, 1]}}}, "mu"),
+    ("simulate", {"T": 5, "burn_in": 0, "params": {
+        "N": 2, "alpha": 0.2, "w": [1, 1], "mu": [0, 0], "rho": math.inf,
+        "sigma": {"diag": [1, 1]}}}, "rho"),
+    ("sweep", {"factor_panel": "factors.csv", "risk_managed": True,
+               "pipeline": {"vol_target": math.inf}}, "pipeline.vol_target"),
+    ("sweep", {"factor_panel": "factors.csv", "pipeline": {"vol_target": math.nan}},
+     "pipeline.vol_target"),
+    ("verify", {"T": 2000, "eq3": {
+        "beta": [0.8] * 2, "factor": {"rho": 0.0, "mu": math.nan, "sigma_u": 1.0},
+        "idio_vol": 1.0, "m": 2, "n": 2, "T": 2000, "seed": 3}}, "eq3.factor.mu"),
+    ("verify", {"T": 2000, "eq3": {
+        "beta": [0.8] * 2, "factor": {"rho": 0.0, "mu": 0.0, "sigma_u": 1.0},
+        "idio_vol": -math.inf, "m": 2, "n": 2, "T": 2000, "seed": 3}}, "eq3.idio_vol"),
+    ("verify", {"T": 2000, "eq3": {
+        "beta": [0.8] * 2, "factor": {"rho": 0.0, "mu": 0.0, "sigma_u": 1.0},
+        "idio_vol": 10**400, "m": 2, "n": 2, "T": 2000, "seed": 3}}, "eq3.idio_vol"),
 ])
 def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     (workdir / "cfg.json").write_text(json.dumps(cfg))

@@ -82,6 +82,11 @@ def test_parameter_validation():
     asym = np.array([[1.0, 0.5], [0.1, 1.0]])
     with pytest.raises(ParameterError):
         ModelParams(0.1, np.ones(2), np.zeros(2), 0.0, asym)
+    good = {"alpha": 0.1, "w": np.ones(2), "mu": np.zeros(2), "rho": 0.0, "sigma": np.eye(2)}
+    for name, bad in (("alpha", np.nan), ("rho", np.inf), ("w", [1.0, -np.inf]),
+                      ("mu", [0.0, np.nan]), ("sigma", np.diag([1.0, np.nan]))):
+        with pytest.raises(ParameterError, match=f"^'{name}' must be finite$"):
+            ModelParams(**{**good, name: bad})
 
 
 def test_params_json_round_trip(tmp_path):
@@ -549,11 +554,8 @@ def one_shot_stock_moment(r, k, n_batches):
     return per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(n_batches)
 
 
-# block 1 gives single-batch groups; 5 and 17 leave a partial last group
-@pytest.mark.parametrize("block", [1, 5, 17, 1 << 16])
 @pytest.mark.parametrize("T, n_batches", [(60, 7), (230, 100)])
-def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_batches):
-    monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+def test_estimator_windows_bit_identical_to_one_shot(T, n_batches):
     x = np.random.default_rng(T).normal(0.1, 1.0, (T, 4))
     for k in range(1, T - n_batches + 1):
         est, se = sample_autocovariance(x, k, n_batches)
@@ -576,9 +578,7 @@ def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_bat
         stock_moment_mc(x, 0, n_batches)
 
 
-@pytest.mark.parametrize("block", [7, 1 << 16])
-def test_factor_moment_is_the_one_asset_stock_moment(monkeypatch, block):
-    monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+def test_factor_moment_is_the_one_asset_stock_moment():
     f = np.random.default_rng(41).normal(0.05, 1.0, 1000)
     for k in (1, 2, 3, 6, 900):
         products = f[k:] * f[:-k]
@@ -602,6 +602,13 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_estimators_peak_within_a_few_batches():
+    x = np.random.default_rng(5).standard_normal((200_000, 20))
+    batch_bytes = (len(x) - 1) // model.DEFAULT_BATCHES * x.shape[1] * 8
+    for estimator in (sample_autocovariance, stock_moment_mc):
+        assert _traced_peak(lambda: estimator(x, 1)) <= 8 * batch_bytes, estimator.__name__
 
 
 def test_monte_carlo_peak_memory_stays_near_one_panel():

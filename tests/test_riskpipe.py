@@ -36,8 +36,9 @@ def test_config_validation():
         PipelineConfig(window_months=1)
     with pytest.raises(ValueError):
         PipelineConfig(lag_months=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(vol_target=0.0)
+    for vol_target in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="vol_target must be finite and positive"):
+            PipelineConfig(vol_target=vol_target)
     with pytest.raises(ValueError):
         PipelineConfig(min_obs=1)
     assert PipelineConfig().effective_min_obs == 36
