@@ -554,8 +554,12 @@ def one_shot_stock_moment(r, k, n_batches):
     return per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(n_batches)
 
 
+# The estimators walk batches, not row blocks: their bits must not depend on
+# _BLOCK_ROWS (block 1 gives one-row blocks; 5 and 17 split batches unevenly)
+@pytest.mark.parametrize("block", [1, 5, 17, 1 << 16])
 @pytest.mark.parametrize("T, n_batches", [(60, 7), (230, 100)])
-def test_estimator_windows_bit_identical_to_one_shot(T, n_batches):
+def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_batches):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", block)
     x = np.random.default_rng(T).normal(0.1, 1.0, (T, 4))
     for k in range(1, T - n_batches + 1):
         est, se = sample_autocovariance(x, k, n_batches)
@@ -578,7 +582,9 @@ def test_estimator_windows_bit_identical_to_one_shot(T, n_batches):
         stock_moment_mc(x, 0, n_batches)
 
 
-def test_factor_moment_is_the_one_asset_stock_moment():
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_factor_moment_is_the_one_asset_stock_moment(monkeypatch, block):
+    monkeypatch.setattr(model, "_BLOCK_ROWS", block)
     f = np.random.default_rng(41).normal(0.05, 1.0, 1000)
     for k in (1, 2, 3, 6, 900):
         products = f[k:] * f[:-k]
