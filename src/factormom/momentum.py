@@ -79,42 +79,46 @@ def signal(panel: ReturnPanel, m: int, n: int) -> ReturnPanel:
     if n <= T and t0 < T:
         finite = np.isfinite(panel.values)
         filled = np.where(finite, panel.values, 0.0)
-        window_sum = sliding_window_view(filled, n, axis=0).sum(axis=-1)
-        window_ok = sliding_window_view(finite, n, axis=0).all(axis=-1)
         usable = T - t0  # window ending at t-m exists for t in [t0, T)
-        out[t0:] = np.where(window_ok[:usable], window_sum[:usable], np.nan)
+        sliding_window_view(filled, n, axis=0)[:usable].sum(axis=-1, out=out[t0:])
+        out[t0:][~sliding_window_view(finite, n, axis=0)[:usable].all(axis=-1)] = np.nan
+    out.setflags(write=False)  # the panel takes the buffer as is, without a copy
     return ReturnPanel(panel.calendar, panel.assets, out)
 
 
-def _ranked_weights(order: np.ndarray, tradeable: np.ndarray) -> np.ndarray:
-    """Equally spaced dollar-neutral weights along the last axis.
+def _positions(key: np.ndarray) -> np.ndarray:
+    """0-based int32 position of each entry in its row's ascending ``key`` order.
 
-    Among the P tradeable entries of a row, ascending signal rank j gets
-    weight (2j - (P-1)) / (P-1): integer numerators make the vector exactly
-    antisymmetric, so it sums to zero and spans [-1, 1] endpoint-exactly.
-    Rows with P < 2 are all zero. ``order`` is a stable ascending argsort of
-    the row's signals (ties in ascending asset order) and may rank entries
-    that are not tradeable: restricting a stable order to the tradeable
-    subset keeps its (signal, asset) order, so j is the number of tradeable
-    entries ahead of the entry in ``order``.
+    Finite ties (``-0.0`` ties ``0.0``) go in column order: rows take the fast
+    default sort, and only rows with a tie are sorted again stably. +inf keys
+    mark entries whose order no weight depends on.
     """
-    ranked = np.take_along_axis(tradeable, order, axis=-1)
-    count = np.cumsum(ranked, axis=-1)
-    p = count[..., -1:]
-    sorted_w = np.where(
-        ranked & (p >= 2), (2.0 * (count - 1) - (p - 1)) / np.maximum(p - 1, 1), 0.0
-    )
-    w = np.empty_like(sorted_w)
-    np.put_along_axis(w, order, sorted_w, axis=-1)
-    return w
+    row_start = key.shape[1] * np.arange(len(key))[:, None]  # flat offsets: fast take
+    order = np.argsort(key, axis=1)
+    ranked = key.take(order + row_start)
+    tied = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < np.inf)).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(key[tied], axis=1, kind="stable")
+    pos = np.empty(key.size, np.int32)
+    pos[order + row_start] = np.arange(key.shape[1], dtype=np.int32)
+    return pos.reshape(key.shape)
+
+
+def _spaced(j: np.ndarray, p: np.ndarray, tradeable: np.ndarray) -> np.ndarray:
+    """Equally spaced dollar-neutral weights: ascending rank j among a row's P
+    tradeable entries gets (2j - (P-1)) / (P-1). Integer numerators make the
+    row exactly antisymmetric, so it sums to zero and spans [-1, 1]
+    endpoint-exactly. Other entries, and a lone tradeable one, get zero.
+    """
+    return (2 * j - (p - 1)) * tradeable / np.maximum(p - 1, 1)
 
 
 def rank_weights(signal_row: np.ndarray) -> np.ndarray:
     """Rank weights of one signal vector; missing entries get weight 0."""
     row = np.asarray(signal_row, float)
     present = np.isfinite(row)
-    order = np.argsort(np.where(present, row, np.inf), kind="stable")
-    return _ranked_weights(order, present)
+    pos = _positions(np.where(present, row, np.inf)[None])[0]
+    return _spaced(pos, present.sum(), present)
 
 
 def sign_weights(signal_row: np.ndarray) -> np.ndarray:
@@ -132,16 +136,14 @@ def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weightin
 
     One signal pass at the smallest lag m0 serves every m: the (m, n) signal
     at row t is the (m0, n) signal at row t - (m - m0), the same window
-    summed in the same order. Rank weighting sorts each (m0, n) signal row
-    once, missing signals last, and every m reads its ranks from that order.
-    An asset is tradeable at t when its signal window is complete and its
-    return at t is observed, so on a row with no missing return the (m, n)
-    weights are the (m0, n) weights of row t - (m - m0): one weight pass per
-    n over the rows that complete rows read serves every lag there, and only
-    rows with a hole get a per-lag pass (the whole block's, when holes fill
-    most of it).
-    Yields ``(i, rows, weights, tradeable)`` for ``m_values[i]``; rows before
-    the first (m, n) signal are not yielded.
+    summed in the same order. An asset is tradeable at t when its signal
+    window is complete and its return at t is observed; a hole has a signal
+    and no return. Rank weighting sorts each (m0, n) signal row once into
+    positions; an asset's (m, n) rank is its position less the holes ahead
+    of it. Blocks without a hole read one (m0, n) weight table, built on
+    first use, so a complete panel makes one weight pass per n.
+    Yields ``(i, rows, weights, tradeable)`` for ``m_values[i]`` from the
+    first (m, n) signal row, m + n - 1, on.
     """
     T, N = panel.values.shape
     m0 = min(m_values)
@@ -149,39 +151,38 @@ def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weightin
     has_signal = np.isfinite(base)
     has_return = np.isfinite(panel.values)
     step = max(1, _BLOCK_CELLS // max(N, 1))
-    shared = None
+    blocks = [slice(start, start + step) for start in range(m0 + n - 1, T, step)]
     if weighting == "rank":
-        order = np.argsort(np.where(has_signal, base, np.inf), axis=1, kind="stable")
-        complete = has_return.all(axis=1)
-        used = np.zeros(T, bool)  # (m0, n) rows some lag reads on a complete row
-        for m in m_values:
-            used[: max(T - (m - m0), 0)] |= complete[m - m0:]
-        if used.any():
-            shared = np.empty((T, N))
-            reads = np.flatnonzero(used)
-            for start in range(0, len(reads), step):
-                src = reads[start:start + step]
-                shared[src] = _ranked_weights(order[src], has_signal[src])
+        pos = np.zeros((T, N), np.int32)
+        for b in blocks:  # missing signals sort last
+            pos[b] = _positions(np.where(has_signal[b], base[b], np.inf))
+        del base
+        count = has_signal.sum(axis=1, keepdims=True, dtype=np.int32)
+        table = None
     else:
         signs = np.sign(np.where(has_signal, base, 0.0))
     for i, m in enumerate(m_values):
         shift = m - m0
-        for start in range(shift, T, step):
+        for start in range(m + n - 1, T, step):
             rows = slice(start, min(start + step, T))
-            src = slice(rows.start - shift, rows.stop - shift)
+            src = slice(start - shift, rows.stop - shift)
             tradeable = has_signal[src] & has_return[rows]
             if weighting == "sign":
                 weights = np.where(tradeable, signs[src], 0.0)
+            elif not (holes := has_signal[src] & ~tradeable).any():
+                if table is None:
+                    table = np.zeros((T, N))
+                    for b in blocks:
+                        table[b] = _spaced(pos[b], count[b], has_signal[b])
+                weights = table[src].copy()  # a view would pin the table in the caller
             else:
-                holes = ~complete[rows]
-                # a block mostly of holes costs less whole than gathered
-                if shared is None or 2 * holes.sum() > len(holes):
-                    weights = _ranked_weights(order[src], tradeable)
-                else:
-                    weights = shared[src]
-                    if holes.any():
-                        weights = weights.copy()
-                        weights[holes] = _ranked_weights(order[src][holes], tradeable[holes])
+                at = pos[src]
+                flat = at + N * np.arange(len(at))[:, None]
+                ahead = np.zeros(at.size, np.int32)
+                ahead[flat[holes]] = 1
+                j = at - ahead.reshape(at.shape).cumsum(axis=1, dtype=np.int32).take(flat)
+                p = count[src] - holes.sum(axis=1, keepdims=True, dtype=np.int32)
+                weights = _spaced(j, p, tradeable)
             yield i, rows, weights, tradeable
 
 
@@ -245,7 +246,6 @@ def pnl_grid(
             contrib = w * np.where(tradeable, panel.values[rows], 0.0)
             values[i, rows] = np.where(tradeable.any(axis=1), contrib.sum(axis=1), np.nan)
         for i, m in enumerate(ms):
-            values[i, : min(m + n - 1, T)] = np.nan
             name = f"{kind}_mom_m{m}_n{n}{suffix}"
             stage = f"strategy({weighting},m={m},n={n},leg={leg})"
             pnl = PnlSeries(panel.calendar, name, values[i], (stage,))
