@@ -20,8 +20,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import AR1Params, NonStationaryError
 from .momentum import signal
@@ -276,26 +278,35 @@ def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = N
     """
     rng = np.random.default_rng(seed)
     chol_t = _chol_psd(params.sigma).T
+    # a diagonal root scales columns: z * d has the bits of z @ diag(d), one
+    # nonzero product per element, without BLAS; a zero on the diagonal
+    # would give -0.0 where the product sums to +0.0
+    scale = np.diag(chol_t)
+    diagonal = np.array_equal(chol_t, np.diag(scale)) and bool(scale.all())
     rho = params.rho
     load = params.alpha * params.w
     state = params.factor_mean
     for start, stop in _row_blocks(0, len(r)):
-        eb = rng.standard_normal((stop - start, params.n)) @ chol_t
+        rows = r[start:stop]  # the innovations are drawn in place
+        rng.standard_normal(out=rows)
+        if diagonal:
+            rows *= scale
+        else:
+            rows[:] = rows @ chol_t
         if e is not None:
-            e[start:stop] = eb
-        r[start:stop] = eb
+            e[start:stop] = rows
+        e_next = rows[-1].copy()
         if rho != 0.0:
-            r[start + 1 : stop] -= rho * eb[:-1]
+            rows[1:] -= rho * rows[:-1]  # the product is taken before the update
             if start:
-                r[start] -= rho * e_last
-        e_last = eb[-1].copy()
-        del eb  # not alive next to the next block's draw
-        x = _project(r[start:stop], params.w) + params.factor_drift
+                rows[0] -= rho * e_last
+        e_last = e_next
+        x = _project(rows, params.w) + params.factor_drift
         s = _ar1(x, params.a, state)
         s_prev = np.concatenate(([state], s[:-1]))
         state = s[-1]
-        r[start:stop] += params.mu
-        r[start:stop] += np.outer(s_prev, load)
+        rows += params.mu
+        rows += np.outer(s_prev, load)
 
 
 def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -512,33 +523,54 @@ def _within_3se(deviation, se) -> bool:
 
 
 def sample_autocovariance(
-    values: np.ndarray, k: int, n_batches: int = DEFAULT_BATCHES
-) -> tuple[np.ndarray, np.ndarray]:
+    values: np.ndarray, k: int | Sequence[int], n_batches: int = DEFAULT_BATCHES
+) -> tuple | list[tuple]:
     """Sample estimate of E[(x_t - m)(x_{t-k} - m)'] with per-element
     batch-means standard errors.
 
     Returns ``(estimate, se)``; both are scalars for a 1-d input and (N, N)
     matrices for a (T, N) input, oriented so estimate[i, j] pairs the lead
-    at i with the lag at j. Each batch's window (:func:`_lag_windows`) is
-    centred on the full-sample mean on its own, so temporaries are one batch.
+    at i with the lag at j. Given a sequence of lags for ``k``, it returns a
+    list with one ``(estimate, se)`` per lag, each bit-identical to its own
+    call; every lag is checked before any work.
+
+    The mean is taken once. Lags with the same batch size share one walk
+    over the batches (:func:`_lag_windows` at their largest lag, k_max):
+    each window is centred once, and one einsum pairs its lag rows with a
+    read-only view of the k_max rows after each, laid side by side, so lag
+    k is column block k - 1. Every element is still a sum in t order of
+    separately rounded products, so the layout moves no bit. The window
+    temporaries are one batch in size.
     """
     x = np.asarray(values, float)
     scalar = x.ndim == 1
     if scalar:
         x = x[:, None]
-    T = len(x)
-    if k < 1 or k >= T:
-        raise ParameterError(f"need 1 <= k < {T}, got {k}")
+    T, N = x.shape
+    lags = list(k) if np.ndim(k) else [k]
+    groups = {}
+    for lag in lags:
+        if lag < 1 or lag >= T:
+            raise ParameterError(f"need 1 <= k < {T}, got {lag}")
+        groups.setdefault(_batch_size(T - lag, n_batches), []).append(lag)
     mean = x.mean(axis=0)
-    per_batch = []
-    for window in _lag_windows(x, k, n_batches):
-        xm = window - mean
-        size = len(xm) - k
-        per_batch.append(np.einsum("ti,tj->ij", xm[k:], xm[:size]) / size)
-    est, se = _mean_se(np.array(per_batch))
-    if scalar:
-        return float(est[0, 0]), float(se[0, 0])
-    return est, se
+    moments = {}
+    for size, group in groups.items():
+        top = max(group)
+        per_batch = np.empty((n_batches, N, top * N))
+        for batch, window in zip(per_batch, _lag_windows(x, top, n_batches)):
+            xm = window - mean
+            leads = sliding_window_view(xm.reshape(-1)[N:], top * N)[::N]
+            np.einsum("sj,sm->jm", xm[:size], leads, out=batch)
+            batch /= size
+        for lag in group:
+            block = per_batch[:, :, (lag - 1) * N : lag * N].transpose(0, 2, 1)
+            moments[lag] = _mean_se(np.ascontiguousarray(block))
+    out = []
+    for lag in lags:
+        est, se = moments[lag]
+        out.append((float(est[0, 0]), float(se[0, 0])) if scalar else (est, se))
+    return out if np.ndim(k) else out[0]
 
 
 def factor_moment_mc(
@@ -775,11 +807,10 @@ def check_autocovariances(
 ) -> list[VerificationCheck]:
     """Elementwise 3-SE comparison of sample vs closed-form Omega_1..k_max."""
     omegas = autocovariance_matrices(params, k_max)
+    lags = range(1, k_max + 1)
     return [
-        _three_se_row(
-            f"autocovariance_k{k}", omegas.omega(k), *sample_autocovariance(return_values, k)
-        )
-        for k in range(1, k_max + 1)
+        _three_se_row(f"autocovariance_k{k}", omegas.omega(k), *moment)
+        for k, moment in zip(lags, sample_autocovariance(return_values, lags))
     ]
 
 

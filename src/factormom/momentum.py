@@ -149,18 +149,18 @@ def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weightin
     m0 = min(m_values)
     base = signal(panel, m0, n).values
     has_signal = np.isfinite(base)
-    has_return = np.isfinite(panel.values)
     step = max(1, _BLOCK_CELLS // max(N, 1))
     blocks = [slice(start, start + step) for start in range(m0 + n - 1, T, step)]
     if weighting == "rank":
         pos = np.zeros((T, N), np.int32)
         for b in blocks:  # missing signals sort last
             pos[b] = _positions(np.where(has_signal[b], base[b], np.inf))
-        del base
         count = has_signal.sum(axis=1, keepdims=True, dtype=np.int32)
         table = None
-    else:
-        signs = np.sign(np.where(has_signal, base, 0.0))
+    else:  # the signal is read-only: its signs take the one copy
+        signs = np.sign(base, out=np.zeros_like(base), where=has_signal)
+    del base
+    has_return = np.isfinite(panel.values)
     for i, m in enumerate(m_values):
         shift = m - m0
         for start in range(m + n - 1, T, step):

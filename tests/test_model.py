@@ -195,6 +195,8 @@ BLOCK_EDGE_PARAMS = {
     "rho=0": make_params(n=3, alpha=0.45, rho=0.0, mu=0.02, seed=4),
     "rho!=0": make_params(n=3, alpha=0.3, rho=-0.25, mu=[0.01, 0.0, -0.03],
                           sigma=random_psd(3, 5), seed=6),
+    # diagonal: the draw scales columns instead of multiplying by the root
+    "diagonal": make_params(n=3, alpha=0.4, rho=0.15, sigma=np.diag([0.5, 2.0, 3.0]), seed=7),
     # exactly singular: Cholesky fails and the eigh square root is used
     "singular": make_params(n=3, alpha=0.5, rho=0.2, sigma=np.array(
         [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]), seed=8),
@@ -245,6 +247,24 @@ def test_simulated_bits_do_not_depend_on_blas_threads():
     ]
     assert len(digests[0]) == 3
     assert digests[0] == digests[1]
+
+
+def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(factormom.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        run = subprocess.run(
+            [sys.executable, "-m", "factormom", "--seed", "3", "--out-dir", str(out),
+             "verify", "--T", "20000"],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+        )
+        assert run.returncode in (0, 1), run.stderr  # 1: a check failed, still reported
+        reports.append((out / "verify.json").read_bytes())
+    assert b'"checks"' in reports[0]
+    assert reports[0] == reports[1]
 
 
 def test_simulated_panel_is_a_read_only_view_of_one_array():
@@ -571,6 +591,16 @@ def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_bat
         mc, mc_se = stock_moment_mc(x, k, n_batches)
         ref_mc, ref_mc_se = one_shot_stock_moment(x, k, n_batches)
         assert (mc, mc_se) == (ref_mc, ref_mc_se), k
+    # every lag from one call: lags of different batch sizes walk separately
+    lags = range(1, T - n_batches + 1)
+    for values in (x, x[:, 2]):
+        multi = sample_autocovariance(values, lags, n_batches)
+        assert len(multi) == len(lags)
+        for k, (est, se) in zip(lags, multi):
+            ref_est, ref_se = sample_autocovariance(values, k, n_batches)
+            assert np.ndim(est) == values.ndim * 2 - 2, k
+            assert (np.asarray(est).tobytes(), np.asarray(se).tobytes()) == (
+                np.asarray(ref_est).tobytes(), np.asarray(ref_se).tobytes()), k
     k = T - n_batches + 1
     short = f"^{n_batches - 1} observations cannot form {n_batches} batches$"
     for values in (x, x[:, 0]):
@@ -580,6 +610,12 @@ def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_bat
         stock_moment_mc(x, k, n_batches)
     with pytest.raises(ParameterError, match="need k >= 1"):
         stock_moment_mc(x, 0, n_batches)
+    # a bad lag anywhere in the sequence is rejected before any batch is read
+    monkeypatch.setattr(model, "_lag_windows", None)
+    for values in (x, x[:, 0]):
+        for bad, message in ((k, short), (0, "^need 1 <= k < "), (T, "^need 1 <= k < ")):
+            with pytest.raises(ParameterError, match=message):
+                sample_autocovariance(values, [1, bad, 2], n_batches)
 
 
 @pytest.mark.parametrize("block", [7, 1 << 16])

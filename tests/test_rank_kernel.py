@@ -55,6 +55,18 @@ def test_rank_grid_peak_within_a_few_panels():
     assert peak <= 3 * panel.values.nbytes
 
 
+def test_sign_cell_peaks_no_higher_than_a_rank_cell():
+    # the signs take the one copy of the signal; both peak in signal() itself
+    values = np.random.default_rng(5).normal(0, 0.09, (1200, 2000))
+    panel = make_panel(values)
+    for weighting in ("sign", "rank"):  # warm up: first calls allocate caches
+        pnl_grid(make_panel(values[:30, :20]), (1,), (1,), weighting)
+    sign, rank = (_traced_peak(lambda: pnl_grid(panel, (1,), (1,), w)) for w in ("sign", "rank"))
+    # the old sign path held the signal, a masked copy and the signs at once
+    assert sign <= rank + values.nbytes // 100
+    assert sign <= 2.3 * values.nbytes
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 6), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
 def test_positions_match_a_stable_sort_on_finite_keys(rows, cols, ties, seed):
