@@ -278,21 +278,13 @@ def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = N
     """
     rng = np.random.default_rng(seed)
     chol_t = _chol_psd(params.sigma).T
-    # a diagonal root scales columns: z * d has the bits of z @ diag(d), one
-    # nonzero product per element, without BLAS; a zero on the diagonal
-    # would give -0.0 where the product sums to +0.0
-    scale = np.diag(chol_t)
-    diagonal = np.array_equal(chol_t, np.diag(scale)) and bool(scale.all())
     rho = params.rho
     load = params.alpha * params.w
     state = params.factor_mean
     for start, stop in _row_blocks(0, len(r)):
         rows = r[start:stop]  # the innovations are drawn in place
         rng.standard_normal(out=rows)
-        if diagonal:
-            rows *= scale
-        else:
-            rows[:] = rows @ chol_t
+        rows[:] = rows @ chol_t
         if e is not None:
             e[start:stop] = rows
         e_next = rows[-1].copy()

@@ -72,7 +72,7 @@ def _as_pnl(series: NamedSeries, values: np.ndarray, stage: str) -> PnlSeries:
 
 
 def _window_moments(values: np.ndarray, window: int):
-    """Per trailing window: count of finite entries, mean, demeaned view.
+    """Per trailing window: count of finite entries and demeaned view.
 
     Windows are rows of a (T - window + 1, window) view; window j ends at
     index j + window - 1. The demeaned form keeps exactly-constant windows
@@ -89,7 +89,7 @@ def _window_moments(values: np.ndarray, window: int):
     lo = np.where(finite, win, np.inf).min(axis=1)
     hi = np.where(finite, win, -np.inf).max(axis=1)
     dm[(lo == hi) & (cnt > 0)] = 0.0
-    return cnt, mean, dm
+    return cnt, dm
 
 
 def beta_hedge(factor: NamedSeries, market: NamedSeries, cfg: PipelineConfig | None = None) -> PnlSeries:
@@ -114,8 +114,8 @@ def beta_hedge(factor: NamedSeries, market: NamedSeries, cfg: PipelineConfig | N
     pair = np.isfinite(factor.values) & np.isfinite(market.values)
     f = np.where(pair, factor.values, np.nan)
     m = np.where(pair, market.values, np.nan)
-    cnt, _, dm = _window_moments(m, W)
-    _, _, df = _window_moments(f, W)
+    cnt, dm = _window_moments(m, W)
+    _, df = _window_moments(f, W)
     if not np.any(cnt >= min_obs):
         raise InsufficientHistoryError(
             f"no window holds {min_obs} overlapping factor/market months"
@@ -153,7 +153,7 @@ def vol_normalize(series: NamedSeries, cfg: PipelineConfig | None = None) -> Pnl
         raise InsufficientHistoryError(
             f"{T} months of data cannot fill a {W}-month window"
         )
-    cnt, _, dx = _window_moments(series.values, W)
+    cnt, dx = _window_moments(series.values, W)
     if not np.any(cnt >= min_obs):
         raise InsufficientHistoryError(f"no window holds {min_obs} observations")
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -195,7 +195,7 @@ BLOCK_EDGE_PARAMS = {
     "rho=0": make_params(n=3, alpha=0.45, rho=0.0, mu=0.02, seed=4),
     "rho!=0": make_params(n=3, alpha=0.3, rho=-0.25, mu=[0.01, 0.0, -0.03],
                           sigma=random_psd(3, 5), seed=6),
-    # diagonal: the draw scales columns instead of multiplying by the root
+    # diagonal: a diagonal root's bits through the one matrix-product draw
     "diagonal": make_params(n=3, alpha=0.4, rho=0.15, sigma=np.diag([0.5, 2.0, 3.0]), seed=7),
     # exactly singular: Cholesky fails and the eigh square root is used
     "singular": make_params(n=3, alpha=0.5, rho=0.2, sigma=np.array(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,26 @@ def test_signal_matches_brute_force_everywhere():
         sig = signal(panel, m, n)
         expected = brute_force_signal(panel.values, m, n)
         np.testing.assert_allclose(sig.values, expected, atol=1e-14, equal_nan=True)
+
+
+def test_signal_non_finite_windows_are_missing():
+    values = np.random.default_rng(9).integers(-5, 6, (40, 4)).astype(float)
+    values[[3, 11], 0] = np.nan
+    values[7, 1], values[9, 1] = np.inf, -np.inf  # a window holding both sums to NaN
+    values[20, 2] = -np.inf
+    values[[25, 26], 3] = 1e308  # finite months whose sum overflows
+    cells = [(0, 1), (1, 1), (0, 2), (1, 3), (2, 5), (0, 12)]
+    with np.errstate(over="ignore"):
+        expected = {(m, n): brute_force_signal(values, m, n) for m, n in cells}
+    assert np.isposinf(expected[0, 2][26, 3])
+    # integer sums are exact, and 1e308 absorbs them, in any summation order
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (m, n), ref in expected.items():
+            got = signal(make_panel(values), m, n).values
+            finite = np.isfinite(ref)
+            assert got[finite].tobytes() == ref[finite].tobytes(), (m, n)
+            assert np.isnan(got[~finite]).all(), (m, n)
 
 
 def test_signal_window_exceeding_history_is_missing():

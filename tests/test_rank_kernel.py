@@ -55,16 +55,28 @@ def test_rank_grid_peak_within_a_few_panels():
     assert peak <= 3 * panel.values.nbytes
 
 
-def test_sign_cell_peaks_no_higher_than_a_rank_cell():
-    # the signs take the one copy of the signal; both peak in signal() itself
+def complete_wide_panel():
     values = np.random.default_rng(5).normal(0, 0.09, (1200, 2000))
-    panel = make_panel(values)
     for weighting in ("sign", "rank"):  # warm up: first calls allocate caches
         pnl_grid(make_panel(values[:30, :20]), (1,), (1,), weighting)
+    return make_panel(values)
+
+
+def test_signal_peaks_at_its_output_and_one_mask():
+    panel = complete_wide_panel()
+    peak = _traced_peak(lambda: momentum.signal(panel, 1, 1))
+    assert peak <= 1.25 * panel.values.nbytes
+
+
+def test_sign_cell_peaks_no_higher_than_a_rank_cell():
+    # the sign path reads the signal block by block; the rank path drops it
+    # once its positions are built
+    panel = complete_wide_panel()
+    nbytes = panel.values.nbytes
     sign, rank = (_traced_peak(lambda: pnl_grid(panel, (1,), (1,), w)) for w in ("sign", "rank"))
-    # the old sign path held the signal, a masked copy and the signs at once
-    assert sign <= rank + values.nbytes // 100
-    assert sign <= 2.3 * values.nbytes
+    assert sign <= rank + nbytes // 100
+    assert sign <= 1.5 * nbytes
+    assert rank <= 2.0 * nbytes
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -100,8 +100,8 @@ def reference_beta_hedge(factor, market, cfg):
     carried forward one window at a time."""
     W, L, min_obs = cfg.window_months, cfg.lag_months, cfg.effective_min_obs
     pair = np.isfinite(factor) & np.isfinite(market)
-    cnt, _, dm = _window_moments(np.where(pair, market, np.nan), W)
-    _, _, df = _window_moments(np.where(pair, factor, np.nan), W)
+    cnt, dm = _window_moments(np.where(pair, market, np.nan), W)
+    _, df = _window_moments(np.where(pair, factor, np.nan), W)
     var, cov = (dm * dm).sum(axis=1), (dm * df).sum(axis=1)
     betas = np.full(len(var), np.nan)
     last = np.nan
