@@ -7,10 +7,13 @@ command with the same config and seed produces byte-identical files. Every
 output embeds the config hash and seed, as leading ``#`` comment lines in
 CSV and as top-level keys in JSON.
 
-Every command resolves its configuration the same way: the ``--config`` file,
-overlaid by each flag that was given under its argparse ``dest``, which is
-also its config key (pipeline flags land in ``cfg["pipeline"]``). The handler
-then fills in its defaults, and the hash covers ``{command, seed, **cfg}``.
+Each handler's keyword-only parameters declare its command's config keys,
+their types and defaults. ``main`` overlays the ``--config`` file with each
+given flag whose argparse ``dest`` names a handler keyword (pipeline flags
+land in ``cfg["pipeline"]``), reads the result against the handler's
+signature, so an unknown, missing or mistyped key exits 2 naming it, and
+calls the handler with the typed values. The hash covers ``{command, seed,
+**cfg}`` once the handler has written its resolved defaults into ``cfg``.
 
 Exit codes: 0 success, 1 verification-check failure, 2 config or parameter
 error, 3 I/O error.
@@ -39,24 +42,30 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
-# Keys of ``cfg["pipeline"]``; every other flag is a top-level config key.
+# Keys of ``cfg["pipeline"]``; every other flag that names a handler keyword
+# is a top-level config key.
 _PIPELINE_KEYS = ("window_months", "lag_months", "vol_target", "min_obs")
 
-# Argparse destinations that are not config keys: the global flags, the
-# subcommand plumbing and output locations, none of which change results.
-_NOT_CONFIG = {"config", "seed", "out_dir", "cmd", "handler", "out", "report", "factor_out"}
+
+def _keywords(accepting) -> dict:
+    """The parameters of ``accepting`` a config can name: all but positional-only."""
+    return {key: p for key, p in inspect.signature(accepting).parameters.items()
+            if p.kind is not p.POSITIONAL_ONLY}
 
 
 def _resolve(args) -> dict:
     """The ``--config`` file overlaid by every flag that was given."""
     cfg = _load_config(args.config) if args.config else {}
     given = vars(args)
-    if any(key in given for key in _PIPELINE_KEYS):
-        cfg["pipeline"] = dict(cfg.get("pipeline", {}))
+    if any(key in given for key in _PIPELINE_KEYS):  # the command takes pipeline flags
+        if not isinstance(cfg.setdefault("pipeline", {}), dict):
+            raise ConfigError("config key 'pipeline' must be a JSON object")
+    keys = _keywords(args.handler)
     for key, value in given.items():
-        if key in _NOT_CONFIG or value is None:
-            continue
-        (cfg["pipeline"] if key in _PIPELINE_KEYS else cfg)[key] = value
+        if value is not None and key in _PIPELINE_KEYS:
+            cfg["pipeline"][key] = value
+        elif value is not None and key in keys:
+            cfg[key] = value
     return cfg
 
 
@@ -106,34 +115,38 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _existing(path, what: str) -> str:
-    p = str(path)
-    if not Path(p).exists():
-        raise ConfigError(f"{what} path does not exist: {p}")
-    return p
+def _existing(path, key: str) -> str:
+    """``path``, the value of config key ``key``, if it names an existing file.
+    An empty string, ``null`` or any other non-string is a ``ConfigError``
+    naming the key, and so is a path that does not exist."""
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"config key {key!r} must be a path, got {path!r}")
+    if not Path(path).exists():
+        raise ConfigError(f"{key} path does not exist: {path}")
+    return path
 
 
-def _require_path(cfg: dict, key: str, what: str | None = None) -> str:
-    if key not in cfg or cfg[key] in (None, ""):
-        raise ConfigError(f"config is missing required path {key!r}")
-    return _existing(cfg[key], what or key)
-
-
-def _read_args(obj, accepting, what: str) -> dict:
+def _read_args(obj, accepting, what: str = "") -> dict:
     """``obj`` as keyword arguments of ``accepting``: a JSON object whose keys
     are its arguments, including every argument without a default, with each
-    value annotated ``int`` or ``float`` read as one (a new dict)."""
+    value annotated ``int``, ``float``, ``bool``, ``list`` or
+    ``riskpipe.PipelineConfig`` read as one (a new dict). ``what`` is the
+    dotted key of ``obj``; messages name top-level keys (``what`` empty)
+    without a prefix."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    params = inspect.signature(accepting).parameters
+        raise ConfigError(f"config key {what!r} must be a JSON object")
+    params = _keywords(accepting)
     required = [key for key, p in params.items() if p.default is p.empty]
     bad = [f"unknown key {key!r}" for key in obj if key not in params]
     bad += [f"missing key {key!r}" for key in required if key not in obj]
     if bad:
-        raise ConfigError(f"{what}: " + ", ".join(bad))
-    readers = {"int": _as_int, "float": _as_float,  # by annotation
-               "int | None": lambda value, key: None if value is None else _as_int(value, key)}
-    return {key: readers[kind](value, f"{what}.{key}")
+        raise ConfigError(f"{what or 'config'}: " + ", ".join(bad))
+    readers = {"int": _as_int, "float": _as_float, "bool": _as_bool, "list": _as_list,
+               "int | None": lambda value, key: None if value is None else _as_int(value, key),
+               "riskpipe.PipelineConfig": lambda value, key: riskpipe.PipelineConfig(
+                   **_read_args(value, riskpipe.PipelineConfig, key))}
+    prefix = f"{what}." if what else ""
+    return {key: readers[kind](value, prefix + key)
             if (kind := params[key].annotation) in readers else value
             for key, value in obj.items()}
 
@@ -167,13 +180,13 @@ def _as_bool(value, key: str) -> bool:
     raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
 
 
-def _as_list(value, key: str, what: str) -> list:
-    """``value`` of config key ``key`` as a list of ``what``. Only a JSON list
-    passes; anything else, a single string included, is a ``ConfigError``
-    naming the key."""
+def _as_list(value, key: str) -> list:
+    """``value`` of config key ``key`` as a list. Only a JSON list passes;
+    anything else, a single string included, is a ``ConfigError`` naming the
+    key."""
     if isinstance(value, list):
         return value
-    raise ConfigError(f"config key {key!r} must be a list of {what}, got {value!r}")
+    raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
 
 
 def _distinct(values, key: str):
@@ -188,6 +201,8 @@ def _parse_range(value, key: str) -> tuple[int, ...]:
     """Accept 4, "4", "1..12", "1,2,3" or a JSON list, without repeats."""
     if isinstance(value, (list, tuple)):
         return _distinct(tuple(_as_int(x, key) for x in value), key)
+    if isinstance(value, (int, float)):
+        return (_as_int(value, key),)
     text = str(value).strip()
     try:
         if ".." in text:
@@ -198,10 +213,6 @@ def _parse_range(value, key: str) -> tuple[int, ...]:
         raise ConfigError(
             f"config key {key!r} must be a range such as 1..12 or 1,3,6, got {value!r}"
         ) from None
-
-
-def _pipeline_config(cfg: dict) -> riskpipe.PipelineConfig:
-    return riskpipe.PipelineConfig(**_read_args(cfg, riskpipe.PipelineConfig, "pipeline"))
 
 
 def _stats_row(series) -> dict:
@@ -230,25 +241,15 @@ def _managed_panel(factors, market, pipe) -> panel.ReturnPanel:
     return panel.ReturnPanel(factors.calendar, factors.assets, np.column_stack(cols))
 
 
-def cmd_backtest(args, cfg: dict) -> int:
-    if "m" not in cfg or "n" not in cfg:
-        raise ConfigError("backtest needs explicit lag m and holding period n")
-    m, n = _as_int(cfg["m"], "m"), _as_int(cfg["n"], "n")
+def cmd_backtest(args, cfg: dict, /, *, factors, market, m: int, n: int,
+                 pipeline: riskpipe.PipelineConfig, layout="wide", allow_missing: bool = False,
+                 strategies_risk_managed: bool = True, menagerie_risk_managed: bool = True) -> int:
     header = _header(args, cfg)
-    allow = _as_bool(cfg.get("allow_missing", False), "allow_missing")
-    risk_managed = _as_bool(cfg.get("strategies_risk_managed", True), "strategies_risk_managed")
-    menagerie_managed = _as_bool(
-        cfg.get("menagerie_risk_managed", True), "menagerie_risk_managed"
-    )
-
-    factors = panel.load_panel(
-        _require_path(cfg, "factors"), cfg.get("layout", "wide"), allow
-    )
-    market = panel.load_series(_require_path(cfg, "market"), allow)
+    factors = panel.load_panel(_existing(factors, "factors"), layout, allow_missing)
+    market = panel.load_series(_existing(market, "market"), allow_missing)
     panel.require_aligned(factors, market)
-    pipe = _pipeline_config(cfg["pipeline"])
 
-    managed = _managed_panel(factors, market, pipe)
+    managed = _managed_panel(factors, market, pipeline)
     strategies = [
         ("menagerie", None, None),
         ("ts", "sign", "both"),
@@ -262,10 +263,10 @@ def cmd_backtest(args, cfg: dict) -> int:
     columns = []
     for key, weighting, leg in strategies:
         if key == "menagerie":
-            series = riskpipe.menagerie(managed, pipe, risk_managed=menagerie_managed)
+            series = riskpipe.menagerie(managed, pipeline, risk_managed=menagerie_risk_managed)
         else:
-            spec = momentum.StrategySpec(m, n, weighting, leg, risk_managed)
-            series = momentum.strategy_pnl(managed, spec, pipe)
+            spec = momentum.StrategySpec(m, n, weighting, leg, strategies_risk_managed)
+            series = momentum.strategy_pnl(managed, spec, pipeline)
         rows[key] = _stats_row(series)
         columns.append(series.values)
 
@@ -287,9 +288,8 @@ def cmd_backtest(args, cfg: dict) -> int:
 _SWEEP_STATS = {"sharpe": "sharpe", "corr": "corr", "residual": "residual_sharpe"}
 
 
-def _weighting(cfg: dict, key: str, default: str) -> str:
-    """Config key ``key`` (else ``default``) as a momentum weighting scheme."""
-    value = cfg.get(key, default)
+def _weighting(value, key: str) -> str:
+    """``value`` of config key ``key`` as a momentum weighting scheme."""
     if value not in momentum.WEIGHTINGS:
         raise ConfigError(
             f"config key {key!r} must be one of {momentum.WEIGHTINGS}, got {value!r}"
@@ -297,12 +297,14 @@ def _weighting(cfg: dict, key: str, default: str) -> str:
     return value
 
 
-def cmd_sweep(args, cfg: dict) -> int:
-    m_values = _parse_range(cfg.get("m", "1..12"), "m")
-    n_values = _parse_range(cfg.get("n", "1..12"), "n")
-    stats = _as_list(cfg.get("stats", ["sharpe"]), "stats", "statistics")
-    control_paths = _as_list(cfg.get("control_series", []), "control_series", "paths")
-    direction = cfg.get("direction", "factor-on-stock")
+def cmd_sweep(args, cfg: dict, /, *, factor_panel, pipeline: riskpipe.PipelineConfig,
+              m="1..12", n="1..12", stats: list = ("sharpe",), direction="factor-on-stock",
+              control_series: list = (), stock_panel=None, market=None, reference=None,
+              layout="wide", allow_missing: bool = True, factor_weighting="sign",
+              stock_weighting="rank", weighting=None, risk_managed: bool = False,
+              menagerie_control: bool = True, market_control: bool = True,
+              min_months: int = 24) -> int:
+    m_values, n_values = _parse_range(m, "m"), _parse_range(n, "n")
     if direction not in ("factor-on-stock", "stock-on-factor"):
         raise ConfigError(f"unknown direction {direction!r}")
     if not stats:
@@ -314,26 +316,19 @@ def cmd_sweep(args, cfg: dict) -> int:
     if args.out and len(stats) > 1:
         raise ConfigError(f"--out names one file, but {len(stats)} statistics were "
                           "requested; each is written as grid_<stat>.csv under --out-dir")
-    factor_weighting = _weighting(cfg, "factor_weighting", "sign")
-    stock_weighting = _weighting(cfg, "stock_weighting", "rank")
+    factor_weighting = _weighting(factor_weighting, "factor_weighting")
+    stock_weighting = _weighting(stock_weighting, "stock_weighting")
     cfg["m"], cfg["n"] = list(m_values), list(n_values)
     header = _header(args, cfg)
-    allow = _as_bool(cfg.get("allow_missing", True), "allow_missing")
-    risk_managed = _as_bool(cfg.get("risk_managed", False), "risk_managed")
-    menagerie_control = _as_bool(cfg.get("menagerie_control", True), "menagerie_control")
-    market_control = _as_bool(cfg.get("market_control", True), "market_control")
 
-    layout = cfg.get("layout", "wide")
-    factor_panel = panel.load_panel(_require_path(cfg, "factor_panel"), layout, allow)
-    stock_panel = None
-    if cfg.get("stock_panel"):
-        stock_panel = panel.load_panel(_require_path(cfg, "stock_panel"), layout, allow)
-    market = None
-    if cfg.get("market"):
-        market = panel.load_series(_require_path(cfg, "market"), allow, name="market")
-    fixed_controls = [
-        panel.load_series(_existing(p, "control series"), allow) for p in control_paths
-    ]
+    factor_panel = panel.load_panel(_existing(factor_panel, "factor_panel"), layout,
+                                    allow_missing)
+    stock_panel = panel.load_panel(_existing(stock_panel, "stock_panel"), layout,
+                                   allow_missing) if stock_panel else None
+    market = panel.load_series(_existing(market, "market"), allow_missing,
+                               name="market") if market else None
+    fixed_controls = [panel.load_series(_existing(p, "control_series"), allow_missing)
+                      for p in control_series]
 
     if direction == "factor-on-stock":
         target_panel, target_weighting = factor_panel, factor_weighting
@@ -343,10 +338,9 @@ def cmd_sweep(args, cfg: dict) -> int:
             raise ConfigError("direction stock-on-factor needs a stock_panel")
         target_panel, target_weighting = stock_panel, stock_weighting
         other_panel, other_weighting = factor_panel, factor_weighting
-    target_weighting = _weighting(cfg, "weighting", target_weighting)
+    if weighting is not None:
+        target_weighting = _weighting(weighting, "weighting")
 
-    pipe = _pipeline_config(cfg["pipeline"])
-    min_months = _as_int(cfg.get("min_months", 24), "min_months")
     control_grid = {}
 
     def other_momentum(m, n):
@@ -354,15 +348,16 @@ def cmd_sweep(args, cfg: dict) -> int:
         if not control_grid:
             control_grid.update(momentum.pnl_grid(
                 other_panel, m_values, n_values, other_weighting,
-                risk_managed=risk_managed, cfg=pipe,
+                risk_managed=risk_managed, cfg=pipeline,
             ))
         return control_grid[m, n]
 
     def stat_inputs(stat) -> dict:
         """The ``grid_sweep`` keyword arguments statistic ``stat`` needs."""
         if stat == "corr":
-            if cfg.get("reference"):
-                return {"reference": panel.load_series(_require_path(cfg, "reference"), allow)}
+            if reference:
+                return {"reference": panel.load_series(_existing(reference, "reference"),
+                                                       allow_missing)}
             if fixed_controls:
                 return {"reference": fixed_controls[0]}
             if other_panel is None:
@@ -388,7 +383,7 @@ def cmd_sweep(args, cfg: dict) -> int:
     inputs = [(stat, stat_inputs(stat)) for stat in stats]
     target_grid = momentum.pnl_grid(
         target_panel, m_values, n_values, target_weighting,
-        risk_managed=risk_managed, cfg=pipe,
+        risk_managed=risk_managed, cfg=pipeline,
     )
     grids = [
         (stat, momentum.grid_sweep(target_grid, m_values, n_values, _SWEEP_STATS[stat],
@@ -409,14 +404,13 @@ def cmd_sweep(args, cfg: dict) -> int:
 # span
 
 
-def cmd_span(args, cfg: dict) -> int:
-    if not cfg.get("controls"):
+def cmd_span(args, cfg: dict, /, *, target, controls: list) -> int:
+    if not controls:
         raise ConfigError("span needs at least one control series")
-    control_paths = _as_list(cfg["controls"], "controls", "paths")
     header = _header(args, cfg)
 
-    target = panel.load_series(_require_path(cfg, "target"), True)
-    controls = [panel.load_series(_existing(p, "control"), True) for p in control_paths]
+    target = panel.load_series(_existing(target, "target"), True)
+    controls = [panel.load_series(_existing(p, "controls"), True) for p in controls]
     result = analytics.spanning_regression(target, controls)
 
     payload = {
@@ -442,21 +436,22 @@ def cmd_span(args, cfg: dict) -> int:
 # simulate / verify
 
 
-def _model_params(cfg: dict) -> model.ModelParams:
-    """Parameters from ``params_path``, else inline ``params``, else the shipped set.
+def _model_params(cfg: dict, params_path, params) -> model.ModelParams:
+    """Parameters from ``params_path`` if ``cfg`` names it, else inline
+    ``params``, else the shipped set.
 
     Leaves the resolved parameters in ``cfg["params"]`` (and drops
     ``params_path``), so the config hash covers the values, not a file name.
     """
     if "params_path" in cfg:
-        params = model.ModelParams.from_json(_require_path(cfg, "params_path", "params"))
+        resolved = model.ModelParams.from_json(_existing(params_path, "params_path"))
         del cfg["params_path"]
-    elif "params" in cfg:
-        params = model.ModelParams.from_dict(cfg["params"])
+    elif params is not None:
+        resolved = model.ModelParams.from_dict(params)
     else:
-        params = model.default_params()
-    cfg["params"] = params.to_dict()
-    return params
+        resolved = model.default_params()
+    cfg["params"] = resolved.to_dict()
+    return resolved
 
 
 def _require_seed(args) -> int:
@@ -465,11 +460,11 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def cmd_simulate(args, cfg: dict) -> int:
+def cmd_simulate(args, cfg: dict, /, *, params_path=None, params=None, T: int = 1200,
+                 burn_in: int = 500) -> int:
     seed = _require_seed(args)
-    params = _model_params(cfg)
-    T = cfg["T"] = _as_int(cfg.get("T", 1200), "T")
-    burn_in = cfg["burn_in"] = _as_int(cfg.get("burn_in", 500), "burn_in")
+    params = _model_params(cfg, params_path, params)
+    cfg["T"], cfg["burn_in"] = T, burn_in
     header = _header(args, cfg)
     path = model.simulate(params, T, seed, burn_in)
     out = _output(args, "panel.csv", args.out)
@@ -480,12 +475,11 @@ def cmd_simulate(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: dict) -> int:
+def cmd_verify(args, cfg: dict, /, *, params_path=None, params=None, T: int = 1_000_000,
+               k_max: int = 3, eq3=None) -> int:
     seed = _require_seed(args)
-    params = _model_params(cfg)
-    T = cfg["T"] = _as_int(cfg.get("T", 1_000_000), "T")
-    k_max = cfg["k_max"] = _as_int(cfg.get("k_max", 3), "k_max")
-    eq3 = cfg.setdefault("eq3", None)
+    params = _model_params(cfg, params_path, params)
+    cfg["T"], cfg["k_max"], cfg["eq3"] = T, k_max, eq3
     if eq3 is not None:
         eq3 = _read_args(eq3, model.momentum_covariance_check, "eq3")
         factor = _read_args(eq3["factor"], analytics.AR1Params, "eq3.factor")
@@ -508,11 +502,11 @@ def cmd_verify(args, cfg: dict) -> int:
 # resample
 
 
-def cmd_resample(args, cfg: dict) -> int:
-    layout = cfg.setdefault("layout", "wide")
-    allow = _as_bool(cfg.setdefault("allow_missing", False), "allow_missing")
+def cmd_resample(args, cfg: dict, /, *, input, layout="wide",
+                 allow_missing: bool = False) -> int:
+    cfg["layout"], cfg["allow_missing"] = layout, allow_missing
     header = _header(args, cfg)
-    daily = panel.load_panel(_require_path(cfg, "input"), layout, allow)
+    daily = panel.load_panel(_existing(input, "input"), layout, allow_missing)
     monthly = panel.resample_monthly(daily)
     out = _output(args, "monthly.csv", args.out)
     panel.emit_csv(monthly, out, header)
@@ -607,7 +601,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, _resolve(args))
+        cfg = _resolve(args)
+        return args.handler(args, cfg, **_read_args(cfg, args.handler))
     except (
         ConfigError,
         ValueError,

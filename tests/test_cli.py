@@ -629,6 +629,29 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     ("verify", {"T": 2000, "eq3": {
         "beta": [0.8] * 2, "factor": {"rho": 0.0, "mu": 0.0, "sigma_u": 1.0},
         "idio_vol": 10**400, "m": 2, "n": 2, "T": 2000, "seed": 3}}, "eq3.idio_vol"),
+    # a misspelt top-level key, which the hash would otherwise cover unread
+    ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": 3,
+                  "strategies_risk_manged": False}, "strategies_risk_manged"),
+    ("sweep", {"factor_panel": "factors.csv", "stat": ["corr"]}, "stat"),
+    ("span", {"target": "f0.csv", "controls": ["market.csv"], "control": []}, "control"),
+    ("simulate", {"T": 50, "burnin": 10}, "burnin"),
+    ("verify", {"T": 2000, "kmax": 1}, "kmax"),
+    ("resample", {"input": "daily.csv", "layuot": "long"}, "layuot"),
+    ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": 3,
+                  "pipeline": 5}, "pipeline"),
+    ("verify", {"T": 2000, "eq3": [1]}, "eq3"),
+    # an empty or null path, though Path("") names the working directory
+    *[(command, {**cfg, key: empty}, key) for command, cfg, key in [
+        ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": 3},
+         "factors"),
+        ("backtest", {"factors": "factors.csv", "market": "market.csv", "m": 1, "n": 3},
+         "market"),
+        ("sweep", {}, "factor_panel"),
+        ("span", {"controls": ["market.csv"]}, "target"),
+        ("resample", {}, "input"),
+        ("simulate", {"T": 50}, "params_path"),
+        ("verify", {"T": 2000}, "params_path"),
+    ] for empty in ("", None)],
 ])
 def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     (workdir / "cfg.json").write_text(json.dumps(cfg))
@@ -642,6 +665,17 @@ def test_integral_float_config_values_are_integers(workdir):
     (workdir / "cfg.json").write_text(json.dumps({"T": 50.0, "burn_in": 2e1}))
     assert main(["--config", "cfg.json", "--seed", "9", "--out-dir", "out", "simulate"]) == 0
     assert config_hash_of(workdir / "out" / "panel.csv") == FLAGS_ONLY_RUNS["simulate"][2]
+
+
+@pytest.mark.parametrize("m", [2, 2.0, [2.0], "2"])
+def test_sweep_scalar_range_is_one_value(workdir, m):
+    (workdir / "cfg.json").write_text(json.dumps({
+        "factor_panel": "factors.csv", "m": m, "n": 3, "stats": ["sharpe"]}))
+    assert main(["--config", "cfg.json", "--out-dir", "config", "sweep"]) == 0
+    assert main(["--out-dir", "flags", "sweep", "--input", "factors.csv",
+                 "--m", "2", "--n", "3", "--stat", "sharpe"]) == 0
+    written = [(workdir / run / "grid_sharpe.csv").read_bytes() for run in ("config", "flags")]
+    assert written[0] == written[1]
 
 
 def test_pipeline_flags_change_backtest(sim_inputs, tmp_path):
