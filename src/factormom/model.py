@@ -17,8 +17,10 @@ Monte Carlo paths with batch-means standard errors.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
+import os
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -61,6 +63,8 @@ VERIFY_FACTOR_K = 6
 VERIFY_STOCK_K = 3
 # rows per block of every row-blocked kernel: 640 KB at N = 20, in cache
 _BLOCK_ROWS = 1 << 12
+# most threads a Monte Carlo kernel runs on; the largest count benchmarked
+_MAX_WORKERS = 2
 
 
 class ParameterError(Exception):
@@ -267,6 +271,47 @@ def _project(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _workers() -> int:
+    """Threads the Monte Carlo kernels may use: the CPUs this process may
+    run on, at most ``_MAX_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS))
+
+
+def _pool(threads: int):
+    """A thread pool of ``threads`` workers for one ``with`` block.
+
+    ``concurrent.futures`` takes several milliseconds to import, so it is
+    imported here, on first use, and commands that never make a pool do not
+    pay for it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads)
+
+
+def _walk_runs(walk, count: int, make_buffer) -> None:
+    """Cut range(count) into one contiguous run per worker (at most count)
+    and call ``walk(run, buffer)`` for each run on a pool that lives for
+    this call only, with one ``make_buffer()`` per run.
+
+    The threads run numpy kernels, which release the GIL. ``walk`` must call
+    no public function of the package (a tracer keeps one span stack per
+    process) and must not rely on ``np.errstate``, which pool threads do
+    not inherit. The buffers are made on the calling thread: made on a pool
+    thread, they would come from that thread's own malloc arena and raise
+    the process's peak RSS.
+    """
+    parts = min(_workers(), count)
+    runs = [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+    buffers = [make_buffer() for _ in runs]
+    with _pool(parts) as pool:
+        list(pool.map(walk, runs, buffers))  # re-raises what a walk raised
+
+
 def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = None) -> None:
     """Fill ``r`` (length, N) with a path started from the unconditional mean
     with e_{-1} = 0, and ``e`` with its innovations when one is given.
@@ -275,30 +320,41 @@ def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = N
     the AR(1) state across block edges, with x = eps'w by :func:`_project`:
     every row is bit-identical to the whole-array formulas at any block size
     and any BLAS thread count.
+
+    One helper thread draws block b + 1's standard normals in place while
+    this thread forms eps, projects, runs the AR(1) and adds the load for
+    block b. The draws are one stream taken in block order, so no bit
+    depends on the thread that draws them, and nothing is allocated for
+    them.
     """
     rng = np.random.default_rng(seed)
     chol_t = _chol_psd(params.sigma).T
     rho = params.rho
     load = params.alpha * params.w
     state = params.factor_mean
-    for start, stop in _row_blocks(0, len(r)):
-        rows = r[start:stop]  # the innovations are drawn in place
-        rng.standard_normal(out=rows)
-        rows[:] = rows @ chol_t
-        if e is not None:
-            e[start:stop] = rows
-        e_next = rows[-1].copy()
-        if rho != 0.0:
-            rows[1:] -= rho * rows[:-1]  # the product is taken before the update
-            if start:
-                rows[0] -= rho * e_last
-        e_last = e_next
-        x = _project(rows, params.w) + params.factor_drift
-        s = _ar1(x, params.a, state)
-        s_prev = np.concatenate(([state], s[:-1]))
-        state = s[-1]
-        rows += params.mu
-        rows += np.outer(s_prev, load)
+    bounds = list(_row_blocks(0, len(r)))
+    with _pool(1) as pool:
+        drawn = pool.submit(rng.standard_normal, out=r[slice(*bounds[0])])
+        for b, (start, stop) in enumerate(bounds):
+            drawn.result()  # block b's innovations are in place
+            if b + 1 < len(bounds):
+                drawn = pool.submit(rng.standard_normal, out=r[slice(*bounds[b + 1])])
+            rows = r[start:stop]
+            rows[:] = rows @ chol_t
+            if e is not None:
+                e[start:stop] = rows
+            e_next = rows[-1].copy()
+            if rho != 0.0:
+                rows[1:] -= rho * rows[:-1]  # the product is taken before the update
+                if start:
+                    rows[0] -= rho * e_last
+            e_last = e_next
+            x = _project(rows, params.w) + params.factor_drift
+            s = _ar1(x, params.a, state)
+            s_prev = np.concatenate(([state], s[:-1]))
+            state = s[-1]
+            rows += params.mu
+            rows += np.outer(s_prev, load)
 
 
 def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -487,7 +543,10 @@ def expected_stock_momentum(
 
 
 def _batch_size(count: int, n_batches: int) -> int:
-    """Rows per batch when ``count`` observations form ``n_batches`` batches."""
+    """Rows per batch when ``count`` observations form ``n_batches`` batches;
+    a batch-means SE needs at least two batches."""
+    if n_batches < 2:
+        raise ParameterError(f"n_batches must be >= 2, got {n_batches}")
     size = count // n_batches
     if size < 1:
         raise ParameterError(f"{count} observations cannot form {n_batches} batches")
@@ -531,8 +590,14 @@ def sample_autocovariance(
     each window is centred once, and one einsum pairs its lag rows with a
     read-only view of the k_max rows after each, laid side by side, so lag
     k is column block k - 1. Every element is still a sum in t order of
-    separately rounded products, so the layout moves no bit. The window
-    temporaries are one batch in size.
+    separately rounded products, so the layout moves no bit.
+
+    The batches are independent, so :func:`_walk_runs` walks one contiguous
+    run of them per worker, each writing only its own batches' slots. Each
+    element is formed by the same operations whichever thread runs it, so
+    no bit depends on the worker count. A worker centres every window of
+    its run into one reused buffer, so the temporaries are one batch per
+    worker.
     """
     x = np.asarray(values, float)
     scalar = x.ndim == 1
@@ -549,15 +614,21 @@ def sample_autocovariance(
     moments = {}
     for size, group in groups.items():
         top = max(group)
+        windows = list(_lag_windows(x, top, n_batches))
         per_batch = np.empty((n_batches, N, top * N))
-        for batch, window in zip(per_batch, _lag_windows(x, top, n_batches)):
-            xm = window - mean
+
+        def walk(batches, xm):  # runs before the loop moves on, so binds this group
             leads = sliding_window_view(xm.reshape(-1)[N:], top * N)[::N]
-            np.einsum("sj,sm->jm", xm[:size], leads, out=batch)
-            batch /= size
+            for b in batches:
+                np.subtract(windows[b], mean, out=xm)
+                np.einsum("sj,sm->jm", xm[:size], leads, out=per_batch[b])
+                per_batch[b] /= size
+
+        _walk_runs(walk, n_batches, lambda: np.empty((size + top, N)))  # centred windows
         for lag in group:
-            block = per_batch[:, :, (lag - 1) * N : lag * N].transpose(0, 2, 1)
-            moments[lag] = _mean_se(np.ascontiguousarray(block))
+            # per_batch[b, j, (lag - 1) N + i] pairs the lag at j with the lead at i
+            est, se = _mean_se(per_batch[:, :, (lag - 1) * N : lag * N])
+            moments[lag] = est.T.copy(), se.T.copy()
     out = []
     for lag in lags:
         est, se = moments[lag]
@@ -576,15 +647,24 @@ def factor_moment_mc(
 def stock_moment_mc(
     return_values: np.ndarray, k: int, n_batches: int = DEFAULT_BATCHES
 ) -> tuple[float, float]:
-    """Monte Carlo E[r_{t-k}' r_t] (uncentered) with batch-means SE."""
+    """Monte Carlo E[r_{t-k}' r_t] (uncentered) with batch-means SE.
+
+    Like :func:`sample_autocovariance`, it walks one run of batches per
+    worker, with one reused product buffer per worker.
+    """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
     r = np.asarray(return_values, float)
-    per_batch = [
-        (window[k:] * window[:-k]).sum(axis=1).mean()
-        for window in _lag_windows(r, k, n_batches)
-    ]
-    mean, se = _mean_se(np.array(per_batch))
+    windows = list(_lag_windows(r, k, n_batches))
+    per_batch = np.empty(n_batches)
+
+    def walk(batches, products):
+        for b in batches:
+            np.multiply(windows[b][k:], windows[b][:-k], out=products)
+            per_batch[b] = products.sum(axis=1).mean()
+
+    _walk_runs(walk, n_batches, lambda: np.empty_like(windows[0][k:]))  # row products
+    mean, se = _mean_se(per_batch)
     return float(mean), float(se)
 
 
@@ -619,11 +699,19 @@ def reconstruction_check(
 
     with (I - A)^{-1} = I + A / (1 - a) (exact, rank-one A), and report the
     maximum elementwise deviation from the recursively simulated path along
-    with the geometric bound on the truncated tail.
+    with the geometric bound on the truncated tail. Every argument is
+    checked before anything is simulated.
     """
+    if T < 1:
+        raise ParameterError("T must be >= 1")
+    if burn_in < 0:
+        raise ParameterError("burn_in must be >= 0")
     if depth < 2:
         raise ParameterError("depth must be >= 2")
     length = burn_in + T
+    first = max(burn_in, depth)
+    if first >= length:
+        raise ParameterError(f"burn_in + T = {length} leaves no rows past depth {depth}")
     r, e = _simulate_raw(params, length, seed)
     a, rho, alpha = params.a, params.rho, params.alpha
     c = a - rho
@@ -631,9 +719,6 @@ def reconstruction_check(
     kernel = a ** np.arange(depth - 1)  # exponents 0 .. depth-2 for k = 2 .. depth
     conv = np.convolve(g, kernel)
     lag_map = (params.impact_matrix - rho * np.eye(params.n)).T
-    first = max(burn_in, depth)
-    if first >= length:
-        raise ParameterError(f"burn_in + T = {length} leaves no rows past depth {depth}")
 
     deviation = scale = 0.0
     for start, stop in _row_blocks(first, length):
@@ -688,6 +773,16 @@ class CovarianceCheck:
         return self.lhs > 3.0 * self.lhs_se and self.rhs > 3.0 * self.rhs_se
 
 
+def _covariance_batch_size(m: int, n: int, T: int, burn_in: int, n_batches: int) -> int:
+    """Check the shape arguments of :func:`momentum_covariance_check` and
+    return the rows per batch of its T + 1 PNL months."""
+    if m < 1 or n < 1:
+        raise ParameterError("need m >= 1 and n >= 1")
+    if burn_in < 0:
+        raise ParameterError("burn_in must be >= 0")
+    return _batch_size(T + 1, n_batches)
+
+
 def momentum_covariance_check(
     beta: np.ndarray,
     factor: AR1Params,
@@ -707,8 +802,7 @@ def momentum_covariance_check(
     the two PNLs against beta'beta times the variance of the factor PNL,
     each with batch-means standard errors.
     """
-    if m < 1 or n < 1:
-        raise ParameterError("need m >= 1 and n >= 1")
+    size = _covariance_batch_size(m, n, T, burn_in, n_batches)
     beta = np.asarray(beta, float)
     rng_seed = np.random.default_rng(seed)
     length = burn_in + T + m + n
@@ -724,7 +818,7 @@ def momentum_covariance_check(
     sig_r = signal(ReturnPanel(cal, assets, r), m, n).values[t0:]
     ps = ((sig_r * r[t0:]).sum(axis=1))[burn_in:]
 
-    used = _batch_size(len(pf), n_batches) * n_batches  # the remainder is dropped
+    used = size * n_batches  # of the T + 1 PNL months; the remainder is dropped
     pf, ps = pf[:used].reshape(n_batches, -1), ps[:used].reshape(n_batches, -1)
     dpf, dps = pf - pf.mean(), ps - ps.mean()
     bpb = float(beta @ beta)
@@ -827,7 +921,8 @@ def verify_model(
     :func:`momentum_covariance_check`.
 
     Raises :class:`ParameterError` before simulating anything when T leaves
-    fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked.
+    fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked,
+    or when ``eq3`` holds arguments that check would reject.
     """
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
@@ -838,6 +933,11 @@ def verify_model(
             f"{T - k_top} observations for {DEFAULT_BATCHES} batches; "
             f"need T >= {k_top + DEFAULT_BATCHES}"
         )
+    if eq3 is not None:
+        eq3_args = inspect.signature(momentum_covariance_check).bind(**eq3)
+        eq3_args.apply_defaults()
+        shape = ("m", "n", "T", "burn_in", "n_batches")
+        _covariance_batch_size(*(eq3_args.arguments[name] for name in shape))
     # its own path on seed + 1, run first so its arrays are gone before the panel
     recon = reconstruction_check(params, seed=seed + 1)
     path = simulate(params, T, seed)

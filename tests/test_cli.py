@@ -565,6 +565,29 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     assert not (tmp_path / "verify.json").exists()
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"n_batches": 0}, "n_batches"),
+    ({"n_batches": 1}, "n_batches"),
+    ({"burn_in": -1}, "burn_in"),
+    ({"m": 0}, "m >= 1"),
+])
+def test_verify_bad_eq3_values_exit_2_before_simulating(tmp_path, capsys, change, key):
+    eq3 = {
+        "beta": [0.8] * 2, "factor": {"rho": 0.0, "mu": 0.0, "sigma_u": 1.0},
+        "idio_vol": 1.0, "m": 1, "n": 2, "T": 2000, "seed": 3, **change,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": 2000, "eq3": eq3}))
+    refuse = mock.Mock(side_effect=AssertionError("simulated before checking eq3"))
+    with mock.patch.object(model, "simulate", refuse), \
+            mock.patch.object(model, "reconstruction_check", refuse):
+        code = main(["--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path), "verify"])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+    refuse.assert_not_called()
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("verify", {"T": 2000, "k_max": [1]}, "k_max"),
     ("verify", {"T": "2000"}, "T"),

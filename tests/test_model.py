@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import factormom
-from factormom import model
+from factormom import cli, model
 from factormom.analytics import AR1Params, NonStationaryError
 from factormom.model import (
     ModelParams,
@@ -469,6 +470,19 @@ def test_reconstruction_refuses_a_path_shorter_than_its_depth():
         reconstruction_check(make_params(), T=150, seed=1, burn_in=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": 0}, "^T must be >= 1$"),
+    ({"T": -600}, "^T must be >= 1$"),
+    ({"burn_in": -5}, "^burn_in must be >= 0$"),
+    ({"T": 200, "burn_in": 0}, "leaves no rows past depth 200"),
+    ({"depth": 1}, "^depth must be >= 2$"),
+])
+def test_reconstruction_checks_arguments_before_simulating(monkeypatch, kwargs, message):
+    monkeypatch.setattr(model, "_simulate_raw", None)
+    with pytest.raises(ParameterError, match=message):
+        reconstruction_check(make_params(), **{"seed": 1, **kwargs})
+
+
 def test_reconstruction_deviation_decreases_with_depth():
     p = make_params(n=3, alpha=0.85, rho=0.1, seed=55)
     devs = [
@@ -618,6 +632,72 @@ def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_bat
                 sample_autocovariance(values, [1, bad, 2], n_batches)
 
 
+@pytest.mark.parametrize("n_batches", [1, 0, -3])
+def test_estimators_need_two_batches(n_batches):
+    x = np.random.default_rng(2).standard_normal((500, 3))
+    message = f"^n_batches must be >= 2, got {n_batches}$"
+    for call in (
+        lambda: sample_autocovariance(x, 1, n_batches),
+        lambda: sample_autocovariance(x[:, 0], [1, 2], n_batches),
+        lambda: stock_moment_mc(x, 1, n_batches),
+        lambda: factor_moment_mc(x[:, 0], 1, n_batches),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+
+@pytest.fixture
+def fine_switching():
+    """Interleave threads finely: a slot written twice or a block read before
+    its draw lands then shows up as a wrong bit."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# The estimators and the simulator overlap work across threads; the bits
+# must be those of the single-thread formulas at any worker count
+@pytest.mark.parametrize("workers", [1, 3])
+def test_worker_count_moves_no_bit(monkeypatch, fine_switching, workers):
+    monkeypatch.setattr(model, "_workers", lambda: workers)
+    for T, n_batches in ((60, 7), (230, 100)):
+        x = np.random.default_rng(T).normal(0.1, 1.0, (T, 4))
+        lags = range(1, T - n_batches + 1)
+        for values in (x, x[:, 2:3]):
+            multi = sample_autocovariance(values, lags, n_batches)
+            for k, (est, se) in zip(lags, multi):
+                ref_est, ref_se = one_shot_autocovariance(values, k, n_batches)
+                assert (est.tobytes(), se.tobytes()) == (ref_est.tobytes(), ref_se.tobytes()), k
+        for k in lags:
+            assert stock_moment_mc(x, k, n_batches) == one_shot_stock_moment(x, k, n_batches)
+            assert factor_moment_mc(x[:, 1], k, n_batches) == one_shot_stock_moment(
+                x[:, 1:2], k, n_batches)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", 64)  # several blocks to draw ahead
+    for case, p in sorted(BLOCK_EDGE_PARAMS.items()):
+        for length in (64, 65, 5 * 64 + 3):
+            ref_r, ref_e = whole_array_raw(p, length, seed=length)
+            r, e = _simulate_raw(p, length, seed=length)
+            assert (r.tobytes(), e.tobytes()) == (ref_r.tobytes(), ref_e.tobytes()), (case, length)
+
+
+def test_verify_report_and_threads_do_not_depend_on_worker_count(monkeypatch, tmp_path, capsys):
+    reports = []
+    for workers in (1, 3):
+        monkeypatch.setattr(model, "_workers", lambda: workers)
+        out = tmp_path / str(workers)
+        code = cli.main(["--seed", "3", "--out-dir", str(out), "verify", "--T", "20000"])
+        assert code in (0, 1), capsys.readouterr().err  # 1: a check failed, still reported
+        reports.append((out / "verify.json").read_bytes())
+        before = threading.active_count()
+        verify_model(default_params(), seed=3, T=20_000)
+        assert threading.active_count() == before, workers  # every pool is joined
+    assert b'"checks"' in reports[0]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("block", [7, 1 << 16])
 def test_factor_moment_is_the_one_asset_stock_moment(monkeypatch, block):
     monkeypatch.setattr(model, "_BLOCK_ROWS", block)
@@ -651,6 +731,23 @@ def test_estimators_peak_within_a_few_batches():
     batch_bytes = (len(x) - 1) // model.DEFAULT_BATCHES * x.shape[1] * 8
     for estimator in (sample_autocovariance, stock_moment_mc):
         assert _traced_peak(lambda: estimator(x, 1)) <= 8 * batch_bytes, estimator.__name__
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_estimator_peak_is_one_window_per_worker(monkeypatch, workers):
+    # each worker holds one batch window and at most one ufunc buffer; one
+    # that allocated a fresh centred window per batch would hold two at once
+    # while it replaced one, and break the half-window slack
+    monkeypatch.setattr(model, "_workers", lambda: workers)
+    x = np.random.default_rng(5).standard_normal((200_000, 20))
+    n_batches, N = model.DEFAULT_BATCHES, x.shape[1]
+    window = ((len(x) - 1) // n_batches + 1) * N * 8
+    per_worker = window + np.getbufsize() * 8
+    per_batch = {sample_autocovariance: n_batches * N * N * 8, stock_moment_mc: n_batches * 8}
+    for estimator, kept in per_batch.items():
+        estimator(x, 1)  # warm up: the first call imports the thread pool
+        peak = _traced_peak(lambda: estimator(x, 1))
+        assert peak <= kept + workers * per_worker + window // 2, estimator.__name__
 
 
 def test_monte_carlo_peak_memory_stays_near_one_panel():
