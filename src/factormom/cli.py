@@ -42,15 +42,15 @@ class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
-# Keys of ``cfg["pipeline"]``; every other flag that names a handler keyword
-# is a top-level config key.
-_PIPELINE_KEYS = ("window_months", "lag_months", "vol_target", "min_obs")
-
-
 def _keywords(accepting) -> dict:
     """The parameters of ``accepting`` a config can name: all but positional-only."""
     return {key: p for key, p in inspect.signature(accepting).parameters.items()
             if p.kind is not p.POSITIONAL_ONLY}
+
+
+# Keys of ``cfg["pipeline"]``; every other flag that names a handler keyword
+# is a top-level config key.
+_PIPELINE_KEYS = tuple(_keywords(riskpipe.PipelineConfig))
 
 
 def _resolve(args) -> dict:
@@ -129,10 +129,10 @@ def _existing(path, key: str) -> str:
 def _read_args(obj, accepting, what: str = "") -> dict:
     """``obj`` as keyword arguments of ``accepting``: a JSON object whose keys
     are its arguments, including every argument without a default, with each
-    value annotated ``int``, ``float``, ``bool``, ``list`` or
-    ``riskpipe.PipelineConfig`` read as one (a new dict). ``what`` is the
-    dotted key of ``obj``; messages name top-level keys (``what`` empty)
-    without a prefix."""
+    value annotated ``int``, ``float``, ``bool``, ``list``,
+    ``riskpipe.PipelineConfig`` or ``AR1Params`` read as one (a new dict).
+    ``what`` is the dotted key of ``obj``; messages name top-level keys
+    (``what`` empty) without a prefix."""
     if not isinstance(obj, dict):
         raise ConfigError(f"config key {what!r} must be a JSON object")
     params = _keywords(accepting)
@@ -144,7 +144,9 @@ def _read_args(obj, accepting, what: str = "") -> dict:
     readers = {"int": _as_int, "float": _as_float, "bool": _as_bool, "list": _as_list,
                "int | None": lambda value, key: None if value is None else _as_int(value, key),
                "riskpipe.PipelineConfig": lambda value, key: riskpipe.PipelineConfig(
-                   **_read_args(value, riskpipe.PipelineConfig, key))}
+                   **_read_args(value, riskpipe.PipelineConfig, key)),
+               "AR1Params": lambda value, key: analytics.AR1Params(
+                   **_read_args(value, analytics.AR1Params, key))}
     prefix = f"{what}." if what else ""
     return {key: readers[kind](value, prefix + key)
             if (kind := params[key].annotation) in readers else value
@@ -406,7 +408,7 @@ def cmd_sweep(args, cfg: dict, /, *, factor_panel, pipeline: riskpipe.PipelineCo
 
 def cmd_span(args, cfg: dict, /, *, target, controls: list) -> int:
     if not controls:
-        raise ConfigError("span needs at least one control series")
+        raise ConfigError("config key 'controls' must name at least one control series")
     header = _header(args, cfg)
 
     target = panel.load_series(_existing(target, "target"), True)
@@ -482,8 +484,6 @@ def cmd_verify(args, cfg: dict, /, *, params_path=None, params=None, T: int = 1_
     cfg["T"], cfg["k_max"], cfg["eq3"] = T, k_max, eq3
     if eq3 is not None:
         eq3 = _read_args(eq3, model.momentum_covariance_check, "eq3")
-        factor = _read_args(eq3["factor"], analytics.AR1Params, "eq3.factor")
-        eq3["factor"] = analytics.AR1Params(**factor)
     header = _header(args, cfg)
 
     report = model.verify_model(params, seed=seed, T=T, k_max=k_max, eq3=eq3)

@@ -17,7 +17,6 @@ Monte Carlo paths with batch-means standard errors.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import os
@@ -357,6 +356,15 @@ def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = N
             rows += np.outer(s_prev, load)
 
 
+def _path_rows(T: int, burn_in: int) -> int:
+    """Rows of a simulated path that keeps T months after ``burn_in``."""
+    if T < 1:
+        raise ParameterError("T must be >= 1")
+    if burn_in < 0:
+        raise ParameterError("burn_in must be >= 0")
+    return burn_in + T
+
+
 def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Return (r, e) arrays of shape (length, N), starting from the
     unconditional mean with e_{-1} = 0."""
@@ -389,11 +397,7 @@ def simulate(
     read-only view of the one simulated array, so the burn-in rows stay
     allocated with it and nothing is copied.
     """
-    if T < 1:
-        raise ParameterError("T must be >= 1")
-    if burn_in < 0:
-        raise ParameterError("burn_in must be >= 0")
-    r = np.empty((burn_in + T, params.n))
+    r = np.empty((_path_rows(T, burn_in), params.n))
     _fill_raw(params, r, seed)
     r.setflags(write=False)
     values = r[burn_in:]
@@ -408,7 +412,7 @@ def simulate(
 def simulate_ar1(params: AR1Params, T: int, seed, burn_in: int = 100) -> np.ndarray:
     """Simulate an AR(1) factor path of length T, seeded, burn-in discarded."""
     rng = np.random.default_rng(seed)
-    u = params.sigma_u * rng.standard_normal(burn_in + T)
+    u = params.sigma_u * rng.standard_normal(_path_rows(T, burn_in))
     x = (1.0 - params.rho) * params.mu + u
     return _ar1(x, params.rho, params.mu)[burn_in:]
 
@@ -702,13 +706,9 @@ def reconstruction_check(
     with the geometric bound on the truncated tail. Every argument is
     checked before anything is simulated.
     """
-    if T < 1:
-        raise ParameterError("T must be >= 1")
-    if burn_in < 0:
-        raise ParameterError("burn_in must be >= 0")
+    length = _path_rows(T, burn_in)
     if depth < 2:
         raise ParameterError("depth must be >= 2")
-    length = burn_in + T
     first = max(burn_in, depth)
     if first >= length:
         raise ParameterError(f"burn_in + T = {length} leaves no rows past depth {depth}")
@@ -773,16 +773,6 @@ class CovarianceCheck:
         return self.lhs > 3.0 * self.lhs_se and self.rhs > 3.0 * self.rhs_se
 
 
-def _covariance_batch_size(m: int, n: int, T: int, burn_in: int, n_batches: int) -> int:
-    """Check the shape arguments of :func:`momentum_covariance_check` and
-    return the rows per batch of its T + 1 PNL months."""
-    if m < 1 or n < 1:
-        raise ParameterError("need m >= 1 and n >= 1")
-    if burn_in < 0:
-        raise ParameterError("burn_in must be >= 0")
-    return _batch_size(T + 1, n_batches)
-
-
 def momentum_covariance_check(
     beta: np.ndarray,
     factor: AR1Params,
@@ -800,12 +790,15 @@ def momentum_covariance_check(
     homoskedastic factor and i.i.d. idiosyncratic noise, builds the raw
     momentum products for the given (m, n), and returns the covariance of
     the two PNLs against beta'beta times the variance of the factor PNL,
-    each with batch-means standard errors.
+    each with batch-means standard errors. Every argument is checked before
+    anything is simulated.
     """
-    size = _covariance_batch_size(m, n, T, burn_in, n_batches)
+    if m < 1 or n < 1:
+        raise ParameterError("need m >= 1 and n >= 1")
+    length = _path_rows(T, burn_in) + m + n
+    size = _batch_size(T + 1, n_batches)
     beta = np.asarray(beta, float)
     rng_seed = np.random.default_rng(seed)
-    length = burn_in + T + m + n
     f = simulate_ar1(factor, length, rng_seed, burn_in=0)
     e = idio_vol * rng_seed.standard_normal((length, len(beta)))
     r = np.outer(f, beta) + e
@@ -918,11 +911,11 @@ def verify_model(
     rows report the reduced stock-momentum expressions (variance part, and
     with the plain mu'mu mean term) without affecting the verdict. ``eq3`` is
     an optional dict of keyword arguments for
-    :func:`momentum_covariance_check`.
+    :func:`momentum_covariance_check`, which runs before the battery, so its
+    argument checks fire before any large draw, and reports as the last row.
 
     Raises :class:`ParameterError` before simulating anything when T leaves
-    fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked,
-    or when ``eq3`` holds arguments that check would reject.
+    fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked.
     """
     if k_max < 1:
         raise ParameterError("k_max must be >= 1")
@@ -933,12 +926,9 @@ def verify_model(
             f"{T - k_top} observations for {DEFAULT_BATCHES} batches; "
             f"need T >= {k_top + DEFAULT_BATCHES}"
         )
-    if eq3 is not None:
-        eq3_args = inspect.signature(momentum_covariance_check).bind(**eq3)
-        eq3_args.apply_defaults()
-        shape = ("m", "n", "T", "burn_in", "n_batches")
-        _covariance_batch_size(*(eq3_args.arguments[name] for name in shape))
-    # its own path on seed + 1, run first so its arrays are gone before the panel
+    # each on its own path (reconstruction on seed + 1), run first so their
+    # arrays are gone before the panel
+    cov = None if eq3 is None else momentum_covariance_check(**eq3)
     recon = reconstruction_check(params, seed=seed + 1)
     path = simulate(params, T, seed)
     R = path.panel.values
@@ -997,10 +987,9 @@ def verify_model(
         )
     )
 
-    if eq3 is not None:
+    if cov is not None:
         # the verdict adds one-sided positivity to the rule on the batchwise
         # difference, so this row is built from the check, not from its sides
-        cov = momentum_covariance_check(**eq3)
         checks.append(
             VerificationCheck(
                 "momentum_covariance",

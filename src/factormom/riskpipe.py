@@ -76,8 +76,13 @@ def _window_moments(values: np.ndarray, window: int):
 
     Windows are rows of a (T - window + 1, window) view; window j ends at
     index j + window - 1. The demeaned form keeps exactly-constant windows
-    at exactly zero variance.
+    at exactly zero variance. Fewer than ``window`` values is an
+    :class:`InsufficientHistoryError`.
     """
+    if len(values) < window:
+        raise InsufficientHistoryError(
+            f"{len(values)} months of data cannot fill a {window}-month window"
+        )
     win = sliding_window_view(values, window)
     finite = np.isfinite(win)
     cnt = finite.sum(axis=1)
@@ -106,10 +111,6 @@ def beta_hedge(factor: NamedSeries, market: NamedSeries, cfg: PipelineConfig | N
     W, L, min_obs = cfg.window_months, cfg.lag_months, cfg.effective_min_obs
     T = len(cal)
     out = np.full(T, np.nan)
-    if T < W:
-        raise InsufficientHistoryError(
-            f"{T} months of data cannot fill a {W}-month window"
-        )
 
     pair = np.isfinite(factor.values) & np.isfinite(market.values)
     f = np.where(pair, factor.values, np.nan)
@@ -149,10 +150,6 @@ def vol_normalize(series: NamedSeries, cfg: PipelineConfig | None = None) -> Pnl
     cfg = cfg or PipelineConfig()
     W, L, min_obs = cfg.window_months, cfg.lag_months, cfg.effective_min_obs
     T = len(series.calendar)
-    if T < W:
-        raise InsufficientHistoryError(
-            f"{T} months of data cannot fill a {W}-month window"
-        )
     cnt, dx = _window_moments(series.values, W)
     if not np.any(cnt >= min_obs):
         raise InsufficientHistoryError(f"no window holds {min_obs} observations")

@@ -684,6 +684,26 @@ def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("config, command, word", [
+    ('{"T": 50', "simulate", "cfg.json: invalid JSON"),
+    ('[{"T": 50}]', "simulate", "cfg.json: config must be a JSON object"),
+    ('{"target": "missing.csv", "controls": ["market.csv"]}', "span",
+     "target path does not exist: missing.csv"),
+    ('{"factor_panel": "factors.csv", "direction": "sideways"}', "sweep",
+     "unknown direction 'sideways'"),
+    ('{"factor_panel": "factors.csv", "direction": "stock-on-factor"}', "sweep",
+     "stock-on-factor needs a stock_panel"),
+    ('{"target": "f0.csv", "controls": []}', "span", "'controls'"),
+], ids=["invalid-json", "json-list", "missing-path", "sideways", "no-stock-panel",
+        "no-controls"])
+def test_config_error_exit_2_names_key_or_file(workdir, capsys, config, command, word):
+    (workdir / "cfg.json").write_text(config)
+    code = main(["--config", "cfg.json", "--seed", "1", "--out-dir", "out", command])
+    assert code == 2
+    assert word in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_integral_float_config_values_are_integers(workdir):
     (workdir / "cfg.json").write_text(json.dumps({"T": 50.0, "burn_in": 2e1}))
     assert main(["--config", "cfg.json", "--seed", "9", "--out-dir", "out", "simulate"]) == 0

@@ -483,6 +483,29 @@ def test_reconstruction_checks_arguments_before_simulating(monkeypatch, kwargs, 
         reconstruction_check(make_params(), **{"seed": 1, **kwargs})
 
 
+SIMULATORS = {
+    "simulate": lambda **kw: simulate(make_params(), **kw),
+    "simulate_ar1": lambda **kw: simulate_ar1(AR1Params(0.5, 0.0, 1.0), **kw),
+    "reconstruction_check": lambda **kw: reconstruction_check(make_params(), **kw),
+    "momentum_covariance_check": lambda **kw: momentum_covariance_check(
+        np.ones(2), AR1Params(0.0, 0.0, 1.0), 1.0, 1, 2, n_batches=2, **kw),
+}
+
+
+@pytest.mark.parametrize("simulator", SIMULATORS)
+@pytest.mark.parametrize("kwargs, message", [
+    ({"T": 0}, "^T must be >= 1$"),
+    ({"T": -5}, "^T must be >= 1$"),
+    ({"T": 10, "burn_in": -3}, "^burn_in must be >= 0$"),
+], ids=["T=0", "T=-5", "burn_in=-3"])
+def test_simulators_check_path_length_before_simulating(monkeypatch, simulator, kwargs,
+                                                        message):
+    monkeypatch.setattr(model, "_fill_raw", None)
+    monkeypatch.setattr(model, "_ar1", None)
+    with pytest.raises(ParameterError, match=message):
+        SIMULATORS[simulator](**{"seed": 1, **kwargs})
+
+
 def test_reconstruction_deviation_decreases_with_depth():
     p = make_params(n=3, alpha=0.85, rho=0.1, seed=55)
     devs = [

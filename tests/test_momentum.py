@@ -18,7 +18,7 @@ from factormom.momentum import (
     weights_panel,
 )
 from factormom.panel import Calendar, ReturnPanel
-from factormom.riskpipe import PipelineConfig, menagerie
+from factormom.riskpipe import PipelineConfig, PnlSeries, menagerie
 
 
 def make_panel(values):
@@ -294,6 +294,16 @@ def test_grid_insufficient_history_cells_are_missing():
                       min_months=24)
     assert np.isnan(grid.cell(25, 2))
     assert np.isfinite(grid.cell(1, 1))
+
+
+def test_grid_zero_volatility_cell_is_missing():
+    panel = random_panel(60, 3, seed=16)
+    pnls = pnl_grid(panel, (1,), (1, 2), "sign")
+    # a strategy that never trades: sixty flat months, Sharpe undefined
+    pnls[1, 2] = PnlSeries(panel.calendar, "flat", np.zeros(60))
+    grid = grid_sweep(pnls, (1,), (1, 2), "sharpe", min_months=24)
+    assert np.isfinite(grid.cell(1, 1))
+    assert np.isnan(grid.cell(1, 2))
 
 
 def test_grid_rejects_empty_ranges_and_bad_stat():

@@ -161,6 +161,14 @@ def test_beta_hedge_requires_overlap():
         beta_hedge(f, m, CFG)
 
 
+def test_beta_hedge_refuses_history_shorter_than_window():
+    rng = np.random.default_rng(1)
+    f, m = (series(rng.normal(0, 0.02, 35), name) for name in "fm")
+    with pytest.raises(InsufficientHistoryError,
+                       match="^35 months of data cannot fill a 36-month window$"):
+        beta_hedge(f, m, CFG)
+
+
 # ---------------------------------------------------------------------------
 # vol normalize
 
@@ -176,6 +184,13 @@ def test_vol_target_is_reached_on_iid_input():
 def test_constant_input_yields_all_missing():
     out = vol_normalize(series(np.full(80, 0.02)), CFG)
     assert np.all(np.isnan(out.values))
+
+
+def test_vol_normalize_refuses_history_shorter_than_window():
+    x = series(np.random.default_rng(2).normal(0, 0.02, 35))
+    with pytest.raises(InsufficientHistoryError,
+                       match="^35 months of data cannot fill a 36-month window$"):
+        vol_normalize(x, CFG)
 
 
 def test_scale_invariance_of_vol_normalize():
