@@ -84,8 +84,17 @@ def sharpe_standard_error(stats: PerfStats) -> float:
 
 
 def _overlap(series_list: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Common calendar dates and the stacked values on them."""
-    common = series_list[0].calendar.dates
+    """Common calendar dates and the stacked values on them.
+
+    Series whose calendars all equal the first one (same resolution, same
+    dates) are stacked as they are; only mismatched calendars are
+    intersected. A monthly and a daily calendar raise
+    :class:`AlignmentError`.
+    """
+    first = series_list[0].calendar
+    if all(s.calendar == first for s in series_list[1:]):
+        return first.dates, np.column_stack([s.values for s in series_list])
+    common = first.dates
     for s in series_list[1:]:
         if s.calendar.dates.dtype != common.dtype:
             raise AlignmentError("a monthly and a daily calendar have no dates in common")

@@ -654,7 +654,10 @@ def stock_moment_mc(
     """Monte Carlo E[r_{t-k}' r_t] (uncentered) with batch-means SE.
 
     Like :func:`sample_autocovariance`, it walks one run of batches per
-    worker, with one reused product buffer per worker.
+    worker, with one reused product buffer per worker. A one-column input
+    (:func:`factor_moment_mc`) walks every batch on the calling thread: its
+    batches are too small to repay a pool. The batches are the same either
+    way, so no bit depends on the choice.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got {k}")
@@ -667,7 +670,10 @@ def stock_moment_mc(
             np.multiply(windows[b][k:], windows[b][:-k], out=products)
             per_batch[b] = products.sum(axis=1).mean()
 
-    _walk_runs(walk, n_batches, lambda: np.empty_like(windows[0][k:]))  # row products
+    if r.shape[1] == 1:  # one-column batches cost less than starting a pool
+        walk(range(n_batches), np.empty_like(windows[0][k:]))
+    else:
+        _walk_runs(walk, n_batches, lambda: np.empty_like(windows[0][k:]))  # row products
     mean, se = _mean_se(per_batch)
     return float(mean), float(se)
 

@@ -74,26 +74,44 @@ def _as_pnl(series: NamedSeries, values: np.ndarray, stage: str) -> PnlSeries:
 def _window_moments(values: np.ndarray, window: int):
     """Per trailing window: count of finite entries and demeaned view.
 
-    Windows are rows of a (T - window + 1, window) view; window j ends at
-    index j + window - 1. The demeaned form keeps exactly-constant windows
-    at exactly zero variance. Fewer than ``window`` values is an
-    :class:`InsufficientHistoryError`.
+    Windows are rows of a (T - window + 1, window) array; window j ends at
+    index j + window - 1. Entries that are not finite are 0.0 in the
+    demeaned form; the mean subtracted is the window sum with NaN read as
+    zero (inf kept) over the finite count. Fewer than ``window`` values is
+    an :class:`InsufficientHistoryError`.
+
+    The finite mask and the NaN-as-zero series are formed once in 1-D and
+    read through ``sliding_window_view``, so the only window-sized array
+    made is the demeaned one. Summing a row of the view adds in the same
+    order as summing a copied window matrix, so every bit matches that
+    direct form.
+
+    An exactly-constant window must have exactly zero spread, but the
+    rounded mean can leave 1-ulp residues, so such windows are zeroed. A
+    window is constant when no two consecutive finite values in it differ
+    (``!=``, so -0.0 equals 0.0), which a running count of value changes
+    along the finite values answers for every window at once.
     """
-    if len(values) < window:
+    T = len(values)
+    if T < window:
         raise InsufficientHistoryError(
-            f"{len(values)} months of data cannot fill a {window}-month window"
+            f"{T} months of data cannot fill a {window}-month window"
         )
-    win = sliding_window_view(values, window)
-    finite = np.isfinite(win)
-    cnt = finite.sum(axis=1)
+    finite = np.isfinite(values)
+    seen = np.concatenate(([0], np.cumsum(finite)))  # finite entries before each index
+    first, stop = seen[: T - window + 1], seen[window:]  # window j holds kept[first:stop]
+    cnt = stop - first
+    kept = values[finite]
+    changes = np.concatenate(([0, 0], np.cumsum(kept[1:] != kept[:-1])))  # among kept[:i]
+    # changes inside kept[first:stop]; an empty window reads as flat, its row is zero anyway
+    flat = changes[stop] == changes[np.minimum(first + 1, stop)]
     with np.errstate(invalid="ignore"):
-        mean = np.where(cnt > 0, np.nansum(win, axis=1) / np.maximum(cnt, 1), np.nan)
-        dm = np.where(finite, win - mean[:, None], 0.0)
-    # exactly-constant windows must have exactly zero spread, but the rounded
-    # mean can leave 1-ulp residues; detect and zero them
-    lo = np.where(finite, win, np.inf).min(axis=1)
-    hi = np.where(finite, win, -np.inf).max(axis=1)
-    dm[(lo == hi) & (cnt > 0)] = 0.0
+        total = sliding_window_view(np.where(np.isnan(values), 0.0, values), window).sum(axis=1)
+        mean = np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
+        dm = np.zeros((T - window + 1, window))
+        np.subtract(sliding_window_view(values, window), mean[:, None], out=dm,
+                    where=sliding_window_view(finite, window))
+    dm[flat] = 0.0
     return cnt, dm
 
 

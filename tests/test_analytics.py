@@ -120,6 +120,46 @@ def test_overlap_refuses_monthly_against_daily():
         spanning_regression(monthly, [daily])
 
 
+def span_bytes(target, controls):
+    res = spanning_regression(target, controls)
+    dates = res.residuals.calendar.dates
+    return (np.array(res.betas).tobytes(), res.intercept, res.r_squared,
+            res.residuals.values.tobytes(), str(dates.dtype), dates.tobytes())
+
+
+def test_equal_calendars_align_as_the_intersection_does():
+    rng = np.random.default_rng(4)
+    T = 240
+    y, c1, c2 = (rng.normal(0.0, 0.02, T) for _ in range(3))
+    y[:13] = np.nan  # a burn-in, as strategy PNLs have
+    y[100] = np.nan
+    cal = Calendar.periods(T)
+    shared = [NamedSeries(cal, name, v) for name, v in (("y", y), ("c1", c1), ("c2", c2))]
+    copies = [NamedSeries(Calendar.periods(T), s.name, s.values) for s in shared]
+    # one control a month longer: the same overlap, reached by intersecting
+    longer = NamedSeries(Calendar.periods(T + 1), "c2", np.append(c2, 0.05))
+    extended = [*copies[:2], longer]
+    assert copies[0].calendar is not cal and longer.calendar != cal
+    expected = span_bytes(shared[0], shared[1:])
+    corr = correlation(shared[0], shared[2])
+    for case in (copies, extended):
+        assert span_bytes(case[0], case[1:]) == expected
+        assert correlation(case[0], case[2]) == corr
+
+
+def test_shifted_calendar_of_equal_length_is_intersected():
+    rng = np.random.default_rng(5)
+    T = 120
+    y, c = rng.normal(0.0, 0.02, T), rng.normal(0.0, 0.02, T)
+    target, control = series(y, "y", "1900-01"), series(c, "c", "1900-02")
+    res = spanning_regression(target, [control])
+    assert res.residuals.calendar == Calendar.periods(T - 1, "1900-02")
+    # 1900-02 onwards: y[1:] against c[:-1]
+    target_cut, control_cut = series(y[1:], "y", "1900-02"), series(c[:-1], "c", "1900-02")
+    assert span_bytes(target, [control]) == span_bytes(target_cut, [control_cut])
+    assert correlation(target, control) == correlation(target_cut, control_cut)
+
+
 def test_correlation_degenerate_cases():
     x = series([0.01, 0.01, 0.01], "x")
     y = series([0.02, 0.01, 0.03], "y")

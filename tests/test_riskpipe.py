@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from factormom.panel import Calendar, NamedSeries, ReturnPanel
 from factormom.riskpipe import (
@@ -95,13 +96,28 @@ def test_degenerate_market_window_carries_previous_beta():
     assert np.isfinite(hedged.values[88])  # carried beta keeps output defined
 
 
+def reference_window_moments(values, window):
+    """The direct form of the window kernel: every window copied out, NaN
+    summed as zero, and constant windows found by their min and max."""
+    win = sliding_window_view(values, window)
+    finite = np.isfinite(win)
+    cnt = finite.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        mean = np.where(cnt > 0, np.nansum(win, axis=1) / np.maximum(cnt, 1), np.nan)
+        dm = np.where(finite, win - mean[:, None], 0.0)
+    lo = np.where(finite, win, np.inf).min(axis=1)
+    hi = np.where(finite, win, -np.inf).max(axis=1)
+    dm[(lo == hi) & (cnt > 0)] = 0.0
+    return cnt, dm
+
+
 def reference_beta_hedge(factor, market, cfg):
-    """Hedged values from the same window moments, with the last beta
+    """Hedged values from the direct window moments, with the last beta
     carried forward one window at a time."""
     W, L, min_obs = cfg.window_months, cfg.lag_months, cfg.effective_min_obs
     pair = np.isfinite(factor) & np.isfinite(market)
-    cnt, dm = _window_moments(np.where(pair, market, np.nan), W)
-    _, df = _window_moments(np.where(pair, factor, np.nan), W)
+    cnt, dm = reference_window_moments(np.where(pair, market, np.nan), W)
+    _, df = reference_window_moments(np.where(pair, factor, np.nan), W)
     var, cov = (dm * dm).sum(axis=1), (dm * df).sum(axis=1)
     betas = np.full(len(var), np.nan)
     last = np.nan
@@ -171,6 +187,69 @@ def test_beta_hedge_refuses_history_shorter_than_window():
 
 # ---------------------------------------------------------------------------
 # vol normalize
+
+
+def reference_vol_normalize(values, cfg):
+    W, L, min_obs = cfg.window_months, cfg.lag_months, cfg.effective_min_obs
+    cnt, dx = reference_window_moments(values, W)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        var = np.where(cnt >= 2, (dx * dx).sum(axis=1) / np.maximum(cnt - 1, 1), np.nan)
+        sd = np.sqrt(var)
+        sd = np.where((cnt >= min_obs) & (sd > 0.0), sd, np.nan)
+    out = np.full(len(values), np.nan)
+    t = np.arange(W + L - 1, len(values))
+    out[t] = cfg.vol_target * values[t] / sd[t - L - (W - 1)]
+    return out
+
+
+@st.composite
+def window_inputs(draw):
+    """Series with leading NaNs (up to all-missing windows), scattered holes,
+    constant stretches with holes, +-0.0 mixes, values 1 ulp apart and
+    extreme scales, and a window of 2 to 40 months."""
+    W = draw(st.integers(2, 40))
+    cfg = PipelineConfig(window_months=W, lag_months=draw(st.integers(1, 3)),
+                         min_obs=draw(st.integers(2, W)))
+    T = draw(st.integers(W, 3 * W + 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, 0.03, T)
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, T - 1))
+        stretch = x[start:start + draw(st.integers(1, 2 * W))]
+        level = draw(st.sampled_from([0.0, 0.01, 1.0 / 3.0, -7.0]))
+        kind = draw(st.sampled_from(["constant", "signed_zero", "one_ulp"]))
+        if kind == "constant":
+            stretch[:] = level
+        elif kind == "signed_zero":
+            stretch[:] = np.where(rng.random(len(stretch)) < 0.5, 0.0, -0.0)
+        else:
+            stretch[:] = np.where(rng.random(len(stretch)) < 0.5, level,
+                                  np.nextafter(level, np.inf))
+    x[: draw(st.integers(0, T))] = np.nan
+    x[rng.random(T) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))] = np.nan
+    if draw(st.booleans()):
+        x[rng.random(T) < 0.05] = draw(st.sampled_from([np.inf, -np.inf]))
+    return draw(st.sampled_from([1.0, 1e-155, 1e160])) * x, cfg
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(window_inputs())
+def test_window_kernel_bit_identical_to_direct_form(inputs):
+    values, cfg = inputs
+    W = cfg.window_months
+    with np.errstate(over="ignore", invalid="ignore"):
+        cnt, dm = _window_moments(values, W)
+        ref_cnt, ref_dm = reference_window_moments(values, W)
+        assert cnt.tobytes() == ref_cnt.tobytes()
+        assert dm.tobytes() == ref_dm.tobytes()
+        assert (dm * dm).sum(axis=1).tobytes() == (ref_dm * ref_dm).sum(axis=1).tobytes()
+        expected = reference_vol_normalize(values, cfg)
+        try:
+            out = vol_normalize(series(values), cfg)
+        except InsufficientHistoryError:
+            assert not np.any(ref_cnt >= cfg.effective_min_obs)
+            return
+    assert out.values.tobytes() == expected.tobytes()
 
 
 def test_vol_target_is_reached_on_iid_input():
