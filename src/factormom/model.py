@@ -292,25 +292,6 @@ def _pool(threads: int):
     return ThreadPoolExecutor(threads)
 
 
-def _walk_runs(walk, count: int, make_buffer) -> None:
-    """Cut range(count) into one contiguous run per worker (at most count)
-    and call ``walk(run, buffer)`` for each run on a pool that lives for
-    this call only, with one ``make_buffer()`` per run.
-
-    The threads run numpy kernels, which release the GIL. ``walk`` must call
-    no public function of the package (a tracer keeps one span stack per
-    process) and must not rely on ``np.errstate``, which pool threads do
-    not inherit. The buffers are made on the calling thread: made on a pool
-    thread, they would come from that thread's own malloc arena and raise
-    the process's peak RSS.
-    """
-    parts = min(_workers(), count)
-    runs = [range(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-    buffers = [make_buffer() for _ in runs]
-    with _pool(parts) as pool:
-        list(pool.map(walk, runs, buffers))  # re-raises what a walk raised
-
-
 def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = None) -> None:
     """Fill ``r`` (length, N) with a path started from the unconditional mean
     with e_{-1} = 0, and ``e`` with its innovations when one is given.
@@ -561,7 +542,7 @@ def _lag_windows(x: np.ndarray, k: int, n_batches: int):
     """Each of the ``n_batches`` consecutive batches of the len(x) - k lag-k
     pairs as one window of ``size + k`` rows: window[:size] holds the lags
     and window[k:] the leads. The leftover pairs are dropped."""
-    size = _batch_size(max(len(x) - k, 0), n_batches)
+    size = _batch_size(len(x) - k, n_batches)
     for b in range(n_batches):
         yield x[b * size : (b + 1) * size + k]
 
@@ -577,6 +558,63 @@ def _within_3se(deviation, se) -> bool:
     return bool(np.all(np.abs(deviation) <= 3.0 * se))
 
 
+def _lead_lag_walk(values, k, n_batches, batch, read_out, slot, centre=False):
+    """The one batch walk of the Monte Carlo moment estimators: a result per
+    lag, in a list for a sequence of lags.
+
+    ``values`` is read as (T, N), a series as one column, and every lag is
+    checked first. Lags of one batch size share a walk over
+    :func:`_lag_windows` at their top lag, each reading the rows its own
+    walk would, in order. ``batch(rows, size, lags, buf, out)`` fills
+    ``out``, the batch's slot of an (n_batches, *slot(N, top)) array that
+    ``read_out(per_batch, lag)`` reads. ``rows`` is the window or, with
+    ``centre``, the window less the column mean in ``buf``, a (size + top,
+    N) array that one worker reuses. One column is walked on this thread:
+    a pool costs it more than it saves. Otherwise each worker walks one
+    contiguous run of batches into their own slots, so no bit depends on
+    the worker count, with a buffer made on this thread (from a pool
+    thread's malloc arena it would raise the peak RSS). ``batch`` may call
+    no public function (a tracer keeps one span stack per process) nor rely
+    on ``np.errstate``, which pool threads do not inherit.
+    """
+    x = np.asarray(values, float)
+    if x.ndim not in (1, 2):
+        raise ParameterError(f"need a 1-d series or a (T, N) array, got {x.ndim} dimensions")
+    x = x[:, None] if x.ndim == 1 else x
+    T, N = x.shape
+    lags = list(k) if np.ndim(k) else [k]
+    groups = {}
+    for lag in lags:
+        if not 1 <= lag < T:
+            raise ParameterError(f"need 1 <= k < {T}, got {lag}")
+        groups.setdefault(_batch_size(T - lag, n_batches), []).append(lag)
+    mean = x.mean(axis=0) if centre else None
+    parts = 1 if N == 1 else min(_workers(), n_batches)
+    runs = [range(n_batches * i // parts, n_batches * (i + 1) // parts) for i in range(parts)]
+    results = {}
+    for size, group in groups.items():
+        top = max(group)
+        windows = list(_lag_windows(x, top, n_batches))
+        per_batch = np.empty((n_batches, *slot(N, top)))
+        buffers = [np.empty((size + top, N)) for _ in runs]
+
+        def walk(run, buf):  # runs before the loop moves on, so binds this group
+            for b in run:
+                rows = windows[b] if mean is None else np.subtract(windows[b], mean, out=buf)
+                batch(rows, size, group, buf, per_batch[b])
+
+        if parts == 1:
+            walk(runs[0], buffers[0])
+        else:
+            with _pool(parts) as pool:
+                list(pool.map(walk, runs, buffers))  # re-raises what a walk raised
+        del buffers  # before the read-out makes its temporaries
+        for lag in group:
+            results[lag] = read_out(per_batch, lag)
+    out = [results[lag] for lag in lags]
+    return out if np.ndim(k) else out[0]
+
+
 def sample_autocovariance(
     values: np.ndarray, k: int | Sequence[int], n_batches: int = DEFAULT_BATCHES
 ) -> tuple | list[tuple]:
@@ -587,95 +625,58 @@ def sample_autocovariance(
     matrices for a (T, N) input, oriented so estimate[i, j] pairs the lead
     at i with the lag at j. Given a sequence of lags for ``k``, it returns a
     list with one ``(estimate, se)`` per lag, each bit-identical to its own
-    call; every lag is checked before any work.
-
-    The mean is taken once. Lags with the same batch size share one walk
-    over the batches (:func:`_lag_windows` at their largest lag, k_max):
-    each window is centred once, and one einsum pairs its lag rows with a
-    read-only view of the k_max rows after each, laid side by side, so lag
-    k is column block k - 1. Every element is still a sum in t order of
-    separately rounded products, so the layout moves no bit.
-
-    The batches are independent, so :func:`_walk_runs` walks one contiguous
-    run of them per worker, each writing only its own batches' slots. Each
-    element is formed by the same operations whichever thread runs it, so
-    no bit depends on the worker count. A worker centres every window of
-    its run into one reused buffer, so the temporaries are one batch per
-    worker.
+    call. Per centred window, one einsum pairs the lag rows with a read-only
+    view of the top rows after each, laid side by side, so lag k is column
+    block k - 1. Every element is still a sum in t order of separately
+    rounded products, so the layout moves no bit.
     """
-    x = np.asarray(values, float)
-    scalar = x.ndim == 1
-    if scalar:
-        x = x[:, None]
-    T, N = x.shape
-    lags = list(k) if np.ndim(k) else [k]
-    groups = {}
-    for lag in lags:
-        if lag < 1 or lag >= T:
-            raise ParameterError(f"need 1 <= k < {T}, got {lag}")
-        groups.setdefault(_batch_size(T - lag, n_batches), []).append(lag)
-    mean = x.mean(axis=0)
-    moments = {}
-    for size, group in groups.items():
-        top = max(group)
-        windows = list(_lag_windows(x, top, n_batches))
-        per_batch = np.empty((n_batches, N, top * N))
+    one_d = np.ndim(values) == 1
 
-        def walk(batches, xm):  # runs before the loop moves on, so binds this group
-            leads = sliding_window_view(xm.reshape(-1)[N:], top * N)[::N]
-            for b in batches:
-                np.subtract(windows[b], mean, out=xm)
-                np.einsum("sj,sm->jm", xm[:size], leads, out=per_batch[b])
-                per_batch[b] /= size
+    def batch(xm, size, lags, buf, out):
+        N = xm.shape[1]
+        leads = sliding_window_view(xm.reshape(-1)[N:], (len(xm) - size) * N)[::N]
+        np.einsum("sj,sm->jm", xm[:size], leads, out=out)
+        out /= size
 
-        _walk_runs(walk, n_batches, lambda: np.empty((size + top, N)))  # centred windows
-        for lag in group:
-            # per_batch[b, j, (lag - 1) N + i] pairs the lag at j with the lead at i
-            est, se = _mean_se(per_batch[:, :, (lag - 1) * N : lag * N])
-            moments[lag] = est.T.copy(), se.T.copy()
-    out = []
-    for lag in lags:
-        est, se = moments[lag]
-        out.append((float(est[0, 0]), float(se[0, 0])) if scalar else (est, se))
-    return out if np.ndim(k) else out[0]
+    def read_out(per_batch, lag):
+        N = per_batch.shape[1]
+        # per_batch[b, j, (lag - 1) N + i] pairs the lag at j with the lead at i
+        est, se = _mean_se(per_batch[:, :, (lag - 1) * N : lag * N])
+        return (float(est[0, 0]), float(se[0, 0])) if one_d else (est.T.copy(), se.T.copy())
+
+    return _lead_lag_walk(
+        values, k, n_batches, batch, read_out, lambda N, top: (N, top * N), centre=True)
 
 
 def factor_moment_mc(
-    factor_values: np.ndarray, k: int, n_batches: int = DEFAULT_BATCHES
-) -> tuple[float, float]:
+    factor_values: np.ndarray, k: int | Sequence[int], n_batches: int = DEFAULT_BATCHES
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Monte Carlo E[F_{t-k} F_t] (uncentered) with batch-means SE: the
-    one-asset case of :func:`stock_moment_mc`."""
-    return stock_moment_mc(np.asarray(factor_values, float)[:, None], k, n_batches)
+    one-asset case of :func:`stock_moment_mc`, for a 1-d series only."""
+    f = np.asarray(factor_values, float)
+    if f.ndim != 1:
+        raise ParameterError(f"factor_moment_mc needs a 1-d series, got shape {f.shape}")
+    return stock_moment_mc(f, k, n_batches)
 
 
 def stock_moment_mc(
-    return_values: np.ndarray, k: int, n_batches: int = DEFAULT_BATCHES
-) -> tuple[float, float]:
-    """Monte Carlo E[r_{t-k}' r_t] (uncentered) with batch-means SE.
+    return_values: np.ndarray, k: int | Sequence[int], n_batches: int = DEFAULT_BATCHES
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """Monte Carlo E[r_{t-k}' r_t] (uncentered) with batch-means SE, from
+    each batch's mean row product sum. Takes a (T, N) panel or a series as
+    one column, and one lag or a sequence as :func:`sample_autocovariance`."""
 
-    Like :func:`sample_autocovariance`, it walks one run of batches per
-    worker, with one reused product buffer per worker. A one-column input
-    (:func:`factor_moment_mc`) walks every batch on the calling thread: its
-    batches are too small to repay a pool. The batches are the same either
-    way, so no bit depends on the choice.
-    """
-    if k < 1:
-        raise ParameterError(f"need k >= 1, got {k}")
-    r = np.asarray(return_values, float)
-    windows = list(_lag_windows(r, k, n_batches))
-    per_batch = np.empty(n_batches)
+    def batch(window, size, lags, products, out):
+        for lag in lags:
+            np.multiply(window[lag : lag + size], window[:size], out=products[:size])
+            out[lag - 1] = products[:size].sum(axis=1).mean()
 
-    def walk(batches, products):
-        for b in batches:
-            np.multiply(windows[b][k:], windows[b][:-k], out=products)
-            per_batch[b] = products.sum(axis=1).mean()
+    def read_out(per_batch, lag):
+        # a contiguous copy: numpy sums a 1-d vector pairwise, a column in order
+        mean, se = _mean_se(per_batch[:, lag - 1].copy())
+        return float(mean), float(se)
 
-    if r.shape[1] == 1:  # one-column batches cost less than starting a pool
-        walk(range(n_batches), np.empty_like(windows[0][k:]))
-    else:
-        _walk_runs(walk, n_batches, lambda: np.empty_like(windows[0][k:]))  # row products
-    mean, se = _mean_se(per_batch)
-    return float(mean), float(se)
+    return _lead_lag_walk(return_values, k, n_batches, batch, read_out, lambda N, top: (top,))
 
 
 # ---------------------------------------------------------------------------
@@ -937,15 +938,14 @@ def verify_model(
     cov = None if eq3 is None else momentum_covariance_check(**eq3)
     recon = reconstruction_check(params, seed=seed + 1)
     path = simulate(params, T, seed)
-    R = path.panel.values
-    F = path.factor.values
+    R, F = path.panel.values, path.factor.values
     omegas = autocovariance_matrices(params, max(k_max, VERIFY_FACTOR_K, VERIFY_STOCK_K))
 
     checks = check_autocovariances(params, R, k_max)
-    for k in range(1, VERIFY_FACTOR_K + 1):
+    for k, mc in enumerate(factor_moment_mc(F, range(1, VERIFY_FACTOR_K + 1)), start=1):
         moment = expected_factor_momentum(params, k)
         checks += [
-            _three_se_row(f"factor_momentum_k{k}", moment.total, *factor_moment_mc(F, k)),
+            _three_se_row(f"factor_momentum_k{k}", moment.total, *mc),
             _rel_row(
                 f"factor_momentum_two_path_k{k}",
                 float(params.w @ omegas.omega(k) @ params.w),
@@ -962,8 +962,7 @@ def verify_model(
             "momentum term decays geometrically at rate a",
         ))
 
-    for k in range(1, VERIFY_STOCK_K + 1):
-        mc, se = stock_moment_mc(R, k)
+    for k, (mc, se) in enumerate(stock_moment_mc(R, range(1, VERIFY_STOCK_K + 1)), start=1):
         moment = expected_stock_momentum(params, k, omegas)
         plain = moment.reduced_term + moment.drift_term
         checks += [

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# a child interpreter keeps this one's -W options, so -W error reaches it
+PYTHON = [sys.executable, *(f"-W{option}" for option in sys.warnoptions)]
 
 SCRIPT = """
 import json, sys
@@ -37,7 +39,7 @@ def test_tracer_installs_and_counts(tmp_path):
     daily.write_text("date,A\n2000-01-03,0.01\n2000-01-04,0.02\n2000-02-01,-0.01\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(tmp_path), str(daily)],
+        [*PYTHON, "-c", SCRIPT, str(ROOT / "perfbench"), str(tmp_path), str(daily)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -67,7 +69,7 @@ print(json.dumps({"code": code, "counters": trace["counters"], "wrapped": trace[
 def test_tracer_spans_verify_and_wraps_every_declared_layer(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", VERIFY_SCRIPT, str(ROOT / "perfbench"), str(tmp_path)],
+        [*PYTHON, "-c", VERIFY_SCRIPT, str(ROOT / "perfbench"), str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

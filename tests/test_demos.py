@@ -18,7 +18,8 @@ def test_demos_are_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(script, tmp_path):
     out = subprocess.run(
-        [sys.executable, str(script)],
+        # the child keeps this interpreter's -W options, so -W error reaches it
+        [sys.executable, *(f"-W{option}" for option in sys.warnoptions), str(script)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,

@@ -628,31 +628,40 @@ def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_bat
         mc, mc_se = stock_moment_mc(x, k, n_batches)
         ref_mc, ref_mc_se = one_shot_stock_moment(x, k, n_batches)
         assert (mc, mc_se) == (ref_mc, ref_mc_se), k
-    # every lag from one call: lags of different batch sizes walk separately
+    # every lag from one call: lags of different batch sizes walk separately,
+    # in any order
     lags = range(1, T - n_batches + 1)
-    for values in (x, x[:, 2]):
-        multi = sample_autocovariance(values, lags, n_batches)
-        assert len(multi) == len(lags)
-        for k, (est, se) in zip(lags, multi):
-            ref_est, ref_se = sample_autocovariance(values, k, n_batches)
-            assert np.ndim(est) == values.ndim * 2 - 2, k
-            assert (np.asarray(est).tobytes(), np.asarray(se).tobytes()) == (
-                np.asarray(ref_est).tobytes(), np.asarray(ref_se).tobytes()), k
+    for order in (lags, lags[::-1]):
+        for values in (x, x[:, 2]):
+            multi = sample_autocovariance(values, order, n_batches)
+            assert len(multi) == len(order)
+            for k, (est, se) in zip(order, multi):
+                ref_est, ref_se = sample_autocovariance(values, k, n_batches)
+                assert np.ndim(est) == values.ndim * 2 - 2, k
+                assert (np.asarray(est).tobytes(), np.asarray(se).tobytes()) == (
+                    np.asarray(ref_est).tobytes(), np.asarray(ref_se).tobytes()), k
+        assert stock_moment_mc(x, order, n_batches) == [
+            one_shot_stock_moment(x, k, n_batches) for k in order]
+        assert factor_moment_mc(x[:, 1], order, n_batches) == [
+            one_shot_stock_moment(x[:, 1:2], k, n_batches) for k in order]
+    assert len({(T - k) // n_batches for k in lags}) >= 2  # several batch sizes
     k = T - n_batches + 1
     short = f"^{n_batches - 1} observations cannot form {n_batches} batches$"
     for values in (x, x[:, 0]):
         with pytest.raises(ParameterError, match=short):
             sample_autocovariance(values, k, n_batches)
-    with pytest.raises(ParameterError, match=short):
-        stock_moment_mc(x, k, n_batches)
-    with pytest.raises(ParameterError, match="need k >= 1"):
-        stock_moment_mc(x, 0, n_batches)
+        with pytest.raises(ParameterError, match=short):
+            stock_moment_mc(values, k, n_batches)
+    for bad in (0, T, T + 5):
+        with pytest.raises(ParameterError, match=f"^need 1 <= k < {T}, got {bad}$"):
+            stock_moment_mc(x, bad, n_batches)
     # a bad lag anywhere in the sequence is rejected before any batch is read
     monkeypatch.setattr(model, "_lag_windows", None)
     for values in (x, x[:, 0]):
         for bad, message in ((k, short), (0, "^need 1 <= k < "), (T, "^need 1 <= k < ")):
-            with pytest.raises(ParameterError, match=message):
-                sample_autocovariance(values, [1, bad, 2], n_batches)
+            for estimator in (sample_autocovariance, stock_moment_mc):
+                with pytest.raises(ParameterError, match=message):
+                    estimator(values, [1, bad, 2], n_batches)
 
 
 @pytest.mark.parametrize("n_batches", [1, 0, -3])
@@ -698,6 +707,11 @@ def test_worker_count_moves_no_bit(monkeypatch, fine_switching, workers):
             assert stock_moment_mc(x, k, n_batches) == one_shot_stock_moment(x, k, n_batches)
             assert factor_moment_mc(x[:, 1], k, n_batches) == one_shot_stock_moment(
                 x[:, 1:2], k, n_batches)
+        for order in (lags, lags[::-1]):  # several batch sizes in each call
+            assert stock_moment_mc(x, order, n_batches) == [
+                one_shot_stock_moment(x, k, n_batches) for k in order]
+            assert factor_moment_mc(x[:, 1], order, n_batches) == [
+                one_shot_stock_moment(x[:, 1:2], k, n_batches) for k in order]
     monkeypatch.setattr(model, "_BLOCK_ROWS", 64)  # several blocks to draw ahead
     for case, p in sorted(BLOCK_EDGE_PARAMS.items()):
         for length in (64, 65, 5 * 64 + 3):
@@ -731,9 +745,40 @@ def test_factor_moment_is_the_one_asset_stock_moment(monkeypatch, block):
         per_batch = products[: size * 100].reshape(100, size).mean(axis=1)
         expected = (per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(100))
         assert factor_moment_mc(f, k) == expected, k
-    for k in (0, -1, -500):
-        with pytest.raises(ParameterError, match=f"^need k >= 1, got {k}$"):
+    for k in (0, -1, -500, 1000, 1200):
+        with pytest.raises(ParameterError, match=f"^need 1 <= k < 1000, got {k}$"):
             factor_moment_mc(f, k)
+    # a series read as one column is the same moment, bit for bit
+    assert stock_moment_mc(f, [1, 6, 2]) == factor_moment_mc(f, [1, 6, 2])
+    assert stock_moment_mc(f, 3) == stock_moment_mc(f[:, None], 3) == factor_moment_mc(f, 3)
+
+
+def test_estimators_refuse_wrong_dimensions():
+    panel = np.random.default_rng(42).normal(0.05, 1.0, (1000, 3))
+    with pytest.raises(ParameterError, match=r"^factor_moment_mc needs a 1-d series, "
+                       r"got shape \(1000, 3\)$"):
+        factor_moment_mc(panel, 1)
+    with pytest.raises(ParameterError, match=r"got shape \(\)$"):
+        factor_moment_mc(1.0, 1)
+    for values, ndim in ((panel[:, :, None], 3), (1.0, 0)):
+        message = rf"^need a 1-d series or a \(T, N\) array, got {ndim} dimensions$"
+        for estimator in (sample_autocovariance, stock_moment_mc):
+            with pytest.raises(ParameterError, match=message):
+                estimator(values, 1)
+
+
+def test_verify_walks_each_path_once_per_estimator(monkeypatch):
+    cuts = []
+    lag_windows = model._lag_windows
+
+    def counted(x, k, n_batches):
+        cuts.append(x.shape)
+        return lag_windows(x, k, n_batches)
+
+    monkeypatch.setattr(model, "_lag_windows", counted)
+    verify_model(default_params(), seed=3, T=20_000)
+    # the autocovariances and the stock moment read R, the factor moment F
+    assert sorted(cuts) == [(20_000, 1), (20_000, 20), (20_000, 20)]
 
 
 def _traced_peak(fn) -> int:
