@@ -48,6 +48,6 @@ for i in range(8):
     f = NamedSeries(cal, f"f{i}", 0.001 + rng.normal(0, 0.03, months))
     columns.append(vol_normalize(f, cfg).values)
 factors = ReturnPanel(cal, tuple(f"f{i}" for i in range(8)), np.column_stack(columns))
-basket = menagerie(factors, cfg, risk_managed=True)
+basket = vol_normalize(menagerie(factors), cfg)
 st = perf_stats(basket)
 print(f"menagerie of 8 factors: sharpe={st.sharpe_annual:+.2f} t={st.t_stat:+.2f}")

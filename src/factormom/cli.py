@@ -252,29 +252,25 @@ def cmd_backtest(args, cfg: dict, /, *, factors, market, m: int, n: int,
     panel.require_aligned(factors, market)
 
     managed = _managed_panel(factors, market, pipeline)
-    strategies = [
-        ("menagerie", None, None),
-        ("ts", "sign", "both"),
-        ("ts_winners", "sign", "winners"),
-        ("ts_losers", "sign", "losers"),
-        ("xs", "rank", "both"),
-        ("xs_winners", "rank", "winners"),
-        ("xs_losers", "rank", "losers"),
-    ]
+
+    def pnls():
+        """Each column's key, raw PNL and whether it is vol-managed, in order."""
+        yield "menagerie", riskpipe.menagerie(managed), menagerie_risk_managed
+        for kind, weighting in (("ts", "sign"), ("xs", "rank")):
+            for leg in momentum.LEGS:
+                spec = momentum.StrategySpec(m, n, weighting, leg)
+                key = kind if leg == "both" else f"{kind}_{leg}"
+                yield key, momentum.strategy_pnl(managed, spec), strategies_risk_managed
+
     rows: dict[str, dict] = {}
     columns = []
-    for key, weighting, leg in strategies:
-        if key == "menagerie":
-            series = riskpipe.menagerie(managed, pipeline, risk_managed=menagerie_risk_managed)
-        else:
-            spec = momentum.StrategySpec(m, n, weighting, leg, strategies_risk_managed)
-            series = momentum.strategy_pnl(managed, spec, pipeline)
+    for key, series, risk_managed in pnls():
+        if risk_managed:
+            series = riskpipe.vol_normalize(series, pipeline)
         rows[key] = _stats_row(series)
         columns.append(series.values)
 
-    pnl_panel = panel.ReturnPanel(
-        factors.calendar, tuple(key for key, *_ in strategies), np.column_stack(columns)
-    )
+    pnl_panel = panel.ReturnPanel(factors.calendar, tuple(rows), np.column_stack(columns))
     panel.emit_csv(pnl_panel, _output(args, "pnl.csv"), header)
     _write_json(_output(args, "stats.json"), {**header, "m": m, "n": n, "rows": rows})
     for key, row in rows.items():
@@ -343,15 +339,21 @@ def cmd_sweep(args, cfg: dict, /, *, factor_panel, pipeline: riskpipe.PipelineCo
     if weighting is not None:
         target_weighting = _weighting(weighting, "weighting")
 
+    def pnl_grid(grid_panel, grid_weighting) -> dict:
+        """The (m, n) PNL grid of ``grid_panel``; with ``risk_managed`` each
+        cell is vol-normalized in place, so no second grid is held."""
+        pnls = momentum.pnl_grid(grid_panel, m_values, n_values, grid_weighting)
+        if risk_managed:
+            for cell, pnl in pnls.items():
+                pnls[cell] = riskpipe.vol_normalize(pnl, pipeline)
+        return pnls
+
     control_grid = {}
 
     def other_momentum(m, n):
         """The same-(m, n) strategy on the other panel, from one grid per run."""
         if not control_grid:
-            control_grid.update(momentum.pnl_grid(
-                other_panel, m_values, n_values, other_weighting,
-                risk_managed=risk_managed, cfg=pipeline,
-            ))
+            control_grid.update(pnl_grid(other_panel, other_weighting))
         return control_grid[m, n]
 
     def stat_inputs(stat) -> dict:
@@ -369,12 +371,12 @@ def cmd_sweep(args, cfg: dict, /, *, factor_panel, pipeline: riskpipe.PipelineCo
             fixed = []
             if menagerie_control:
                 fixed.append(riskpipe.menagerie(factor_panel))
-            if market is not None:
+            if market_control:
+                if market is None:
+                    raise ConfigError(
+                        "stat 'residual' needs a market series (or market_control=false)"
+                    )
                 fixed.append(market)
-            elif market_control:
-                raise ConfigError(
-                    "stat 'residual' needs a market series (or market_control=false)"
-                )
             if fixed_controls:
                 return {"controls": fixed_controls + fixed}
             if other_panel is None:
@@ -383,10 +385,7 @@ def cmd_sweep(args, cfg: dict, /, *, factor_panel, pipeline: riskpipe.PipelineCo
         return {}
 
     inputs = [(stat, stat_inputs(stat)) for stat in stats]
-    target_grid = momentum.pnl_grid(
-        target_panel, m_values, n_values, target_weighting,
-        risk_managed=risk_managed, cfg=pipeline,
-    )
+    target_grid = pnl_grid(target_panel, target_weighting)
     grids = [
         (stat, momentum.grid_sweep(target_grid, m_values, n_values, _SWEEP_STATS[stat],
                                    min_months=min_months, **kwargs))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -562,10 +563,11 @@ def _lead_lag_walk(values, k, n_batches, batch, read_out, slot, centre=False):
     """The one batch walk of the Monte Carlo moment estimators: a result per
     lag, in a list for a sequence of lags.
 
-    ``values`` is read as (T, N), a series as one column, and every lag is
-    checked first. Lags of one batch size share a walk over
-    :func:`_lag_windows` at their top lag, each reading the rows its own
-    walk would, in order. ``batch(rows, size, lags, buf, out)`` fills
+    ``values`` is read as a C-ordered (T, N) array, a series as one column,
+    so no bit depends on its memory order. Every lag is checked first: an
+    integer (``operator.index``) in [1, T). Lags of one batch size share a
+    walk over :func:`_lag_windows` at their top lag, each reading the rows
+    its own walk would, in order. ``batch(rows, size, lags, buf, out)`` fills
     ``out``, the batch's slot of an (n_batches, *slot(N, top)) array that
     ``read_out(per_batch, lag)`` reads. ``rows`` is the window or, with
     ``centre``, the window less the column mean in ``buf``, a (size + top,
@@ -580,11 +582,15 @@ def _lead_lag_walk(values, k, n_batches, batch, read_out, slot, centre=False):
     x = np.asarray(values, float)
     if x.ndim not in (1, 2):
         raise ParameterError(f"need a 1-d series or a (T, N) array, got {x.ndim} dimensions")
-    x = x[:, None] if x.ndim == 1 else x
+    x = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x)
     T, N = x.shape
     lags = list(k) if np.ndim(k) else [k]
     groups = {}
     for lag in lags:
+        try:
+            operator.index(lag)
+        except TypeError:
+            raise ParameterError(f"need an integer lag k, got {lag!r}") from None
         if not 1 <= lag < T:
             raise ParameterError(f"need 1 <= k < {T}, got {lag}")
         groups.setdefault(_batch_size(T - lag, n_batches), []).append(lag)

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import analytics
 from .panel import ReturnPanel
-from .riskpipe import PipelineConfig, PnlSeries, vol_normalize
+from .riskpipe import PnlSeries
 
 __all__ = [
     "GridResult",
@@ -45,14 +45,13 @@ class LookaheadError(Exception):
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """One momentum implementation: lag m, holding period n, weighting scheme,
-    optional leg filter, optional trailing-vol management of the PNL."""
+    """One momentum implementation: lag m, holding period n, weighting scheme
+    and optional leg filter."""
 
     m: int
     n: int
     weighting: str = "sign"
     leg: str = "both"
-    risk_managed: bool = False
 
     def __post_init__(self):
         if self.m < 0:
@@ -202,19 +201,17 @@ def pnl_grid(
     n_values: Sequence[int],
     weighting: str = "sign",
     leg: str = "both",
-    risk_managed: bool = False,
-    cfg: PipelineConfig | None = None,
 ) -> dict[tuple[int, int], PnlSeries]:
     """PNL of every (m, n) momentum strategy of a grid, keyed by ``(m, n)``.
 
-    Each cell is the PNL of ``StrategySpec(m, n, weighting, leg,
-    risk_managed)``: weights(signal at t) dot returns at t. Requires m >= 1
-    so the weights only use information strictly before the returns they
-    multiply. ``leg="winners"`` keeps positive-weight positions only,
-    ``"losers"`` negative-weight positions (their weights stay negative, so
-    winners + losers = both, date by date). Dates before any signal window
-    fits, or where no asset is tradeable, are missing. With ``risk_managed``
-    each raw PNL is trailing-vol normalized.
+    Each cell is the raw PNL of ``StrategySpec(m, n, weighting, leg)``:
+    weights(signal at t) dot returns at t. Requires m >= 1 so the weights
+    only use information strictly before the returns they multiply.
+    ``leg="winners"`` keeps positive-weight positions only, ``"losers"``
+    negative-weight positions (their weights stay negative, so winners +
+    losers = both, date by date). Dates before any signal window fits, or
+    where no asset is tradeable, are missing. Risk management is the
+    caller's stage: ``riskpipe.vol_normalize`` of a cell.
 
     One signal pass and, for rank weighting, one sort per holding period n
     serve every lag m; each cell is bit-identical to computing it alone.
@@ -223,7 +220,7 @@ def pnl_grid(
         raise ValueError("empty (m, n) grid range")
     for m in m_values:
         for n in n_values:
-            StrategySpec(m, n, weighting, leg, risk_managed)  # validates the cell
+            StrategySpec(m, n, weighting, leg)  # validates the cell
     if any(m < 1 for m in m_values):
         raise LookaheadError(
             "tradeable strategies need m >= 1; m = 0 would trade on the "
@@ -246,20 +243,13 @@ def pnl_grid(
         for i, m in enumerate(ms):
             name = f"{kind}_mom_m{m}_n{n}{suffix}"
             stage = f"strategy({weighting},m={m},n={n},leg={leg})"
-            pnl = PnlSeries(panel.calendar, name, values[i], (stage,))
-            grid[m, n] = vol_normalize(pnl, cfg) if risk_managed else pnl
+            grid[m, n] = PnlSeries(panel.calendar, name, values[i], (stage,))
     return grid
 
 
-def strategy_pnl(
-    panel: ReturnPanel,
-    spec: StrategySpec,
-    cfg: PipelineConfig | None = None,
-) -> PnlSeries:
+def strategy_pnl(panel: ReturnPanel, spec: StrategySpec) -> PnlSeries:
     """PNL of one momentum strategy: the 1x1 :func:`pnl_grid` of ``spec``."""
-    grid = pnl_grid(panel, (spec.m,), (spec.n,), spec.weighting, spec.leg,
-                    spec.risk_managed, cfg)
-    return grid[spec.m, spec.n]
+    return pnl_grid(panel, (spec.m,), (spec.n,), spec.weighting, spec.leg)[spec.m, spec.n]
 
 
 @dataclass(frozen=True)

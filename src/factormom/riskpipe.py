@@ -183,26 +183,15 @@ def vol_normalize(series: NamedSeries, cfg: PipelineConfig | None = None) -> Pnl
     return _as_pnl(series, out, stage)
 
 
-def menagerie(
-    factors: ReturnPanel,
-    cfg: PipelineConfig | None = None,
-    risk_managed: bool = False,
-) -> PnlSeries:
-    """Equal-weight sum of a (risk-managed) factor panel, $1 in each factor.
+def menagerie(factors: ReturnPanel) -> PnlSeries:
+    """Equal-weight sum of a factor panel, $1 in each factor.
 
     Rows with missing factors sum over the available ones; all-missing rows
-    are missing. With ``risk_managed`` the summed series is afterwards run
-    through :func:`vol_normalize`.
+    are missing. Vol-managing the sum is the caller's stage:
+    ``vol_normalize(menagerie(factors), cfg)``.
     """
     finite = np.isfinite(factors.values)
     total = np.where(finite, factors.values, 0.0).sum(axis=1)
     values = np.where(finite.any(axis=1), total, np.nan)
-    out = PnlSeries(
-        factors.calendar,
-        "menagerie",
-        values,
-        (f"menagerie(sum_available,n_factors={factors.n_assets})",),
-    )
-    if risk_managed:
-        out = vol_normalize(out, cfg)
-    return out
+    return PnlSeries(factors.calendar, "menagerie", values,
+                     (f"menagerie(sum_available,n_factors={factors.n_assets})",))

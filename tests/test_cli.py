@@ -107,6 +107,39 @@ def test_backtest_outputs_and_determinism(sim_inputs, tmp_path):
     assert first.startswith("# command=backtest")
 
 
+@pytest.mark.parametrize("risk_managed", [True, False])
+def test_backtest_columns_are_strategies_on_the_managed_panel(sim_inputs, tmp_path,
+                                                              risk_managed):
+    cfg = {"factors": str(sim_inputs / "factors.csv"),
+           "market": str(sim_inputs / "market.csv"), "m": 1, "n": 3}
+    if not risk_managed:
+        cfg.update(strategies_risk_managed=False, menagerie_risk_managed=False)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(tmp_path / "cfg.json"), "--out-dir", str(out),
+                 "backtest"]) == 0
+    written = panel.load_panel(out / "pnl.csv", allow_missing=True)
+
+    pipe = riskpipe.PipelineConfig()
+    factors = panel.load_panel(sim_inputs / "factors.csv")
+    market = panel.load_series(sim_inputs / "market.csv")
+    managed = panel.ReturnPanel(factors.calendar, factors.assets, np.column_stack([
+        riskpipe.vol_normalize(riskpipe.beta_hedge(factors.column(a), market, pipe), pipe).values
+        for a in factors.assets]))
+    expected = {"menagerie": riskpipe.menagerie(managed)}
+    for kind, weighting in (("ts", "sign"), ("xs", "rank")):
+        for leg in momentum.LEGS:
+            spec = momentum.StrategySpec(1, 3, weighting, leg)
+            expected[kind if leg == "both" else f"{kind}_{leg}"] = momentum.strategy_pnl(
+                managed, spec)
+    assert written.assets == tuple(expected)
+    for key, series in expected.items():
+        if risk_managed:
+            series = riskpipe.vol_normalize(series, pipe)
+        rounded = [panel.round_float(x) for x in series.values.tolist()]
+        np.testing.assert_array_equal(written.column(key).values, rounded, err_msg=key)
+
+
 def test_backtest_requires_m_and_n(sim_inputs, tmp_path):
     code = main([
         "--out-dir", str(tmp_path), "backtest",
@@ -314,8 +347,7 @@ def test_risk_managed_sweep_normalizes_each_cell_once(sim_inputs, tmp_path):
     argv = _sweep_config(sim_inputs, tmp_path, stats=["sharpe", "residual"],
                          risk_managed=True)
     counter = mock.Mock(wraps=riskpipe.vol_normalize)
-    with mock.patch.object(momentum, "vol_normalize", counter), \
-            mock.patch.object(riskpipe, "vol_normalize", counter):
+    with mock.patch.object(riskpipe, "vol_normalize", counter):
         assert main(argv) == 0
     # 144 target cells plus 144 control cells, not 144 per statistic
     assert counter.call_count == 288
@@ -766,6 +798,25 @@ def test_sweep_fixed_control_series(sim_inputs, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "sweep"]) == 0
     assert out.exists()
+
+
+def test_market_control_false_leaves_the_market_out(sim_inputs, tmp_path):
+    grids = {}
+    market = str(sim_inputs / "market.csv")
+    for run, extra in (("none", {"market_control": False}),
+                       ("off", {"market": market, "market_control": False}),
+                       ("on", {"market": market})):
+        cfg = {"factor_panel": str(sim_inputs / "factors.csv"),
+               "stock_panel": str(sim_inputs / "stocks.csv"),
+               "stats": ["residual"], "m": "1..2", "n": "1..2", **extra}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json"), "--out-dir",
+                     str(tmp_path / run), "sweep"]) == 0
+        text = (tmp_path / run / "grid_residual.csv").read_text()
+        grids[run] = [line for line in text.splitlines() if not line.startswith("#")]
+    # a configured market is a control only under market_control
+    assert grids["off"] == grids["none"]
+    assert grids["on"] != grids["none"]
 
 
 @pytest.mark.parametrize("key, stat", [("control_series", "residual"), ("reference", "corr")])

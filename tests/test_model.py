@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -765,6 +766,36 @@ def test_estimators_refuse_wrong_dimensions():
         for estimator in (sample_autocovariance, stock_moment_mc):
             with pytest.raises(ParameterError, match=message):
                 estimator(values, 1)
+    # a lag is an integer: a float lag is refused by name, a numpy integer is read
+    for estimator, values, k, bad in (
+        (stock_moment_mc, panel, 1.5, 1.5),
+        (sample_autocovariance, panel, [1, 2.0], 2.0),
+        (factor_moment_mc, panel[:, 0], np.float64(2), np.float64(2)),
+        (stock_moment_mc, panel, [np.int64(1), "2"], "2"),
+    ):
+        message = f"^need an integer lag k, got {re.escape(repr(bad))}$"
+        with pytest.raises(ParameterError, match=message):
+            estimator(values, k)
+    assert stock_moment_mc(panel, np.int64(2)) == stock_moment_mc(panel, 2)
+    assert factor_moment_mc(panel[:, 0], [np.int32(1), 3]) == factor_moment_mc(panel[:, 0], [1, 3])
+
+
+def test_estimators_ignore_memory_order():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((500, 3))
+    wide = rng.standard_normal((500, 6))
+    wide[:, ::2] = x
+    series = x[:, 1]  # a strided column of the C-ordered panel
+    for k in (1, [1, 3]):
+        want = sample_autocovariance(x, k)
+        for values in (np.asfortranarray(x), wide[:, ::2]):
+            assert not values.flags.c_contiguous
+            got = sample_autocovariance(values, k)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert stock_moment_mc(values, k) == stock_moment_mc(x, k)
+        assert not series.flags.c_contiguous
+        for estimator in (sample_autocovariance, stock_moment_mc, factor_moment_mc):
+            assert estimator(series, k) == estimator(series.copy(), k)
 
 
 def test_verify_walks_each_path_once_per_estimator(monkeypatch):

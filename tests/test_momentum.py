@@ -18,7 +18,7 @@ from factormom.momentum import (
     weights_panel,
 )
 from factormom.panel import Calendar, ReturnPanel
-from factormom.riskpipe import PipelineConfig, PnlSeries, menagerie
+from factormom.riskpipe import PipelineConfig, PnlSeries, menagerie, vol_normalize
 
 
 def make_panel(values):
@@ -255,7 +255,7 @@ def test_strategy_pnl_is_causal_under_truncation():
 def test_risk_managed_strategy_hits_vol_target():
     cfg = PipelineConfig()
     panel = random_panel(600, 10, seed=9)
-    pnl = strategy_pnl(panel, StrategySpec(1, 3, "rank", risk_managed=True), cfg)
+    pnl = vol_normalize(strategy_pnl(panel, StrategySpec(1, 3, "rank")), cfg)
     realized = np.nanstd(pnl.values, ddof=1)
     assert abs(realized - cfg.vol_target) < 0.15 * cfg.vol_target
 

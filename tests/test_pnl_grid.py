@@ -149,8 +149,10 @@ def test_risk_managed_grid_normalizes_each_per_cell_pnl():
     values[rng.random(values.shape) < 0.05] = np.nan
     panel = make_panel(values)
     cfg = PipelineConfig(window_months=12)
-    grid = pnl_grid(panel, (1, 3), (2, 5), "rank", risk_managed=True, cfg=cfg)
-    for (m, n), pnl in grid.items():
+    # risk management is the caller's stage, applied to each raw grid cell
+    grid = pnl_grid(panel, (1, 3), (2, 5), "rank")
+    for (m, n), cell in grid.items():
+        pnl = vol_normalize(cell, cfg)
         raw = strategy_pnl(panel, StrategySpec(m, n, "rank"))
         assert raw.values.tobytes() == reference_pnl(panel, m, n, "rank", "both").tobytes()
         expected = vol_normalize(raw, cfg)

@@ -357,7 +357,7 @@ def test_menagerie_optional_vol_management():
     rng = np.random.default_rng(31)
     values = rng.normal(0, 0.02, (200, 5))
     panel = ReturnPanel(Calendar.periods(200), tuple("abcde"), values)
-    managed = menagerie(panel, CFG, risk_managed=True)
+    managed = vol_normalize(menagerie(panel), CFG)
     raw = menagerie(panel)
     burn = CFG.window_months + CFG.lag_months - 1
     assert np.all(np.isnan(managed.values[:burn]))
