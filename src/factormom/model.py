@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-import os
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import AR1Params, NonStationaryError
 from .momentum import signal
-from .panel import Calendar, NamedSeries, ReturnPanel
+from .panel import Calendar, NamedSeries, ReturnPanel, _pool, _walk_runs, _workers
 
 __all__ = [
     "AutocovarianceSet",
@@ -63,8 +62,6 @@ VERIFY_FACTOR_K = 6
 VERIFY_STOCK_K = 3
 # rows per block of every row-blocked kernel: 640 KB at N = 20, in cache
 _BLOCK_ROWS = 1 << 12
-# most threads a Monte Carlo kernel runs on; the largest count benchmarked
-_MAX_WORKERS = 2
 
 
 class ParameterError(Exception):
@@ -269,28 +266,6 @@ def _project(values: np.ndarray, w: np.ndarray) -> np.ndarray:
         for j in range(1, len(w)):
             acc += rows[:, j] * w[j]
     return out
-
-
-def _workers() -> int:
-    """Threads the Monte Carlo kernels may use: the CPUs this process may
-    run on, at most ``_MAX_WORKERS``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_WORKERS))
-
-
-def _pool(threads: int):
-    """A thread pool of ``threads`` workers for one ``with`` block.
-
-    ``concurrent.futures`` takes several milliseconds to import, so it is
-    imported here, on first use, and commands that never make a pool do not
-    pay for it.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(threads)
 
 
 def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = None) -> None:
@@ -596,24 +571,19 @@ def _lead_lag_walk(values, k, n_batches, batch, read_out, slot, centre=False):
         groups.setdefault(_batch_size(T - lag, n_batches), []).append(lag)
     mean = x.mean(axis=0) if centre else None
     parts = 1 if N == 1 else min(_workers(), n_batches)
-    runs = [range(n_batches * i // parts, n_batches * (i + 1) // parts) for i in range(parts)]
     results = {}
     for size, group in groups.items():
         top = max(group)
         windows = list(_lag_windows(x, top, n_batches))
         per_batch = np.empty((n_batches, *slot(N, top)))
-        buffers = [np.empty((size + top, N)) for _ in runs]
+        buffers = [np.empty((size + top, N)) for _ in range(parts)]
 
         def walk(run, buf):  # runs before the loop moves on, so binds this group
             for b in run:
                 rows = windows[b] if mean is None else np.subtract(windows[b], mean, out=buf)
                 batch(rows, size, group, buf, per_batch[b])
 
-        if parts == 1:
-            walk(runs[0], buffers[0])
-        else:
-            with _pool(parts) as pool:
-                list(pool.map(walk, runs, buffers))  # re-raises what a walk raised
+        _walk_runs(walk, range(n_batches), parts, buffers)
         del buffers  # before the read-out makes its temporaries
         for lag in group:
             results[lag] = read_out(per_batch, lag)

@@ -12,6 +12,8 @@ strategies alike.
 
 from __future__ import annotations
 
+import operator
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import analytics
-from .panel import ReturnPanel
+from .panel import ReturnPanel, _walk_runs, _workers
 from .riskpipe import PnlSeries
 
 __all__ = [
@@ -43,6 +45,14 @@ class LookaheadError(Exception):
     """A tradeable strategy was asked to use same-month information."""
 
 
+def _lag(value, what: str) -> int:
+    """``value`` as a plain int (``operator.index``), or a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class StrategySpec:
     """One momentum implementation: lag m, holding period n, weighting scheme
@@ -54,6 +64,8 @@ class StrategySpec:
     leg: str = "both"
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _lag(self.m, "lag m"))
+        object.__setattr__(self, "n", _lag(self.n, "holding period n"))
         if self.m < 0:
             raise ValueError("lag m must be >= 0")
         if self.n < 1:
@@ -71,6 +83,7 @@ def signal(panel: ReturnPanel, m: int, n: int) -> ReturnPanel:
     window fits inside the history and its raw sum is finite: a missing or
     infinite month, or an overflow, leaves it missing.
     """
+    m, n = _lag(m, "lag m"), _lag(n, "holding period n")
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     T, N = panel.values.shape
@@ -126,61 +139,99 @@ def sign_weights(signal_row: np.ndarray) -> np.ndarray:
     return np.sign(np.where(np.isfinite(row), row, 0.0))
 
 
-# Cells per kernel row block: bounds the temporaries on wide panels.
+# Cells per kernel row block, split among the workers: bounds the
+# temporaries on wide panels.
 _BLOCK_CELLS = 1 << 16
 
 
-def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weighting: str):
-    """Weights and tradeable masks of the (m, n) strategies, one row block at a time.
+def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weighting: str,
+                   has_return: np.ndarray, consume) -> None:
+    """Walk the weights and tradeable masks of the (m, n) strategies, one row
+    block at a time, calling ``consume(i, rows, weights, tradeable)`` for
+    ``m_values[i]`` on each block of rows from m + n - 1 on.
 
     One signal pass at the smallest lag m0 serves every m: the (m, n) signal
     at row t is the (m0, n) signal at row t - (m - m0), the same window
     summed in the same order. An asset is tradeable at t when its signal
-    window is complete and its return at t is observed; a hole has a signal
-    and no return. Signs are taken per block; rank weighting sorts each
-    (m0, n) signal row once into positions and drops the signal. A (m, n)
-    rank is a position less the holes ahead of it. Blocks without a hole
-    read one weight table, built on first use: one weight pass per n.
-    Yields ``(i, rows, weights, tradeable)`` for ``m_values[i]`` from the
-    first (m, n) signal row, m + n - 1, on.
+    window is complete and its return at t (``has_return``, the panel's
+    finite mask) is observed; a hole has a signal and no return. Signs are
+    taken per block; rank weighting first sorts each (m0, n) signal row once
+    into positions and drops the signal. A (m, n) rank is a position less
+    the holes ahead of it. Blocks without a hole read one weight table, which
+    the first thread to need it builds under a lock: one weight pass per n.
+
+    Rows that fit in one block of ``_BLOCK_CELLS`` are walked on this thread.
+    Otherwise up to :func:`_workers` threads each walk one contiguous run of
+    blocks of ``_BLOCK_CELLS // threads`` cells, so the temporaries stay one
+    block's worth, and write only their own rows: every row is computed by
+    the same operations at any block size and worker count. All positions
+    are built before any weight reads them. ``consume`` runs on the worker
+    threads, so it, like the walk, may call no public function (a tracer
+    keeps one span stack per process) nor rely on ``np.errstate``, which
+    pool threads do not inherit; the signal is taken on this thread.
     """
     T, N = panel.values.shape
     m0 = min(m_values)
     base = signal(panel, m0, n).values
     has_signal = np.isfinite(base)
-    step = max(1, _BLOCK_CELLS // max(N, 1))
-    blocks = [slice(start, start + step) for start in range(m0 + n - 1, T, step)]
+
+    def blocks_of(threads):  # rows from m0 + n - 1 on, in blocks for ``threads``
+        step = max(1, _BLOCK_CELLS // threads // max(N, 1))
+        return [slice(start, min(start + step, T)) for start in range(m0 + n - 1, T, step)]
+
+    threads = min(_workers(), len(blocks_of(1))) or 1  # no rows: nothing to split
+    blocks = blocks_of(threads)
     if weighting == "rank":
         pos = np.zeros((T, N), np.int32)
-        for b in blocks:  # missing signals sort last; NaN keys slow argsort 5x
-            pos[b] = _positions(np.where(has_signal[b], base[b], np.inf))
         count = has_signal.sum(axis=1, keepdims=True, dtype=np.int32)
         table = None
-        del base
-    has_return = np.isfinite(panel.values)
-    for i, m in enumerate(m_values):
-        shift = m - m0
-        for start in range(m + n - 1, T, step):
-            rows = slice(start, min(start + step, T))
-            src = slice(start - shift, rows.stop - shift)
-            tradeable = has_signal[src] & has_return[rows]
-            if weighting == "sign":
-                weights = np.sign(base[src], out=np.zeros(tradeable.shape), where=tradeable)
-            elif not (holes := has_signal[src] & ~tradeable).any():
-                if table is None:
-                    table = np.zeros((T, N))
-                    for b in blocks:
-                        table[b] = _spaced(pos[b], count[b], has_signal[b])
-                weights = table[src].copy()  # a view would pin the table in the caller
-            else:
-                at = pos[src]
-                flat = at + N * np.arange(len(at))[:, None]
-                ahead = np.zeros(at.size, np.int32)
-                ahead[flat[holes]] = 1
-                j = at - ahead.reshape(at.shape).cumsum(axis=1, dtype=np.int32).take(flat)
-                p = count[src] - holes.sum(axis=1, keepdims=True, dtype=np.int32)
-                weights = _spaced(j, p, tradeable)
-            yield i, rows, weights, tradeable
+        lock = threading.Lock()
+
+    def rank(run):
+        for b in run:  # missing signals sort last; NaN keys slow argsort 5x
+            pos[b] = _positions(np.where(has_signal[b], base[b], np.inf))
+
+    def weight_table():
+        nonlocal table
+        with lock:
+            if table is None:
+                built = np.zeros((T, N))
+                for b in blocks:
+                    built[b] = _spaced(pos[b], count[b], has_signal[b])
+                table = built
+        return table
+
+    def weigh(run):
+        for b in run:
+            for i, m in enumerate(m_values):
+                shift = m - m0
+                rows = slice(max(b.start, m + n - 1), b.stop)
+                if rows.start >= rows.stop:
+                    continue
+                src = slice(rows.start - shift, rows.stop - shift)
+                tradeable = has_signal[src] & has_return[rows]
+                if weighting == "sign":
+                    weights = np.sign(base[src], out=np.zeros(tradeable.shape), where=tradeable)
+                elif not (holes := has_signal[src] & ~tradeable).any():
+                    weights = weight_table()[src].copy()  # a view would pin the table
+                else:
+                    at = pos[src]
+                    flat = at + N * np.arange(len(at), dtype=np.int32)[:, None]
+                    per_row = holes.sum(axis=1, keepdims=True, dtype=np.int32)
+                    # holes up to each flat position, less those of earlier
+                    # rows: a 1-d cumsum frees the GIL, a row-wise one does not
+                    ahead = np.zeros(at.size, np.int32)
+                    ahead[flat[holes]] = 1
+                    earlier = per_row.cumsum(dtype=np.int32).reshape(per_row.shape) - per_row
+                    j = at - (ahead.cumsum(dtype=np.int32).take(flat) - earlier)
+                    p = count[src] - per_row
+                    weights = _spaced(j, p, tradeable)
+                consume(i, rows, weights, tradeable)
+
+    if weighting == "rank":
+        _walk_runs(rank, blocks, threads)
+        base = None  # the positions replace the signal
+    _walk_runs(weigh, blocks, threads)
 
 
 def weights_panel(panel: ReturnPanel, spec: StrategySpec) -> ReturnPanel:
@@ -190,8 +241,11 @@ def weights_panel(panel: ReturnPanel, spec: StrategySpec) -> ReturnPanel:
     return at t is observed; everything else gets weight zero.
     """
     w = np.zeros(panel.values.shape)
-    for _, rows, block, _ in _weight_blocks(panel, (spec.m,), spec.n, spec.weighting):
+
+    def put(i, rows, block, tradeable):
         w[rows] = block
+
+    _weight_blocks(panel, (spec.m,), spec.n, spec.weighting, np.isfinite(panel.values), put)
     return ReturnPanel(panel.calendar, panel.assets, w)
 
 
@@ -218,28 +272,31 @@ def pnl_grid(
     """
     if not m_values or not n_values:
         raise ValueError("empty (m, n) grid range")
-    for m in m_values:
-        for n in n_values:
-            StrategySpec(m, n, weighting, leg)  # validates the cell
-    if any(m < 1 for m in m_values):
+    # validates every cell and reads its lags as plain ints
+    specs = [StrategySpec(m, n, weighting, leg) for m in m_values for n in n_values]
+    ms = sorted({spec.m for spec in specs})
+    if ms[0] < 1:
         raise LookaheadError(
             "tradeable strategies need m >= 1; m = 0 would trade on the "
             "month being earned"
         )
     T = panel.n_periods
-    ms = sorted(set(m_values))
+    has_return = np.isfinite(panel.values)
     kind = "xs" if weighting == "rank" else "ts"
     suffix = "" if leg == "both" else f"_{leg}"
     grid = {}
-    for n in sorted(set(n_values)):
+    for n in sorted({spec.n for spec in specs}):
         values = np.full((len(ms), T), np.nan)
-        for i, rows, w, tradeable in _weight_blocks(panel, ms, n, weighting):
+
+        def add_pnl(i, rows, w, tradeable):  # the walk ends before n moves on
             if leg == "winners":
                 w = np.where(w > 0.0, w, 0.0)
             elif leg == "losers":
                 w = np.where(w < 0.0, w, 0.0)
             contrib = w * np.where(tradeable, panel.values[rows], 0.0)
             values[i, rows] = np.where(tradeable.any(axis=1), contrib.sum(axis=1), np.nan)
+
+        _weight_blocks(panel, ms, n, weighting, has_return, add_pnl)
         for i, m in enumerate(ms):
             name = f"{kind}_mom_m{m}_n{n}{suffix}"
             stage = f"strategy({weighting},m={m},n={n},leg={leg})"
@@ -296,8 +353,8 @@ def grid_sweep(
     than ``min_months`` PNL observations, or degenerate statistics, are
     missing. Cells are independent; evaluation order never affects values.
     """
-    m_values = tuple(int(m) for m in m_values)
-    n_values = tuple(int(n) for n in n_values)
+    m_values = tuple(_lag(m, "lag m") for m in m_values)
+    n_values = tuple(_lag(n, "holding period n") for n in n_values)
     if not m_values or not n_values:
         raise ValueError("empty (m, n) grid range")
     if stat not in STATISTICS:

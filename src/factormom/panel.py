@@ -11,6 +11,7 @@ silent zeros.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -44,6 +45,9 @@ _ISO_SPAN = (np.datetime64("0000-01", "M"), np.datetime64("10000-01", "M"))
 # the CLI) emits floats at this precision, so last-bit round-off from the
 # numpy/BLAS build never reaches an output file.
 _FLOAT_FMT = "{:.12g}"
+# most threads a kernel (the Monte Carlo walks, the momentum grid) runs on;
+# the largest count benchmarked
+_MAX_WORKERS = 2
 
 
 class PanelError(Exception):
@@ -595,3 +599,38 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
                 fh.write(f"# {key}={val}\r\n")
         csv.writer(fh).writerow(columns)
         fh.writelines(lines())
+
+
+def _workers() -> int:
+    """Threads a kernel may use: the CPUs this process may run on, at most
+    ``_MAX_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS))
+
+
+def _pool(threads: int):
+    """A thread pool of ``threads`` workers for one ``with`` block.
+
+    ``concurrent.futures`` takes several milliseconds to import, so it is
+    imported here, on first use, and commands that never make a pool do not
+    pay for it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads)
+
+
+def _walk_runs(walk, items, parts: int, *args) -> None:
+    """Call ``walk(run, *extra)`` on each of ``parts`` contiguous runs of
+    ``items``, ``extra`` being the run's entry of each of ``args``: on this
+    thread for one part, else one pool thread per run. Returns once every
+    run has ended, re-raising what a run raised."""
+    runs = [items[len(items) * k // parts : len(items) * (k + 1) // parts] for k in range(parts)]
+    if parts == 1:
+        walk(runs[0], *(extra[0] for extra in args))
+    else:
+        with _pool(parts) as pool:
+            list(pool.map(walk, runs, *args))

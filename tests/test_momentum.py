@@ -360,3 +360,29 @@ def test_spec_validation():
         StrategySpec(1, 1, "middle")
     with pytest.raises(ValueError):
         StrategySpec(1, 1, "rank", "sides")
+
+
+@pytest.mark.parametrize("m, n, bad", [(1.5, 2, "lag m"), (1, 2.0, "holding period n"),
+                                       ("1", 2, "lag m")])
+def test_lags_must_be_integers(m, n, bad):
+    message = rf"^{bad} must be an integer, got {(m if bad == 'lag m' else n)!r}$"
+    with pytest.raises(ValueError, match=message):
+        StrategySpec(m, n)
+    panel = random_panel(20, 3, seed=1)
+    with pytest.raises(ValueError, match=message):
+        pnl_grid(panel, [m], [n])
+    with pytest.raises(ValueError, match=message):
+        signal(panel, m, n)
+    with pytest.raises(ValueError, match=message):  # no silent int(1.5) == 1 cell
+        grid_sweep(pnl_grid(panel, [1], [2]), [m], [n])
+
+
+def test_integer_like_lags_are_read_as_plain_ints():
+    panel = random_panel(30, 4, seed=2)
+    spec = StrategySpec(np.int64(2), True, "rank")
+    assert (type(spec.m), type(spec.n), spec.m, spec.n) == (int, int, 2, 1)
+    grid = pnl_grid(panel, [True, np.int32(2)], [np.uint8(3)], "rank")
+    assert [(type(m), type(n)) for m, n in grid] == [(int, int)] * 2
+    assert [pnl.name for pnl in grid.values()] == ["xs_mom_m1_n3", "xs_mom_m2_n3"]
+    alone = strategy_pnl(panel, StrategySpec(1, 3, "rank"))
+    assert grid[1, 3].values.tobytes() == alone.values.tobytes()

@@ -4,6 +4,7 @@ The hypothesis panels in test_pnl_grid.py have at most 9 assets, so a row
 block of many rows at N = 2,000 never occurs there. Here every rank cell of
 wide, gappy panels is checked bit for bit against the same per-cell
 reference, and the kernel's memory is bounded in multiples of the panel.
+Its row blocks run on up to two threads; no bit depends on how many.
 """
 
 from unittest import mock
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factormom import momentum
-from factormom.momentum import LEGS, pnl_grid
-from test_model import _traced_peak
-from test_pnl_grid import make_panel, reference_pnl
+from factormom import panel as panel_module
+from factormom.momentum import LEGS, WEIGHTINGS, StrategySpec, pnl_grid, weights_panel
+from test_model import _traced_peak, fine_switching  # noqa: F401 (a fixture)
+from test_pnl_grid import make_panel, reference_pnl, reference_weights
 
 
 def wide_panel(t_len, integer, seed):
@@ -47,6 +49,56 @@ def test_wide_rank_grid_bit_identical_to_per_cell(t_len, integer, seed, block):
         for (m, n), pnl in grid.items():
             expected = reference_pnl(panel, m, n, "rank", leg)
             assert pnl.values.tobytes() == expected.tobytes(), (m, n, leg)
+
+
+# several blocks of 2,000 assets per worker, and more workers than cores
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("t_len, integer, seed", [(60, False, 1), (90, True, 3)])
+def test_grid_bits_do_not_depend_on_worker_count(monkeypatch, fine_switching, weighting,
+                                                 t_len, integer, seed):
+    panel = wide_panel(t_len, integer, seed)
+    ms, ns = (1, 2, 3), (1, 2, 4)
+    expected = {(leg, m, n): reference_pnl(panel, m, n, weighting, leg).tobytes()
+                for leg in LEGS for m in ms for n in ns}
+    weights = reference_weights(panel, 2, 3, weighting)[0].tobytes()
+    monkeypatch.setattr(momentum, "_BLOCK_CELLS", 8 * 2000)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(momentum, "_workers", lambda: workers)
+        for leg in LEGS:
+            for (m, n), pnl in pnl_grid(panel, ms, ns, weighting, leg).items():
+                assert pnl.values.tobytes() == expected[leg, m, n], (workers, leg, m, n)
+        got = weights_panel(panel, StrategySpec(2, 3, weighting)).values
+        assert got.tobytes() == weights, workers
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_grid_without_a_signal_row_is_missing_at_two_workers(monkeypatch, weighting):
+    # T < m + n - 1: no row block at all, so nothing to split across workers
+    monkeypatch.setattr(momentum, "_workers", lambda: 2)
+    monkeypatch.setattr(momentum, "_BLOCK_CELLS", 2)
+    panel = wide_panel(60, False, 1).head(4)
+    grid = pnl_grid(panel, (2, 3), (3, 4), weighting)
+    assert set(grid) == {(2, 3), (2, 4), (3, 3), (3, 4)}
+    assert all(np.isnan(pnl.values).all() for pnl in grid.values())
+    assert not weights_panel(panel, StrategySpec(3, 4, weighting)).values.any()
+
+
+def test_one_block_grid_makes_no_pool(monkeypatch):
+    made = []
+
+    def pool(threads):
+        made.append(threads)
+        return real_pool(threads)
+
+    real_pool = panel_module._pool
+    monkeypatch.setattr(momentum, "_workers", lambda: 2)
+    monkeypatch.setattr(panel_module, "_pool", pool)
+    factors = wide_panel(1200, False, 6).values[:, :20]  # 24,000 cells: one block
+    for weighting in WEIGHTINGS:
+        pnl_grid(make_panel(factors), range(1, 13), range(1, 13), weighting)
+    assert made == []
+    pnl_grid(wide_panel(60, False, 1), (1, 2), (1,), "rank")  # two blocks of 2,000 assets
+    assert made == [2, 2]  # the positions, then the weights
 
 
 def test_rank_grid_peak_within_a_few_panels():
