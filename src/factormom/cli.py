@@ -526,12 +526,6 @@ def _add_pipeline_flags(sub):
     )
     sub.add_argument("--vol-target", type=float, help="monthly volatility target")
     sub.add_argument("--min-obs", type=int, help="minimum observations per window")
-    sub.add_argument(
-        "--allow-missing",
-        action="store_true",
-        default=None,
-        help="read non-numeric CSV cells as missing markers",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,6 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--market", help="market series CSV")
     p.add_argument("--m", type=int, help="signal lag in months")
     p.add_argument("--n", type=int, help="signal holding period in months")
+    p.add_argument("--allow-missing", action="store_true", default=None,
+                   help="read non-numeric CSV cells as missing markers")
     _add_pipeline_flags(p)
     p.set_defaults(handler=cmd_backtest)
 

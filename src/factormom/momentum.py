@@ -13,7 +13,6 @@ strategies alike.
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,36 +138,39 @@ def sign_weights(signal_row: np.ndarray) -> np.ndarray:
     return np.sign(np.where(np.isfinite(row), row, 0.0))
 
 
-# Cells per kernel row block, split among the workers: bounds the
+# Cells per kernel signal block, split among the workers: bounds the
 # temporaries on wide panels.
 _BLOCK_CELLS = 1 << 16
 
 
 def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weighting: str,
                    has_return: np.ndarray, consume) -> None:
-    """Walk the weights and tradeable masks of the (m, n) strategies, one row
-    block at a time, calling ``consume(i, rows, weights, tradeable)`` for
-    ``m_values[i]`` on each block of rows from m + n - 1 on.
+    """Walk the weights and tradeable masks of the (m, n) strategies, one
+    signal block at a time, calling ``consume(i, rows, weights, tradeable)``
+    for ``m_values[i]`` on the rows each block serves.
 
     One signal pass at the smallest lag m0 serves every m: the (m, n) signal
     at row t is the (m0, n) signal at row t - (m - m0), the same window
-    summed in the same order. An asset is tradeable at t when its signal
-    window is complete and its return at t (``has_return``, the panel's
-    finite mask) is observed; a hole has a signal and no return. Signs are
-    taken per block; rank weighting first sorts each (m0, n) signal row once
-    into positions and drops the signal. A (m, n) rank is a position less
-    the holes ahead of it. Blocks without a hole read one weight table, which
-    the first thread to need it builds under a lock: one weight pass per n.
+    summed in the same order. So the walk goes over blocks of (m0, n) signal
+    rows, from m0 + n - 1 on, and each block serves every m at its rows
+    shifted by m - m0, clipped at the panel's end. An asset is tradeable at
+    t when its signal window is complete and its return at t (``has_return``,
+    the panel's finite mask) is observed; a hole has a signal and no return.
+    Signs are taken per block. Rank weighting sorts each block's signal rows
+    once into positions; a (m, n) rank is a position less the holes ahead of
+    it. Lags whose rows have no hole read the block's weight table, built at
+    most once per block, when the first such lag needs it.
 
-    Rows that fit in one block of ``_BLOCK_CELLS`` are walked on this thread.
+    A block reads only its own signal rows, and for a given m no two blocks
+    write the same rows, so blocks need no order among themselves. Signal
+    rows that fit in one block of ``_BLOCK_CELLS`` are walked on this thread.
     Otherwise up to :func:`_workers` threads each walk one contiguous run of
     blocks of ``_BLOCK_CELLS // threads`` cells, so the temporaries stay one
-    block's worth, and write only their own rows: every row is computed by
-    the same operations at any block size and worker count. All positions
-    are built before any weight reads them. ``consume`` runs on the worker
-    threads, so it, like the walk, may call no public function (a tracer
-    keeps one span stack per process) nor rely on ``np.errstate``, which
-    pool threads do not inherit; the signal is taken on this thread.
+    block's worth: every row is computed by the same operations at any block
+    size and worker count. ``consume`` runs on the worker threads, so it,
+    like the walk, may call no public function (a tracer keeps one span stack
+    per process) nor rely on ``np.errstate``, which pool threads do not
+    inherit; the signal is taken on this thread.
     """
     T, N = panel.values.shape
     m0 = min(m_values)
@@ -179,44 +181,27 @@ def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weightin
         step = max(1, _BLOCK_CELLS // threads // max(N, 1))
         return [slice(start, min(start + step, T)) for start in range(m0 + n - 1, T, step)]
 
-    threads = min(_workers(), len(blocks_of(1))) or 1  # no rows: nothing to split
-    blocks = blocks_of(threads)
-    if weighting == "rank":
-        pos = np.zeros((T, N), np.int32)
-        count = has_signal.sum(axis=1, keepdims=True, dtype=np.int32)
-        table = None
-        lock = threading.Lock()
-
-    def rank(run):
-        for b in run:  # missing signals sort last; NaN keys slow argsort 5x
-            pos[b] = _positions(np.where(has_signal[b], base[b], np.inf))
-
-    def weight_table():
-        nonlocal table
-        with lock:
-            if table is None:
-                built = np.zeros((T, N))
-                for b in blocks:
-                    built[b] = _spaced(pos[b], count[b], has_signal[b])
-                table = built
-        return table
-
-    def weigh(run):
+    def walk(run):
         for b in run:
+            present, table = has_signal[b], None
+            if weighting == "rank":  # missing signals sort last; NaN keys slow argsort 5x
+                pos = _positions(np.where(present, base[b], np.inf))
+                count = present.sum(axis=1, keepdims=True, dtype=np.int32)
             for i, m in enumerate(m_values):
-                shift = m - m0
-                rows = slice(max(b.start, m + n - 1), b.stop)
-                if rows.start >= rows.stop:
+                rows = slice(b.start + m - m0, min(b.stop + m - m0, T))
+                k = rows.stop - rows.start  # the block's first k signal rows serve them
+                if k <= 0:
                     continue
-                src = slice(rows.start - shift, rows.stop - shift)
-                tradeable = has_signal[src] & has_return[rows]
+                tradeable = present[:k] & has_return[rows]
                 if weighting == "sign":
-                    weights = np.sign(base[src], out=np.zeros(tradeable.shape), where=tradeable)
-                elif not (holes := has_signal[src] & ~tradeable).any():
-                    weights = weight_table()[src].copy()  # a view would pin the table
+                    weights = np.sign(base[b][:k], out=np.zeros(tradeable.shape), where=tradeable)
+                elif not (holes := present[:k] & ~tradeable).any():
+                    if table is None:
+                        table = _spaced(pos, count, present)
+                    weights = table[:k]
                 else:
-                    at = pos[src]
-                    flat = at + N * np.arange(len(at), dtype=np.int32)[:, None]
+                    at = pos[:k]
+                    flat = at + N * np.arange(k, dtype=np.int32)[:, None]
                     per_row = holes.sum(axis=1, keepdims=True, dtype=np.int32)
                     # holes up to each flat position, less those of earlier
                     # rows: a 1-d cumsum frees the GIL, a row-wise one does not
@@ -224,14 +209,12 @@ def _weight_blocks(panel: ReturnPanel, m_values: Sequence[int], n: int, weightin
                     ahead[flat[holes]] = 1
                     earlier = per_row.cumsum(dtype=np.int32).reshape(per_row.shape) - per_row
                     j = at - (ahead.cumsum(dtype=np.int32).take(flat) - earlier)
-                    p = count[src] - per_row
+                    p = count[:k] - per_row
                     weights = _spaced(j, p, tradeable)
                 consume(i, rows, weights, tradeable)
 
-    if weighting == "rank":
-        _walk_runs(rank, blocks, threads)
-        base = None  # the positions replace the signal
-    _walk_runs(weigh, blocks, threads)
+    threads = min(_workers(), len(blocks_of(1))) or 1  # no rows: nothing to split
+    _walk_runs(walk, blocks_of(threads), threads)
 
 
 def weights_panel(panel: ReturnPanel, spec: StrategySpec) -> ReturnPanel:

@@ -843,6 +843,23 @@ def test_sweep_inputs_follow_allow_missing(sim_inputs, tmp_path, capsys, key, st
     assert not out.exists()
 
 
+def test_allow_missing_flag_is_backtests_only(workdir, capsys):
+    factors = panel.load_panel(workdir / "factors.csv")
+    values = factors.values.copy()
+    values[4, 1] = np.nan  # the fifth date: line 6 after the header
+    panel.emit_csv(panel.ReturnPanel(factors.calendar, factors.assets, values), "gappy.csv")
+    argv = ["backtest", "--factors", "gappy.csv", "--market", "market.csv", "--m", "1", "--n", "3"]
+    assert main(argv) == 2
+    assert "line 6" in capsys.readouterr().err
+    assert main([*argv, "--allow-missing"]) == 0
+    # sweep reads with missing cells allowed unless its config says false;
+    # a flag that could only set the default again is refused
+    with pytest.raises(SystemExit) as refused:
+        main(["sweep", "--input", "gappy.csv", "--m", "1", "--n", "1", "--allow-missing"])
+    assert refused.value.code == 2
+    assert "--allow-missing" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # configuration resolution
 

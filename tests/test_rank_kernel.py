@@ -21,10 +21,11 @@ from test_model import _traced_peak, fine_switching  # noqa: F401 (a fixture)
 from test_pnl_grid import make_panel, reference_pnl, reference_weights
 
 
-def wide_panel(t_len, integer, seed):
-    """2,000 assets with 2% holes and a few complete rows, one run of them
-    longer than a default row block. The integer variant ties exactly; the
-    Gaussian one has signed zeros, so n = 1 signals tie -0.0 with 0.0."""
+def wide_panel(t_len, integer, seed, hole_rate=0.02):
+    """2,000 assets with a share ``hole_rate`` of holes and a few complete
+    rows, one run of them longer than a default row block. The integer
+    variant ties exactly; the Gaussian one has signed zeros, so n = 1
+    signals tie -0.0 with 0.0."""
     rng = np.random.default_rng(seed)
     shape = (t_len, 2000)
     if integer:
@@ -32,7 +33,7 @@ def wide_panel(t_len, integer, seed):
     else:
         values = rng.normal(0, 0.09, shape)
         values[rng.random(shape) < 0.01] = rng.choice([0.0, -0.0])
-    holes = rng.random(shape) < 0.02
+    holes = rng.random(shape) < hole_rate
     holes[[5, 17, 18]] = False
     holes[t_len - 45: t_len - 5] = False
     values[holes] = np.nan
@@ -98,7 +99,30 @@ def test_one_block_grid_makes_no_pool(monkeypatch):
         pnl_grid(make_panel(factors), range(1, 13), range(1, 13), weighting)
     assert made == []
     pnl_grid(wide_panel(60, False, 1), (1, 2), (1,), "rank")  # two blocks of 2,000 assets
-    assert made == [2, 2]  # the positions, then the weights
+    assert made == [2]  # one pass ranks, weighs and sums each block
+
+
+# complete panels: every block builds and reads its own weight table, and
+# the last block's rows, shifted by m - m0, run past the panel's end; at 1, 2
+# and 3 workers, blocks of 7, 3 and 2 rows leave a short last block of the
+# 59 signal rows of n = 2
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("integer, seed", [(False, 7), (True, 8)])
+def test_complete_grid_bits_do_not_depend_on_worker_count(monkeypatch, fine_switching,
+                                                          weighting, integer, seed):
+    panel = wide_panel(61, integer, seed, hole_rate=0.0)
+    ms, ns = (1, 2, 3), (1, 2, 4)
+    expected = {(leg, m, n): reference_pnl(panel, m, n, weighting, leg).tobytes()
+                for leg in LEGS for m in ms for n in ns}
+    weights = reference_weights(panel, 2, 3, weighting)[0].tobytes()
+    monkeypatch.setattr(momentum, "_BLOCK_CELLS", 7 * 2000)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(momentum, "_workers", lambda: workers)
+        for leg in LEGS:
+            for (m, n), pnl in pnl_grid(panel, ms, ns, weighting, leg).items():
+                assert pnl.values.tobytes() == expected[leg, m, n], (workers, leg, m, n)
+        got = weights_panel(panel, StrategySpec(2, 3, weighting)).values
+        assert got.tobytes() == weights, workers
 
 
 def test_rank_grid_peak_within_a_few_panels():
@@ -112,6 +136,13 @@ def complete_wide_panel():
     for weighting in ("sign", "rank"):  # warm up: first calls allocate caches
         pnl_grid(make_panel(values[:30, :20]), (1,), (1,), weighting)
     return make_panel(values)
+
+
+def test_complete_rank_grid_peaks_near_its_signal():
+    # a block's positions and weight table live only while it is walked
+    panel = complete_wide_panel()
+    peak = _traced_peak(lambda: pnl_grid(panel, (1, 2, 3), (1, 2, 3, 4), "rank"))
+    assert peak <= 1.6 * panel.values.nbytes
 
 
 def test_signal_peaks_at_its_output_and_one_mask():
