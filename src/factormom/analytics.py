@@ -11,8 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .panel import AlignmentError, Calendar
-from .riskpipe import PnlSeries
+from .panel import AlignmentError, Calendar, NamedSeries
 
 __all__ = [
     "AR1MomentumPnl",
@@ -32,15 +31,15 @@ __all__ = [
 MONTHS_PER_YEAR = 12
 
 
-class UndefinedStatError(Exception):
+class UndefinedStatError(ValueError):
     """A statistic is undefined on this input (too short or degenerate)."""
 
 
-class RankDeficiencyError(Exception):
+class RankDeficiencyError(ValueError):
     """Regressors are (numerically) collinear; names the offending pair."""
 
 
-class NonStationaryError(Exception):
+class NonStationaryError(ValueError):
     """Process parameters admit no stationary distribution."""
 
 
@@ -130,7 +129,7 @@ class RegressionResult:
     betas: tuple[float, ...]
     control_names: tuple[str, ...]
     intercept: float
-    residuals: PnlSeries
+    residuals: NamedSeries
     residual_stats: PerfStats
     r_squared: float
 
@@ -155,7 +154,8 @@ def _name_collinear_pair(controls_mat: np.ndarray, names: Sequence[str]) -> tupl
     return pair
 
 
-def spanning_regression(target, controls: Sequence) -> RegressionResult:
+def spanning_regression(target: NamedSeries,
+                        controls: Sequence[NamedSeries]) -> RegressionResult:
     """Regress a target PNL on controls over the full overlapping sample.
 
     Solved by normal equations with a relative condition-number guard at
@@ -165,7 +165,7 @@ def spanning_regression(target, controls: Sequence) -> RegressionResult:
     controls = list(controls)
     if not controls:
         raise ValueError("need at least one control series")
-    names = tuple(getattr(c, "name", f"control_{i}") for i, c in enumerate(controls))
+    names = tuple(c.name for c in controls)
     common, stacked = _overlap([target, *controls])
     keep = np.isfinite(stacked).all(axis=1)
     y = stacked[keep, 0]
@@ -206,16 +206,9 @@ def spanning_regression(target, controls: Sequence) -> RegressionResult:
         )
     r_squared = 1.0 - ss_res / ss_tot
 
-    residual_values = y - C @ betas
-    meta = getattr(target, "meta", ()) + (
-        f"spanning_residual(intercept_retained,controls={','.join(names)})",
-    )
-    residuals = PnlSeries(
-        Calendar(common[keep]),
-        f"{getattr(target, 'name', 'target')}_residual",
-        residual_values,
-        meta,
-    )
+    stage = f"spanning_residual(intercept_retained,controls={','.join(names)})"
+    residuals = NamedSeries(Calendar(common[keep]), f"{target.name}_residual",
+                            y - C @ betas, target.meta + (stage,))
     residual_stats = perf_stats(residuals)
     return RegressionResult(
         tuple(float(b) for b in betas), names, intercept, residuals, residual_stats, r_squared

@@ -15,8 +15,9 @@ signature, so an unknown, missing or mistyped key exits 2 naming it, and
 calls the handler with the typed values. The hash covers ``{command, seed,
 **cfg}`` once the handler has written its resolved defaults into ``cfg``.
 
-Exit codes: 0 success, 1 verification-check failure, 2 config or parameter
-error, 3 I/O error.
+Exit codes: 0 success, 1 verification-check failure, 2 input error (every
+one the program raises is a ``ValueError``), 3 I/O error. Any other
+exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
@@ -210,11 +211,12 @@ def _parse_range(value, key: str) -> tuple[int, ...]:
         if ".." in text:
             lo, hi = text.split("..", 1)
             return tuple(range(int(lo), int(hi) + 1))
-        return _distinct(tuple(int(p) for p in text.split(",")), key)
+        values = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(
             f"config key {key!r} must be a range such as 1..12 or 1,3,6, got {value!r}"
         ) from None
+    return _distinct(values, key)
 
 
 def _stats_row(series) -> dict:
@@ -437,16 +439,15 @@ def cmd_span(args, cfg: dict, /, *, target, controls: list) -> int:
 # simulate / verify
 
 
-def _model_params(cfg: dict, params_path, params) -> model.ModelParams:
-    """Parameters from ``params_path`` if ``cfg`` names it, else inline
-    ``params``, else the shipped set.
+def _model_params(cfg: dict, params) -> model.ModelParams:
+    """Parameters from ``params``: a JSON file path, an inline object, or
+    ``None`` for the shipped set.
 
-    Leaves the resolved parameters in ``cfg["params"]`` (and drops
-    ``params_path``), so the config hash covers the values, not a file name.
+    Leaves the resolved parameters in ``cfg["params"]``, so the config hash
+    covers the values, not a file name.
     """
-    if "params_path" in cfg:
-        resolved = model.ModelParams.from_json(_existing(params_path, "params_path"))
-        del cfg["params_path"]
+    if isinstance(params, str):
+        resolved = model.ModelParams.from_json(_existing(params, "params"))
     elif params is not None:
         resolved = model.ModelParams.from_dict(params)
     else:
@@ -461,10 +462,9 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def cmd_simulate(args, cfg: dict, /, *, params_path=None, params=None, T: int = 1200,
-                 burn_in: int = 500) -> int:
+def cmd_simulate(args, cfg: dict, /, *, params=None, T: int = 1200, burn_in: int = 500) -> int:
     seed = _require_seed(args)
-    params = _model_params(cfg, params_path, params)
+    params = _model_params(cfg, params)
     cfg["T"], cfg["burn_in"] = T, burn_in
     header = _header(args, cfg)
     path = model.simulate(params, T, seed, burn_in)
@@ -476,10 +476,10 @@ def cmd_simulate(args, cfg: dict, /, *, params_path=None, params=None, T: int = 
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: dict, /, *, params_path=None, params=None, T: int = 1_000_000,
-               k_max: int = 3, eq3=None) -> int:
+def cmd_verify(args, cfg: dict, /, *, params=None, T: int = 1_000_000, k_max: int = 3,
+               eq3=None) -> int:
     seed = _require_seed(args)
-    params = _model_params(cfg, params_path, params)
+    params = _model_params(cfg, params)
     cfg["T"], cfg["k_max"], cfg["eq3"] = T, k_max, eq3
     if eq3 is not None:
         eq3 = _read_args(eq3, model.momentum_covariance_check, "eq3")
@@ -567,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_span)
 
     p = sub.add_parser("simulate", help="simulate the feedback-trading model")
-    p.add_argument("--params", dest="params_path", help="model parameter JSON")
+    p.add_argument("--params", help="model parameter JSON")
     p.add_argument("--T", type=int, help="months to simulate")
     p.add_argument("--burn-in", type=int, help="start-up months to discard")
     p.add_argument("--out", help="output panel CSV")
@@ -575,9 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("verify", help="closed-form vs Monte Carlo check battery")
-    p.add_argument(
-        "--params", dest="params_path", help="model parameter JSON (default: shipped set)"
-    )
+    p.add_argument("--params", help="model parameter JSON (default: shipped set)")
     p.add_argument("--T", type=int, help="path length for Monte Carlo checks")
     p.add_argument("--k-max", type=int, help="autocovariance orders to check")
     p.add_argument("--report", help="output JSON report")
@@ -598,18 +596,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         return args.handler(args, cfg, **_read_args(cfg, args.handler))
-    except (
-        ConfigError,
-        ValueError,
-        KeyError,
-        model.ParameterError,
-        analytics.NonStationaryError,
-        analytics.RankDeficiencyError,
-        analytics.UndefinedStatError,
-        riskpipe.InsufficientHistoryError,
-        momentum.LookaheadError,
-        panel.PanelError,
-    ) as exc:
+    except ValueError as exc:  # every input error the program raises is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

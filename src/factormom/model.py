@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -64,8 +65,23 @@ VERIFY_STOCK_K = 3
 _BLOCK_ROWS = 1 << 12
 
 
-class ParameterError(Exception):
+class ParameterError(ValueError):
     """Model parameters violate their constraints."""
+
+
+def _number(value, key: str) -> float:
+    """``value`` of parameter ``key`` as a float. A string, a boolean or any
+    other non-number is a ParameterError naming the key."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ParameterError(f"{key!r} must be a number, got {value!r}")
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """``value`` of parameter ``key``, a number or (nested) list or array of
+    numbers, as a float array; each entry is read by :func:`_number`."""
+    cells = np.asarray(value, dtype=object)
+    return np.array([_number(x, key) for x in cells.flat], float).reshape(cells.shape)
 
 
 @dataclass(frozen=True)
@@ -152,27 +168,31 @@ class ModelParams:
         exact for rank-one A."""
         return self.mu + (self.alpha * self.factor_drift / (1.0 - self.a)) * self.w
 
-    # --- JSON schema: {N, alpha, w, mu, rho, sigma: {diag | full}} ---
+    # --- JSON schema: {N, alpha, w, mu, rho, sigma: {diag | full}, [normalize_w]} ---
 
     @staticmethod
     def from_dict(d: dict) -> "ModelParams":
-        try:
-            n = int(d["N"])
-            alpha = float(d["alpha"])
-            w = np.asarray(d["w"], float)
-            mu = np.asarray(d["mu"], float)
-            rho = float(d["rho"])
-            sig = d["sigma"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"bad model parameter file: {exc}") from exc
-        if isinstance(sig, dict) and "diag" in sig:
-            sigma = np.diag(np.asarray(sig["diag"], float))
-        elif isinstance(sig, dict) and "full" in sig:
-            sigma = np.asarray(sig["full"], float)
-        else:
-            raise ParameterError("sigma must be an object providing 'diag' or 'full'")
-        if w.shape != (n,):
-            raise ParameterError(f"N = {n} but w has shape {w.shape}")
+        """Parameters from their JSON object. An unknown or missing key, a
+        non-integral ``N``, a string or boolean where a number belongs, and a
+        ``sigma`` giving both forms are each a ParameterError naming the key."""
+        if not isinstance(d, dict):
+            raise ParameterError(f"model parameters must be a JSON object, got {d!r}")
+        keys = ("N", "alpha", "w", "mu", "rho", "sigma", "normalize_w")
+        bad = [f"unknown key {key!r}" for key in d if key not in keys]
+        bad += [f"missing key {key!r}" for key in keys[:-1] if key not in d]
+        if bad:
+            raise ParameterError("model parameters: " + ", ".join(bad))
+        if not _number(d["N"], "N").is_integer():
+            raise ParameterError(f"'N' must be an integer, got {d['N']!r}")
+        sig = d["sigma"]
+        if not (isinstance(sig, dict) and len(sig) == 1 and sig.keys() <= {"diag", "full"}):
+            raise ParameterError(f"'sigma' must give one of 'diag' or 'full', got {sig!r}")
+        sigma = (np.diag(_numbers(sig["diag"], "sigma")) if "diag" in sig
+                 else _numbers(sig["full"], "sigma"))
+        alpha, rho = _number(d["alpha"], "alpha"), _number(d["rho"], "rho")
+        w, mu = _numbers(d["w"], "w"), _numbers(d["mu"], "mu")
+        if w.shape != (d["N"],):
+            raise ParameterError(f"N = {d['N']} but w has shape {w.shape}")
         normalize = d.get("normalize_w", True)
         if not isinstance(normalize, bool):
             raise ParameterError(f"'normalize_w' must be true or false, got {normalize!r}")
@@ -778,9 +798,13 @@ def momentum_covariance_check(
     """
     if m < 1 or n < 1:
         raise ParameterError("need m >= 1 and n >= 1")
+    beta = _numbers(beta, "beta")
+    if beta.ndim != 1 or not len(beta) or not np.isfinite(beta).all():
+        raise ParameterError("'beta' must be a non-empty 1-d vector of finite numbers")
+    if not _number(idio_vol, "idio_vol") >= 0.0:
+        raise ParameterError(f"'idio_vol' must be >= 0, got {idio_vol!r}")
     length = _path_rows(T, burn_in) + m + n
     size = _batch_size(T + 1, n_batches)
-    beta = np.asarray(beta, float)
     rng_seed = np.random.default_rng(seed)
     f = simulate_ar1(factor, length, rng_seed, burn_in=0)
     e = idio_vol * rng_seed.standard_normal((length, len(beta)))

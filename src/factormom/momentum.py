@@ -20,8 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import analytics
-from .panel import ReturnPanel, _walk_runs, _workers
-from .riskpipe import PnlSeries
+from .panel import NamedSeries, ReturnPanel, _walk_runs, _workers
 
 __all__ = [
     "GridResult",
@@ -40,7 +39,7 @@ WEIGHTINGS = ("rank", "sign")
 LEGS = ("both", "winners", "losers")
 
 
-class LookaheadError(Exception):
+class LookaheadError(ValueError):
     """A tradeable strategy was asked to use same-month information."""
 
 
@@ -238,7 +237,7 @@ def pnl_grid(
     n_values: Sequence[int],
     weighting: str = "sign",
     leg: str = "both",
-) -> dict[tuple[int, int], PnlSeries]:
+) -> dict[tuple[int, int], NamedSeries]:
     """PNL of every (m, n) momentum strategy of a grid, keyed by ``(m, n)``.
 
     Each cell is the raw PNL of ``StrategySpec(m, n, weighting, leg)``:
@@ -283,11 +282,11 @@ def pnl_grid(
         for i, m in enumerate(ms):
             name = f"{kind}_mom_m{m}_n{n}{suffix}"
             stage = f"strategy({weighting},m={m},n={n},leg={leg})"
-            grid[m, n] = PnlSeries(panel.calendar, name, values[i], (stage,))
+            grid[m, n] = NamedSeries(panel.calendar, name, values[i], (stage,))
     return grid
 
 
-def strategy_pnl(panel: ReturnPanel, spec: StrategySpec) -> PnlSeries:
+def strategy_pnl(panel: ReturnPanel, spec: StrategySpec) -> NamedSeries:
     """PNL of one momentum strategy: the 1x1 :func:`pnl_grid` of ``spec``."""
     return pnl_grid(panel, (spec.m,), (spec.n,), spec.weighting, spec.leg)[spec.m, spec.n]
 
@@ -315,7 +314,7 @@ STATISTICS = ("sharpe", "corr", "residual_sharpe")
 
 
 def grid_sweep(
-    pnls: dict[tuple[int, int], PnlSeries],
+    pnls: dict[tuple[int, int], NamedSeries],
     m_values: Sequence[int],
     n_values: Sequence[int],
     stat: str = "sharpe",

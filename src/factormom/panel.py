@@ -50,7 +50,7 @@ _FLOAT_FMT = "{:.12g}"
 _MAX_WORKERS = 2
 
 
-class PanelError(Exception):
+class PanelError(ValueError):
     """Malformed panel data or a panel I/O failure."""
 
 
@@ -233,11 +233,12 @@ class ReturnPanel:
 
 @dataclass(frozen=True, eq=False)
 class NamedSeries:
-    """One return per date, with a label."""
+    """One return per date, with a label and the stages that made it."""
 
     calendar: Calendar
     name: str
     values: np.ndarray  # (T,) float64, NaN marks missing
+    meta: tuple[str, ...] = ()  # stages applied, in order; () for loaded data
 
     def __post_init__(self):
         arr = _freeze(self.values, 1)

@@ -20,14 +20,13 @@ from .panel import NamedSeries, ReturnPanel, require_aligned
 __all__ = [
     "InsufficientHistoryError",
     "PipelineConfig",
-    "PnlSeries",
     "beta_hedge",
     "menagerie",
     "vol_normalize",
 ]
 
 
-class InsufficientHistoryError(Exception):
+class InsufficientHistoryError(ValueError):
     """Not enough observations to ever fill one estimation window."""
 
 
@@ -59,16 +58,8 @@ class PipelineConfig:
         return self.window_months if self.min_obs is None else self.min_obs
 
 
-@dataclass(frozen=True, eq=False)
-class PnlSeries(NamedSeries):
-    """A strategy return series with a record of the stages applied to it."""
-
-    meta: tuple[str, ...] = ()
-
-
-def _as_pnl(series: NamedSeries, values: np.ndarray, stage: str) -> PnlSeries:
-    meta = getattr(series, "meta", ())
-    return PnlSeries(series.calendar, series.name, values, meta + (stage,))
+def _as_pnl(series: NamedSeries, values: np.ndarray, stage: str) -> NamedSeries:
+    return NamedSeries(series.calendar, series.name, values, series.meta + (stage,))
 
 
 def _window_moments(values: np.ndarray, window: int):
@@ -115,7 +106,8 @@ def _window_moments(values: np.ndarray, window: int):
     return cnt, dm
 
 
-def beta_hedge(factor: NamedSeries, market: NamedSeries, cfg: PipelineConfig | None = None) -> PnlSeries:
+def beta_hedge(factor: NamedSeries, market: NamedSeries,
+               cfg: PipelineConfig | None = None) -> NamedSeries:
     """Subtract the trailing-window market beta from a factor PNL.
 
     output_t = factor_t - beta_{t-lag} * market_t, where beta is the OLS
@@ -157,7 +149,7 @@ def beta_hedge(factor: NamedSeries, market: NamedSeries, cfg: PipelineConfig | N
     return _as_pnl(factor, out, f"beta_hedge(window={W},lag={L})")
 
 
-def vol_normalize(series: NamedSeries, cfg: PipelineConfig | None = None) -> PnlSeries:
+def vol_normalize(series: NamedSeries, cfg: PipelineConfig | None = None) -> NamedSeries:
     """Scale a series to a constant volatility target.
 
     output_t = vol_target * x_t / sigma_{t-lag}, where sigma is the sample
@@ -183,7 +175,7 @@ def vol_normalize(series: NamedSeries, cfg: PipelineConfig | None = None) -> Pnl
     return _as_pnl(series, out, stage)
 
 
-def menagerie(factors: ReturnPanel) -> PnlSeries:
+def menagerie(factors: ReturnPanel) -> NamedSeries:
     """Equal-weight sum of a factor panel, $1 in each factor.
 
     Rows with missing factors sum over the available ones; all-missing rows
@@ -193,5 +185,5 @@ def menagerie(factors: ReturnPanel) -> PnlSeries:
     finite = np.isfinite(factors.values)
     total = np.where(finite, factors.values, 0.0).sum(axis=1)
     values = np.where(finite.any(axis=1), total, np.nan)
-    return PnlSeries(factors.calendar, "menagerie", values,
-                     (f"menagerie(sum_available,n_factors={factors.n_assets})",))
+    return NamedSeries(factors.calendar, "menagerie", values,
+                       (f"menagerie(sum_available,n_factors={factors.n_assets})",))

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from factormom import cli, model, momentum, panel, riskpipe
+from factormom import analytics, cli, model, momentum, panel, riskpipe
 from factormom.cli import main
 
 
@@ -602,6 +602,11 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     ({"n_batches": 1}, "n_batches"),
     ({"burn_in": -1}, "burn_in"),
     ({"m": 0}, "m >= 1"),
+    ({"beta": []}, "'beta'"),
+    ({"beta": [1, math.nan]}, "'beta'"),
+    ({"beta": [[0.8, 0.8]]}, "'beta'"),
+    ({"beta": [0.8, "0.8"]}, "'beta'"),
+    ({"idio_vol": -1}, "'idio_vol'"),
 ])
 def test_verify_bad_eq3_values_exit_2_before_simulating(tmp_path, capsys, change, key):
     eq3 = {
@@ -704,9 +709,24 @@ def test_verify_bad_eq3_values_exit_2_before_simulating(tmp_path, capsys, change
         ("sweep", {}, "factor_panel"),
         ("span", {"controls": ["market.csv"]}, "target"),
         ("resample", {}, "input"),
-        ("simulate", {"T": 50}, "params_path"),
-        ("verify", {"T": 2000}, "params_path"),
     ] for empty in ("", None)],
+    # params: null is the shipped set
+    ("simulate", {"T": 50, "params": ""}, "params"),
+    ("verify", {"T": 2000, "params": ""}, "params"),
+    # model parameters are read strictly: no unknown key, no string or boolean
+    # for a number, an integral N and one sigma form
+    *[("simulate", {"T": 50, "params": {
+        "N": 2, "alpha": 0.2, "w": [1, 1], "mu": [0, 0], "rho": 0.1,
+        "sigma": {"diag": [1, 1]}, **change}}, key) for change, key in [
+        ({"normalise_w": False}, "normalise_w"),
+        ({"alpha": "0.5"}, "alpha"),
+        ({"rho": False}, "rho"),
+        ({"w": [1, "1"]}, "w"),
+        ({"mu": [0, True]}, "mu"),
+        ({"N": 2.5}, "N"),
+        ({"N": "2"}, "N"),
+        ({"sigma": {"diag": [1, 1], "full": [[1, 0], [0, 1]]}}, "sigma"),
+    ]],
 ])
 def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     (workdir / "cfg.json").write_text(json.dumps(cfg))
@@ -1002,6 +1022,24 @@ def test_unwritable_output_exit_3(sim_inputs, tmp_path):
         "resample", "--input", str(tmp_path / "daily.csv"), "--out", str(tmp_path)
     ])
     assert code == 3
+
+
+def test_internal_lookup_error_is_not_an_input_error(workdir):
+    # exit 2 is for input errors; a KeyError inside a handler is a bug
+    with mock.patch.object(panel, "resample_monthly", side_effect=KeyError("asset")):
+        with pytest.raises(KeyError, match="asset"):
+            main(["--out-dir", "out", "resample", "--input", "daily.csv"])
+    assert not (workdir / "out" / "monthly.csv").exists()
+
+
+def test_every_program_error_is_a_value_error():
+    # main maps exactly the ValueErrors to exit 2
+    errors = [obj for mod in (analytics, cli, model, momentum, panel, riskpipe)
+              for obj in vars(mod).values()
+              if isinstance(obj, type) and issubclass(obj, BaseException)
+              and obj.__module__ == mod.__name__]
+    assert len(errors) >= 12
+    assert [e for e in errors if not issubclass(e, ValueError)] == []
 
 
 # ---------------------------------------------------------------------------

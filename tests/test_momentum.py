@@ -17,8 +17,8 @@ from factormom.momentum import (
     strategy_pnl,
     weights_panel,
 )
-from factormom.panel import Calendar, ReturnPanel
-from factormom.riskpipe import PipelineConfig, PnlSeries, menagerie, vol_normalize
+from factormom.panel import Calendar, NamedSeries, ReturnPanel
+from factormom.riskpipe import PipelineConfig, menagerie, vol_normalize
 
 
 def make_panel(values):
@@ -300,7 +300,7 @@ def test_grid_zero_volatility_cell_is_missing():
     panel = random_panel(60, 3, seed=16)
     pnls = pnl_grid(panel, (1,), (1, 2), "sign")
     # a strategy that never trades: sixty flat months, Sharpe undefined
-    pnls[1, 2] = PnlSeries(panel.calendar, "flat", np.zeros(60))
+    pnls[1, 2] = NamedSeries(panel.calendar, "flat", np.zeros(60))
     grid = grid_sweep(pnls, (1,), (1, 2), "sharpe", min_months=24)
     assert np.isfinite(grid.cell(1, 1))
     assert np.isnan(grid.cell(1, 2))
