@@ -201,7 +201,11 @@ class ModelParams:
     @staticmethod
     def from_json(path) -> "ModelParams":
         with open(path) as fh:
-            return ModelParams.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParameterError(f"{path}: invalid JSON ({exc})") from exc
+        return ModelParams.from_dict(d)
 
     def to_dict(self) -> dict:
         diag = np.diag(np.diag(self.sigma))
@@ -288,12 +292,15 @@ def _project(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = None) -> None:
+def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = None,
+              f: np.ndarray | None = None) -> None:
     """Fill ``r`` (length, N) with a path started from the unconditional mean
-    with e_{-1} = 0, and ``e`` with its innovations when one is given.
+    with e_{-1} = 0, ``e`` with its innovations when one is given, and ``f``
+    (length,) with the factor series F = r'w when one is given.
 
     One pass over row blocks (:func:`_row_blocks`) that carries e_{t-1} and
-    the AR(1) state across block edges, with x = eps'w by :func:`_project`:
+    the AR(1) state across block edges, with x = eps'w and F by
+    :func:`_project`, F taken while the block's finished rows are in cache:
     every row is bit-identical to the whole-array formulas at any block size
     and any BLAS thread count.
 
@@ -331,6 +338,8 @@ def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = N
             state = s[-1]
             rows += params.mu
             rows += np.outer(s_prev, load)
+            if f is not None:
+                f[start:stop] = _project(rows, params.w)
 
 
 def _path_rows(T: int, burn_in: int) -> int:
@@ -370,19 +379,21 @@ def simulate(
 
     Fully deterministic per seed: the same seed yields bit-identical paths,
     whatever the BLAS thread count, and the factor series is the fixed-order
-    projection :func:`_project` of the panel on w. The panel's values are a
-    read-only view of the one simulated array, so the burn-in rows stay
-    allocated with it and nothing is copied.
+    projection :func:`_project` of the panel on w, taken block by block in
+    the simulation pass. The panel's and the factor's values are read-only
+    views of the simulated arrays, so the burn-in rows stay allocated with
+    them and nothing is copied.
     """
     r = np.empty((_path_rows(T, burn_in), params.n))
-    _fill_raw(params, r, seed)
+    f = np.empty(len(r))
+    _fill_raw(params, r, seed, f=f)
     r.setflags(write=False)
-    values = r[burn_in:]
+    f.setflags(write=False)
     calendar = Calendar.periods(T)
     width = max(2, len(str(params.n - 1)))
     assets = tuple(f"s{i:0{width}d}" for i in range(params.n))
-    panel = ReturnPanel(calendar, assets, values)
-    factor = NamedSeries(calendar, "factor", _project(values, params.w))
+    panel = ReturnPanel(calendar, assets, r[burn_in:])
+    factor = NamedSeries(calendar, "factor", f[burn_in:])
     return SimPath(panel, factor, seed, burn_in)
 
 

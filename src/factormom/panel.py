@@ -44,7 +44,10 @@ _ISO_SPAN = (np.datetime64("0000-01", "M"), np.datetime64("10000-01", "M"))
 # which covers any sane per-period return. Every writer (CSV here, JSON in
 # the CLI) emits floats at this precision, so last-bit round-off from the
 # numpy/BLAS build never reaches an output file.
-_FLOAT_FMT = "{:.12g}"
+_FLOAT_FMT = "%.12g"
+# rows emit_csv formats per call: one % of a row template repeated this often
+# pays CPython's per-call overhead once per chunk, not once per row
+_ROWS_PER_CALL = 256
 # most threads a kernel (the Monte Carlo walks, the momentum grid) runs on;
 # the largest count benchmarked
 _MAX_WORKERS = 2
@@ -166,14 +169,19 @@ class Calendar:
         """Monthly calendar of ``n`` periods starting at ``start`` (``YYYY-MM``).
 
         Any length is held in memory; :func:`emit_csv` refuses dates past
-        9999-12, which four-digit ISO years cannot name.
+        9999-12, which four-digit ISO years cannot name. The dates are one
+        read-only ``datetime64[M]`` arange that the calendar keeps without a
+        copy, so a long calendar peaks at its dates plus the increasing
+        check's difference array.
         """
         if n < 1:
             raise PanelError("calendar needs at least one period")
         first = _parse_date(start)
         if first.dtype != _MONTHLY:
             raise PanelError(f"start must be YYYY-MM, got {start!r}")
-        return Calendar(first + np.arange(n))
+        dates = np.arange(first, first + n)
+        dates.setflags(write=False)  # so Calendar keeps it without a copy
+        return Calendar(dates)
 
 
 def _freeze(values, ndim: int, dtype=np.float64) -> np.ndarray:
@@ -541,7 +549,7 @@ def round_float(x: float) -> float:
     """
     if x == 0.0:
         return 0.0
-    return float(_FLOAT_FMT.format(x))
+    return float(_FLOAT_FMT % x)
 
 
 def emit_csv(obj, path, header: dict | None = None) -> None:
@@ -554,9 +562,11 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
     an empty asset id or series name or one with surrounding whitespace.
 
     Only the column header can need quoting; it goes through ``csv.writer``.
-    A complete row is formatted in one call of a row template; a row with a
-    missing or infinite cell is then split and joined cell by cell, each such
-    cell written empty. ``-0.0`` is written as ``0``.
+    Rows are formatted ``_ROWS_PER_CALL`` at a time, by one ``%`` of the row
+    template repeated once per row over an object array of the chunk's keys
+    and cells; a row with a missing or infinite cell is then split out of the
+    chunk's text and joined cell by cell, each such cell written empty.
+    ``-0.0`` is written as ``0``.
     """
     if isinstance(obj, (ReturnPanel, NamedSeries)):
         cal = obj.calendar
@@ -581,25 +591,35 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
         raise PanelError(f"cannot emit object of type {type(obj).__name__}")
     finite = np.isfinite(cells)
     clean = np.where(finite, cells, 0.0) + 0.0  # + 0.0 turns -0.0 into 0.0
-    row = ",".join(["{}", *[_FLOAT_FMT] * (len(columns) - 1)]).format
+    gappy = ~finite.all(axis=1)
+    # row keys (ISO dates, grid m) and formatted numbers never need quoting
+    row = ",".join(["%s", *[_FLOAT_FMT] * (len(columns) - 1)]) + "\r\n"
+    table = np.empty((_ROWS_PER_CALL, len(columns)), dtype=object)
 
-    def lines():
-        # row keys (ISO dates, grid m) and formatted numbers never need quoting
-        for key, values, seen, complete in zip(keys, clean, finite, finite.all(axis=1).tolist()):
-            line = row(key, *values.tolist())
-            if not complete:
-                parts = line.split(",")
-                for j in np.flatnonzero(~seen).tolist():
-                    parts[j + 1] = ""
-                line = ",".join(parts)
-            yield line + "\r\n"
+    def chunks():
+        for lo in range(0, len(keys), _ROWS_PER_CALL):
+            hi = min(lo + _ROWS_PER_CALL, len(keys))
+            chunk = table[: hi - lo]
+            chunk[:, 0] = keys[lo:hi]
+            chunk[:, 1:] = clean[lo:hi]
+            text = row * (hi - lo) % tuple(chunk.ravel().tolist())
+            gaps = np.flatnonzero(gappy[lo:hi]).tolist()
+            if gaps:
+                lines = text.split("\r\n")
+                for i in gaps:
+                    parts = lines[i].split(",")
+                    for j in np.flatnonzero(~finite[lo + i]).tolist():
+                        parts[j + 1] = ""
+                    lines[i] = ",".join(parts)
+                text = "\r\n".join(lines)
+            yield text
 
     with open(path, "w", newline="") as fh:
         if header:
             for key, val in header.items():
                 fh.write(f"# {key}={val}\r\n")
         csv.writer(fh).writerow(columns)
-        fh.writelines(lines())
+        fh.writelines(chunks())
 
 
 def _workers() -> int:

@@ -475,3 +475,13 @@ def test_sweep_grids_match_goldens(tmp_path, monkeypatch):
         _compare_to_golden(tmp_path / "fos" / f"grid_{stat}.csv", f"sweep_fos_{stat}.csv")
     for stat in ("sharpe", "residual"):
         _compare_to_golden(tmp_path / "sof" / f"grid_{stat}.csv", f"sweep_sof_{stat}.csv")
+
+
+def test_simulate_outputs_match_goldens(tmp_path, monkeypatch):
+    # the model path end to end: simulation, factor projection, calendar and
+    # the CSV writer's chunked rows
+    monkeypatch.chdir(tmp_path)
+    assert main(["--seed", "11", "simulate", "--T", "240", "--out", "panel.csv",
+                 "--factor-out", "factor.csv"]) == 0
+    _compare_to_golden(tmp_path / "panel.csv", "simulate_panel.csv")
+    _compare_to_golden(tmp_path / "factor.csv", "simulate_factor.csv")

@@ -480,6 +480,19 @@ def test_malformed_params_file_exit_2(tmp_path, capsys, bad, word):
     assert not (tmp_path / "panel.csv").exists()
 
 
+def test_truncated_params_file_exit_2_names_the_file(tmp_path, capsys):
+    params = tmp_path / "truncated.json"
+    params.write_text('{"N": 2,\n')
+    code = main([
+        "--seed", "1", "--out-dir", str(tmp_path),
+        "simulate", "--params", str(params), "--T", "10",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {params}: invalid JSON (")
+    assert not (tmp_path / "panel.csv").exists()
+
+
 def test_verify_nonstationary_params_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -194,6 +194,39 @@ def test_emit_bytes_match_per_cell_writer(tmp_path_factory, case, header):
     assert path.read_bytes() == reference_csv(columns, keys, cells, header)
 
 
+def straddling_cases():
+    """A 20 x 3 panel whose incomplete rows sit on both sides of the chunk
+    edges at 2 and 7 rows, with an all-missing row and the formatting edges;
+    a series and a one-row panel cut from it; a grid with NaN cells."""
+    cal = Calendar.periods(20, "1990-01")
+    values = np.random.default_rng(3).normal(0.0, 0.05, (20, 3))
+    values[[1, 2, 6, 7, 13, 14, 19], [0, 2, 1, 0, 2, 1, 2]] = np.nan
+    values[[4, 9], [1, 0]] = [np.inf, -np.inf]
+    values[10] = np.nan
+    values[11] = [1e16, 1e-5, -0.0]
+    grid = np.array([[0.5, np.nan, -0.0], [np.nan, np.nan, np.nan], [1e16, 1e-5, np.inf]])
+    return [
+        (ReturnPanel(cal, ("a", "b", "c"), values), ["date", "a", "b", "c"], cal.labels, values),
+        (NamedSeries(cal, "f", values[:, 1]), ["date", "f"], cal.labels, values[:, 1:2]),
+        (ReturnPanel(cal.head(1), ("a", "b", "c"), values[11:12]), ["date", "a", "b", "c"],
+         cal.labels[:1], values[11:12]),
+        (GridResult((1, 2, 12), (1, 3, 6), grid, "sharpe"), ["m", "1", "3", "6"],
+         ["1", "2", "12"], grid),
+    ]
+
+
+@pytest.mark.parametrize("rows_per_call", [1, 2, 7, None])
+def test_emit_bytes_match_per_cell_writer_at_any_chunk(tmp_path, monkeypatch, rows_per_call):
+    """Each chunk of rows is formatted in one call; the bytes do not depend
+    on where the chunk edges fall."""
+    if rows_per_call is not None:
+        monkeypatch.setattr(panel, "_ROWS_PER_CALL", rows_per_call)
+    for i, (obj, columns, keys, cells) in enumerate(straddling_cases()):
+        path = tmp_path / f"{i}.csv"
+        emit_csv(obj, path, {"seed": 1})
+        assert path.read_bytes() == reference_csv(columns, keys, cells, {"seed": 1}), i
+
+
 # ---------------------------------------------------------------------------
 # bulk wide reads: decline, or equal the per-line parser bit for bit
 

@@ -226,6 +226,22 @@ def test_simulation_blocks_bit_identical_to_whole_array(monkeypatch, case, block
             assert path.factor.values.tobytes() == ref_f.tobytes(), length
 
 
+@pytest.mark.parametrize("block", [1, 5, 17, None])
+@pytest.mark.parametrize("burn_in", [0, 3, 500])
+def test_factor_taken_in_the_simulation_pass_is_the_panel_projection(monkeypatch, block,
+                                                                     burn_in):
+    # the factor is projected block by block while the path is drawn; a
+    # burn-in that ends inside a block must not move a bit
+    if block is not None:
+        monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+    p = BLOCK_EDGE_PARAMS["rho!=0"]
+    T = 41 if block is not None else 2 * model._BLOCK_ROWS + 7
+    path = simulate(p, T, seed=burn_in + 1, burn_in=burn_in)
+    want = model._project(path.panel.values, p.w)
+    assert path.factor.values.tobytes() == want.tobytes()
+    assert not path.factor.values.flags.writeable
+
+
 THREAD_PROBE = """
 import hashlib
 from factormom.model import _simulate_raw, default_params, simulate

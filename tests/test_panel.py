@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,22 @@ def test_calendar_periods_iso_and_synthetic():
     big = Calendar.periods(1_000_000)
     assert len(big) == 1_000_000
     assert big[0] < big[1] < big[-1]  # synthetic labels still ordered
+
+
+def test_calendar_periods_peak_memory():
+    """A long calendar is built in place and kept without a copy: its peak
+    is the dates plus the strictly-increasing check's one difference array."""
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        cal = Calendar.periods(n, start="1950-03")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cal.dates.dtype == np.dtype("datetime64[M]")
+    assert not cal.dates.flags.writeable
+    assert np.array_equal(cal.dates, np.datetime64("1950-03") + np.arange(n))
+    assert peak <= 2.5 * cal.dates.nbytes, peak / cal.dates.nbytes
 
 
 # ---------------------------------------------------------------------------
