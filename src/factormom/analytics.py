@@ -43,20 +43,24 @@ class NonStationaryError(ValueError):
     """Process parameters admit no stationary distribution."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PerfStats:
     """Monthly-return performance summary.
 
     sharpe_annual = (mean_monthly / vol_monthly) * sqrt(12) and
     t_stat = sharpe_annual * sqrt(n_months / 12), i.e. the annualized Sharpe
     times the square root of the sample length in years.
+
+    The fields are declared in the order of a ``stats.json`` row, which is
+    this record as a dict; they are keyword-only, so a positional
+    construction fails rather than swapping two of them.
     """
 
+    sharpe_annual: float
+    t_stat: float
     mean_monthly: float
     vol_monthly: float
     n_months: int
-    sharpe_annual: float
-    t_stat: float
 
 
 def perf_stats(series) -> PerfStats:
@@ -73,7 +77,8 @@ def perf_stats(series) -> PerfStats:
         raise UndefinedStatError("zero volatility, Sharpe undefined")
     sharpe = mean / vol * np.sqrt(MONTHS_PER_YEAR)
     t_stat = sharpe * np.sqrt(n / MONTHS_PER_YEAR)
-    return PerfStats(mean, vol, n, float(sharpe), float(t_stat))
+    return PerfStats(sharpe_annual=float(sharpe), t_stat=float(t_stat),
+                     mean_monthly=mean, vol_monthly=vol, n_months=n)
 
 
 def sharpe_standard_error(stats: PerfStats) -> float:

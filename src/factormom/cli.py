@@ -23,6 +23,7 @@ exception is a bug and ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -221,16 +222,9 @@ def _parse_range(value, key: str) -> tuple[int, ...]:
 
 def _stats_row(series) -> dict:
     try:
-        st = analytics.perf_stats(series)
+        return dataclasses.asdict(analytics.perf_stats(series))
     except analytics.UndefinedStatError as exc:
         raise ConfigError(f"undefined statistics for {series.name!r}: {exc}") from exc
-    return {
-        "sharpe_annual": st.sharpe_annual,
-        "t_stat": st.t_stat,
-        "mean_monthly": st.mean_monthly,
-        "vol_monthly": st.vol_monthly,
-        "n_months": st.n_months,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -365,8 +365,6 @@ class SimPath:
 
     panel: ReturnPanel
     factor: NamedSeries
-    seed: int
-    burn_in: int
 
 
 def simulate(
@@ -394,7 +392,7 @@ def simulate(
     assets = tuple(f"s{i:0{width}d}" for i in range(params.n))
     panel = ReturnPanel(calendar, assets, r[burn_in:])
     factor = NamedSeries(calendar, "factor", f[burn_in:])
-    return SimPath(panel, factor, seed, burn_in)
+    return SimPath(panel, factor)
 
 
 def simulate_ar1(params: AR1Params, T: int, seed, burn_in: int = 100) -> np.ndarray:
@@ -812,8 +810,8 @@ def momentum_covariance_check(
     beta = _numbers(beta, "beta")
     if beta.ndim != 1 or not len(beta) or not np.isfinite(beta).all():
         raise ParameterError("'beta' must be a non-empty 1-d vector of finite numbers")
-    if not _number(idio_vol, "idio_vol") >= 0.0:
-        raise ParameterError(f"'idio_vol' must be >= 0, got {idio_vol!r}")
+    if not 0.0 <= _number(idio_vol, "idio_vol") < np.inf:
+        raise ParameterError(f"'idio_vol' must be finite and >= 0, got {idio_vol!r}")
     length = _path_rows(T, burn_in) + m + n
     size = _batch_size(T + 1, n_batches)
     rng_seed = np.random.default_rng(seed)

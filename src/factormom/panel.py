@@ -122,13 +122,17 @@ class Calendar:
             for label in labels:
                 parsed.append(_parse_date(str(label), parsed[0] if parsed else None))
             dates = _freeze(parsed, 1, parsed[0].dtype if parsed else _MONTHLY)
-        bad = np.flatnonzero(np.diff(dates) <= np.timedelta64(0))
-        if bad.size:
-            i = bad[0]
+        # neighbours compared in place: no difference array, and a NaT,
+        # unordered against every date, breaks the rise on either side
+        rising = dates[1:] > dates[:-1]
+        if not rising.all():
+            i = int(np.argmin(rising))
             raise PanelError(
                 "calendar labels must be strictly increasing, got "
                 f"{str(dates[i])!r} followed by {str(dates[i + 1])!r}"
             )
+        if len(dates) == 1 and np.isnat(dates[0]):
+            raise PanelError("calendar dates must not be NaT")
         object.__setattr__(self, "dates", dates)
 
     def __eq__(self, other) -> bool:
@@ -405,10 +409,10 @@ def _bulk_wide(path, allow_missing: bool) -> ReturnPanel | None:
             or not ((_ISO_SPAN[0] <= dates) & (dates < _ISO_SPAN[1])).all()):
         return None
     values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    if not (np.diff(dates) > np.timedelta64(0)).all():
+    if not (dates[1:] > dates[:-1]).all():
         order = np.argsort(dates)
         dates = dates[order]
-        if not (np.diff(dates) > np.timedelta64(0)).all():
+        if not (dates[1:] > dates[:-1]).all():
             return None  # a duplicate date
         values = values[order]
     values.setflags(write=False)  # the panel takes this buffer, not a copy
@@ -562,11 +566,13 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
     an empty asset id or series name or one with surrounding whitespace.
 
     Only the column header can need quoting; it goes through ``csv.writer``.
-    Rows are formatted ``_ROWS_PER_CALL`` at a time, by one ``%`` of the row
-    template repeated once per row over an object array of the chunk's keys
-    and cells; a row with a missing or infinite cell is then split out of the
-    chunk's text and joined cell by cell, each such cell written empty.
-    ``-0.0`` is written as ``0``.
+    Every row takes one path: rows are formatted ``_ROWS_PER_CALL`` at a
+    time, by one ``%`` of the row template repeated once per row over an
+    object array of the chunk's keys and cells. A missing or infinite cell is
+    held as NaN, so it formats as the token ``nan``, which is then deleted
+    from the text of a chunk that holds one; no row key (an ISO date or a
+    grid ``m``) and no formatted finite number contains that token. A hole
+    is thus written as an empty cell, and ``-0.0`` as ``0``.
     """
     if isinstance(obj, (ReturnPanel, NamedSeries)):
         cal = obj.calendar
@@ -590,8 +596,7 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
     else:
         raise PanelError(f"cannot emit object of type {type(obj).__name__}")
     finite = np.isfinite(cells)
-    clean = np.where(finite, cells, 0.0) + 0.0  # + 0.0 turns -0.0 into 0.0
-    gappy = ~finite.all(axis=1)
+    cells = np.where(finite, cells, np.nan) + 0.0  # + 0.0 turns -0.0 into 0.0
     # row keys (ISO dates, grid m) and formatted numbers never need quoting
     row = ",".join(["%s", *[_FLOAT_FMT] * (len(columns) - 1)]) + "\r\n"
     table = np.empty((_ROWS_PER_CALL, len(columns)), dtype=object)
@@ -601,18 +606,9 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
             hi = min(lo + _ROWS_PER_CALL, len(keys))
             chunk = table[: hi - lo]
             chunk[:, 0] = keys[lo:hi]
-            chunk[:, 1:] = clean[lo:hi]
+            chunk[:, 1:] = cells[lo:hi]
             text = row * (hi - lo) % tuple(chunk.ravel().tolist())
-            gaps = np.flatnonzero(gappy[lo:hi]).tolist()
-            if gaps:
-                lines = text.split("\r\n")
-                for i in gaps:
-                    parts = lines[i].split(",")
-                    for j in np.flatnonzero(~finite[lo + i]).tolist():
-                        parts[j + 1] = ""
-                    lines[i] = ",".join(parts)
-                text = "\r\n".join(lines)
-            yield text
+            yield text if finite[lo:hi].all() else text.replace("nan", "")
 
     with open(path, "w", newline="") as fh:
         if header:

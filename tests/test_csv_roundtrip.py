@@ -197,7 +197,9 @@ def test_emit_bytes_match_per_cell_writer(tmp_path_factory, case, header):
 def straddling_cases():
     """A 20 x 3 panel whose incomplete rows sit on both sides of the chunk
     edges at 2 and 7 rows, with an all-missing row and the formatting edges;
-    a series and a one-row panel cut from it; a grid with NaN cells."""
+    a series and a one-row panel cut from it; a grid with NaN cells; a 12 x 40
+    panel with a hole or an infinity in every row beside a -0.0, so that every
+    chunk at any size deletes tokens."""
     cal = Calendar.periods(20, "1990-01")
     values = np.random.default_rng(3).normal(0.0, 0.05, (20, 3))
     values[[1, 2, 6, 7, 13, 14, 19], [0, 2, 1, 0, 2, 1, 2]] = np.nan
@@ -205,6 +207,11 @@ def straddling_cases():
     values[10] = np.nan
     values[11] = [1e16, 1e-5, -0.0]
     grid = np.array([[0.5, np.nan, -0.0], [np.nan, np.nan, np.nan], [1e16, 1e-5, np.inf]])
+    wide = np.random.default_rng(4).normal(0.0, 0.05, (12, 40))
+    rows = np.arange(12)
+    wide[rows, 3 * rows] = np.array([np.nan, np.inf, -np.inf])[rows % 3]
+    wide[rows, 3 * rows + 1] = -0.0
+    assets = tuple(f"s{j:02d}" for j in range(40))
     return [
         (ReturnPanel(cal, ("a", "b", "c"), values), ["date", "a", "b", "c"], cal.labels, values),
         (NamedSeries(cal, "f", values[:, 1]), ["date", "f"], cal.labels, values[:, 1:2]),
@@ -212,6 +219,7 @@ def straddling_cases():
          cal.labels[:1], values[11:12]),
         (GridResult((1, 2, 12), (1, 3, 6), grid, "sharpe"), ["m", "1", "3", "6"],
          ["1", "2", "12"], grid),
+        (ReturnPanel(cal.head(12), assets, wide), ["date", *assets], cal.labels[:12], wide),
     ]
 
 

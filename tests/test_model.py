@@ -593,6 +593,15 @@ def test_cov_positive_across_mn_grid_even_without_persistence():
                 assert check.lhs > 3 * check.lhs_se, (si, m, n)
 
 
+@pytest.mark.parametrize("idio_vol", [np.inf, -np.inf, np.nan, -1.0])
+def test_cov_check_refuses_an_idio_vol_that_is_not_finite_and_nonnegative(monkeypatch,
+                                                                             idio_vol):
+    monkeypatch.setattr(model, "simulate_ar1", None)
+    with pytest.raises(ParameterError, match="'idio_vol'"):
+        momentum_covariance_check(np.ones(2), AR1Params(0.0, 0.0, 1.0), idio_vol, 1, 2,
+                                  T=1000, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # AR(1) utility and verification battery
 

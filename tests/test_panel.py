@@ -50,7 +50,7 @@ def test_calendar_periods_iso_and_synthetic():
 
 def test_calendar_periods_peak_memory():
     """A long calendar is built in place and kept without a copy: its peak
-    is the dates plus the strictly-increasing check's one difference array."""
+    is the dates plus the strictly-increasing check's one bool per date."""
     n = 1_000_000
     tracemalloc.start()
     try:
@@ -61,7 +61,20 @@ def test_calendar_periods_peak_memory():
     assert cal.dates.dtype == np.dtype("datetime64[M]")
     assert not cal.dates.flags.writeable
     assert np.array_equal(cal.dates, np.datetime64("1950-03") + np.arange(n))
-    assert peak <= 2.5 * cal.dates.nbytes, peak / cal.dates.nbytes
+    assert peak <= 1.5 * cal.dates.nbytes, peak / cal.dates.nbytes
+
+
+@pytest.mark.parametrize("dates", [
+    ["2000-01", "NaT", "2000-03"],
+    ["NaT", "2000-02", "2000-03"],
+    ["2000-01", "2000-02", "NaT"],
+    ["NaT"],
+], ids=["middle", "leading", "trailing", "lone"])
+def test_calendar_refuses_nat(dates):
+    """A NaT is no date: emit_csv would write it as a row that no reader
+    takes back."""
+    with pytest.raises(PanelError):
+        Calendar(np.array(dates, "datetime64[M]"))
 
 
 # ---------------------------------------------------------------------------
