@@ -146,7 +146,7 @@ def _name_collinear_pair(controls_mat: np.ndarray, names: Sequence[str]) -> tupl
     k = controls_mat.shape[1]
     stds = controls_mat.std(axis=0)
     for j in range(k):
-        if stds[j] == 0.0:
+        if np.ptp(controls_mat[:, j]) == 0.0:  # constant; its std may round above 0
             return (names[j], "intercept")
     best, pair = -1.0, (names[0], names[min(1, k - 1)])
     for i in range(k):
@@ -202,7 +202,7 @@ def spanning_regression(target: NamedSeries,
     ss_res = float(((y - fitted) ** 2).sum())
     dy = y - y.mean()
     ss_tot = float(dy @ dy)
-    if ss_tot == 0.0:
+    if ss_tot == 0.0 or np.ptp(y) == 0.0:  # a constant's rounded mean leaves ss_tot > 0
         raise UndefinedStatError("target has zero variance")
     if ss_res <= 1e-12 * ss_tot:
         # a numerically perfect fit leaves only float noise in the residual

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -29,7 +28,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import AR1Params, NonStationaryError
 from .momentum import signal
-from .panel import Calendar, NamedSeries, ReturnPanel, _pool, _walk_runs, _workers
+from .panel import (Calendar, NamedSeries, ReturnPanel, _integer, _pool, _walk_runs,
+                    _workers)
 
 __all__ = [
     "AutocovarianceSet",
@@ -79,7 +79,10 @@ def _number(value, key: str) -> float:
 
 def _numbers(value, key: str) -> np.ndarray:
     """``value`` of parameter ``key``, a number or (nested) list or array of
-    numbers, as a float array; each entry is read by :func:`_number`."""
+    numbers, as a new float array; each entry is read by :func:`_number`,
+    an integer or float array in one cast."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float)
     cells = np.asarray(value, dtype=object)
     return np.array([_number(x, key) for x in cells.flat], float).reshape(cells.shape)
 
@@ -91,6 +94,9 @@ class ModelParams:
     ``w`` is normalized to w'w = 1 by default, which makes a = alpha; pass
     ``normalize_w=False`` to keep a caller-supplied scale. Stationarity
     requires 0 <= a < 1 and Sigma must be symmetric positive semi-definite.
+    Every field is read strictly, from code as from JSON: a string or a
+    boolean where a number belongs, a non-boolean ``normalize_w`` and a
+    value that is not finite are each a ParameterError naming the field.
     """
 
     alpha: float
@@ -101,10 +107,14 @@ class ModelParams:
     normalize_w: bool = True
 
     def __post_init__(self):
-        for name in ("alpha", "rho", "w", "mu", "sigma"):
-            if not np.isfinite(np.asarray(getattr(self, name), float)).all():
+        if not isinstance(self.normalize_w, bool):
+            raise ParameterError(f"'normalize_w' must be true or false, got {self.normalize_w!r}")
+        alpha, rho = _number(self.alpha, "alpha"), _number(self.rho, "rho")
+        w, mu, sigma = (_numbers(getattr(self, name), name) for name in ("w", "mu", "sigma"))
+        names = ("alpha", "rho", "w", "mu", "sigma")
+        for name, value in zip(names, (alpha, rho, w, mu, sigma)):
+            if not np.isfinite(value).all():
                 raise ParameterError(f"{name!r} must be finite")
-        w = np.asarray(self.w, float).copy()
         if w.ndim != 1 or len(w) < 1:
             raise ParameterError("w must be a non-empty vector")
         if self.normalize_w:
@@ -112,10 +122,8 @@ class ModelParams:
             if norm == 0.0:
                 raise ParameterError("cannot normalize a zero w")
             w = w / norm
-        mu = np.asarray(self.mu, float).copy()
         if mu.shape != w.shape:
             raise ParameterError(f"mu shape {mu.shape} != w shape {w.shape}")
-        sigma = np.asarray(self.sigma, float).copy()
         n = len(w)
         if sigma.shape != (n, n):
             raise ParameterError(f"sigma must be {n}x{n}, got {sigma.shape}")
@@ -124,14 +132,15 @@ class ModelParams:
         eig = np.linalg.eigvalsh(sigma)
         if eig[0] < -1e-10 * max(eig[-1], 1.0):
             raise ParameterError(f"sigma is not PSD (min eigenvalue {eig[0]:g})")
-        a = self.alpha * float(w @ w)
+        a = alpha * float(w @ w)
         if a < 0.0:
             raise ParameterError("alpha * w'w must be non-negative")
         if a >= 1.0:
             raise NonStationaryError(f"a = alpha * w'w = {a:g} must be < 1")
-        for name, arr in (("w", w), ("mu", mu), ("sigma", sigma)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, value in zip(names, (alpha, rho, w, mu, sigma)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -173,8 +182,9 @@ class ModelParams:
     @staticmethod
     def from_dict(d: dict) -> "ModelParams":
         """Parameters from their JSON object. An unknown or missing key, a
-        non-integral ``N``, a string or boolean where a number belongs, and a
-        ``sigma`` giving both forms are each a ParameterError naming the key."""
+        non-integral ``N`` and a ``sigma`` that does not give one form are
+        each a ParameterError naming the key; :class:`ModelParams` reads the
+        values themselves."""
         if not isinstance(d, dict):
             raise ParameterError(f"model parameters must be a JSON object, got {d!r}")
         keys = ("N", "alpha", "w", "mu", "rho", "sigma", "normalize_w")
@@ -187,16 +197,11 @@ class ModelParams:
         sig = d["sigma"]
         if not (isinstance(sig, dict) and len(sig) == 1 and sig.keys() <= {"diag", "full"}):
             raise ParameterError(f"'sigma' must give one of 'diag' or 'full', got {sig!r}")
-        sigma = (np.diag(_numbers(sig["diag"], "sigma")) if "diag" in sig
-                 else _numbers(sig["full"], "sigma"))
-        alpha, rho = _number(d["alpha"], "alpha"), _number(d["rho"], "rho")
-        w, mu = _numbers(d["w"], "w"), _numbers(d["mu"], "mu")
-        if w.shape != (d["N"],):
-            raise ParameterError(f"N = {d['N']} but w has shape {w.shape}")
-        normalize = d.get("normalize_w", True)
-        if not isinstance(normalize, bool):
-            raise ParameterError(f"'normalize_w' must be true or false, got {normalize!r}")
-        return ModelParams(alpha, w, mu, rho, sigma, normalize_w=normalize)
+        sigma = np.diag(_numbers(sig["diag"], "sigma")) if "diag" in sig else sig["full"]
+        if (shape := np.asarray(d["w"], dtype=object).shape) != (d["N"],):
+            raise ParameterError(f"N = {d['N']} but w has shape {shape}")
+        return ModelParams(d["alpha"], d["w"], d["mu"], d["rho"], sigma,
+                           normalize_w=d.get("normalize_w", True))
 
     @staticmethod
     def from_json(path) -> "ModelParams":
@@ -344,11 +349,8 @@ def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = N
 
 def _path_rows(T: int, burn_in: int) -> int:
     """Rows of a simulated path that keeps T months after ``burn_in``."""
-    if T < 1:
-        raise ParameterError("T must be >= 1")
-    if burn_in < 0:
-        raise ParameterError("burn_in must be >= 0")
-    return burn_in + T
+    T = _integer(T, "T", 1, ParameterError)
+    return _integer(burn_in, "burn_in", 0, ParameterError) + T
 
 
 def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +420,7 @@ class AutocovarianceSet:
         return len(self.omegas)
 
     def omega(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.k_max:
+        if not 1 <= _integer(k, "k", error=ParameterError) <= self.k_max:
             raise KeyError(f"k must be in 1..{self.k_max}, got {k}")
         return self.omegas[k - 1]
 
@@ -432,8 +434,7 @@ def autocovariance_matrices(params: ModelParams, k_max: int) -> AutocovarianceSe
               + (a - rho) a^{k-1} A Sigma A (1 + (a - rho) a / (1 - a^2)),
     for k >= 2; they decay geometrically at rate a.
     """
-    if k_max < 1:
-        raise ParameterError("k_max must be >= 1")
+    k_max = _integer(k_max, "k_max", 1, ParameterError)
     a, rho = params.a, params.rho
     A = params.impact_matrix
     AS = A @ params.sigma
@@ -466,8 +467,7 @@ class FactorMomentumMoment:
 
 def expected_factor_momentum(params: ModelParams, k: int) -> FactorMomentumMoment:
     """Closed-form E[F_{t-k} F_t] for lag k >= 1."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    k = _integer(k, "k", 1, ParameterError)
     a, rho = params.a, params.rho
     momentum = params.factor_variance * (a - rho) * (1.0 - rho * a) / (1.0 - a * a) * a ** (k - 1)
     return FactorMomentumMoment(k, float(momentum), float(params.factor_mean**2))
@@ -505,8 +505,7 @@ def expected_stock_momentum(
     The per-lag product E[r_{t-k}' r_t] plays the role of an (m, n) = (k, 1)
     momentum PNL with unit weights.
     """
-    if k < 1:
-        raise ParameterError("k must be >= 1")
+    k = _integer(k, "k", 1, ParameterError)
     if omegas is None or omegas.k_max < k:
         omegas = autocovariance_matrices(params, k)
     a, rho, alpha = params.a, params.rho, params.alpha
@@ -535,7 +534,7 @@ def expected_stock_momentum(
 def _batch_size(count: int, n_batches: int) -> int:
     """Rows per batch when ``count`` observations form ``n_batches`` batches;
     a batch-means SE needs at least two batches."""
-    if n_batches < 2:
+    if _integer(n_batches, "n_batches", error=ParameterError) < 2:
         raise ParameterError(f"n_batches must be >= 2, got {n_batches}")
     size = count // n_batches
     if size < 1:
@@ -567,34 +566,31 @@ def _lead_lag_walk(values, k, n_batches, batch, read_out, slot, centre=False):
     """The one batch walk of the Monte Carlo moment estimators: a result per
     lag, in a list for a sequence of lags.
 
-    ``values`` is read as a C-ordered (T, N) array, a series as one column,
-    so no bit depends on its memory order. Every lag is checked first: an
-    integer (``operator.index``) in [1, T). Lags of one batch size share a
-    walk over :func:`_lag_windows` at their top lag, each reading the rows
-    its own walk would, in order. ``batch(rows, size, lags, buf, out)`` fills
-    ``out``, the batch's slot of an (n_batches, *slot(N, top)) array that
+    ``values`` is read as a C-ordered (T, N) array, a series as one column, so
+    no bit depends on its memory order. Every lag is read first, by the
+    library's one integer rule (:func:`panel._integer`, ``lag k must be an
+    integer, got 1.5``), then checked to lie in [1, T). Lags of one batch size
+    share a walk over :func:`_lag_windows` at their top lag, each reading the
+    rows its own walk would, in order. ``batch(rows, size, lags, buf, out)``
+    fills ``out``, the batch's slot of an (n_batches, *slot(N, top)) array that
     ``read_out(per_batch, lag)`` reads. ``rows`` is the window or, with
-    ``centre``, the window less the column mean in ``buf``, a (size + top,
-    N) array that one worker reuses. One column is walked on this thread:
-    a pool costs it more than it saves. Otherwise each worker walks one
-    contiguous run of batches into their own slots, so no bit depends on
-    the worker count, with a buffer made on this thread (from a pool
-    thread's malloc arena it would raise the peak RSS). ``batch`` may call
-    no public function (a tracer keeps one span stack per process) nor rely
-    on ``np.errstate``, which pool threads do not inherit.
+    ``centre``, the window less the column mean in ``buf``, a (size + top, N)
+    array that one worker reuses. One column is walked on this thread: a pool
+    costs it more than it saves. Otherwise each worker walks one contiguous run
+    of batches into their own slots, so no bit depends on the worker count,
+    with a buffer made on this thread (from a pool thread's malloc arena it
+    would raise the peak RSS). ``batch`` may call no public function (a tracer
+    keeps one span stack per process) nor rely on ``np.errstate``, which pool
+    threads do not inherit.
     """
     x = np.asarray(values, float)
     if x.ndim not in (1, 2):
         raise ParameterError(f"need a 1-d series or a (T, N) array, got {x.ndim} dimensions")
     x = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x)
     T, N = x.shape
-    lags = list(k) if np.ndim(k) else [k]
+    lags = [_integer(lag, "lag k", error=ParameterError) for lag in (k if np.ndim(k) else [k])]
     groups = {}
     for lag in lags:
-        try:
-            operator.index(lag)
-        except TypeError:
-            raise ParameterError(f"need an integer lag k, got {lag!r}") from None
         if not 1 <= lag < T:
             raise ParameterError(f"need 1 <= k < {T}, got {lag}")
         groups.setdefault(_batch_size(T - lag, n_batches), []).append(lag)
@@ -719,8 +715,7 @@ def reconstruction_check(
     checked before anything is simulated.
     """
     length = _path_rows(T, burn_in)
-    if depth < 2:
-        raise ParameterError("depth must be >= 2")
+    depth = _integer(depth, "depth", 2, ParameterError)
     first = max(burn_in, depth)
     if first >= length:
         raise ParameterError(f"burn_in + T = {length} leaves no rows past depth {depth}")
@@ -805,8 +800,7 @@ def momentum_covariance_check(
     each with batch-means standard errors. Every argument is checked before
     anything is simulated.
     """
-    if m < 1 or n < 1:
-        raise ParameterError("need m >= 1 and n >= 1")
+    m, n = _integer(m, "m", 1, ParameterError), _integer(n, "n", 1, ParameterError)
     beta = _numbers(beta, "beta")
     if beta.ndim != 1 or not len(beta) or not np.isfinite(beta).all():
         raise ParameterError("'beta' must be a non-empty 1-d vector of finite numbers")
@@ -933,8 +927,8 @@ def verify_model(
     Raises :class:`ParameterError` before simulating anything when T leaves
     fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked.
     """
-    if k_max < 1:
-        raise ParameterError("k_max must be >= 1")
+    T = _integer(T, "T", error=ParameterError)
+    k_max = _integer(k_max, "k_max", 1, ParameterError)
     k_top = max(k_max, VERIFY_FACTOR_K)
     if T - k_top < DEFAULT_BATCHES:
         raise ParameterError(

@@ -12,7 +12,6 @@ strategies alike.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import analytics
-from .panel import NamedSeries, ReturnPanel, _walk_runs, _workers
+from .panel import NamedSeries, ReturnPanel, _integer, _walk_runs, _workers
 
 __all__ = [
     "GridResult",
@@ -43,14 +42,6 @@ class LookaheadError(ValueError):
     """A tradeable strategy was asked to use same-month information."""
 
 
-def _lag(value, what: str) -> int:
-    """``value`` as a plain int (``operator.index``), or a ValueError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class StrategySpec:
     """One momentum implementation: lag m, holding period n, weighting scheme
@@ -62,12 +53,8 @@ class StrategySpec:
     leg: str = "both"
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _lag(self.m, "lag m"))
-        object.__setattr__(self, "n", _lag(self.n, "holding period n"))
-        if self.m < 0:
-            raise ValueError("lag m must be >= 0")
-        if self.n < 1:
-            raise ValueError("holding period n must be >= 1")
+        object.__setattr__(self, "m", _integer(self.m, "lag m", 0))
+        object.__setattr__(self, "n", _integer(self.n, "holding period n", 1))
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
         if self.leg not in LEGS:
@@ -81,9 +68,7 @@ def signal(panel: ReturnPanel, m: int, n: int) -> ReturnPanel:
     window fits inside the history and its raw sum is finite: a missing or
     infinite month, or an overflow, leaves it missing.
     """
-    m, n = _lag(m, "lag m"), _lag(n, "holding period n")
-    if m < 0 or n < 1:
-        raise ValueError("need m >= 0 and n >= 1")
+    m, n = _integer(m, "lag m", 0), _integer(n, "holding period n", 1)
     T, N = panel.values.shape
     out = np.full((T, N), np.nan)
     t0 = m + n - 1
@@ -335,8 +320,9 @@ def grid_sweep(
     than ``min_months`` PNL observations, or degenerate statistics, are
     missing. Cells are independent; evaluation order never affects values.
     """
-    m_values = tuple(_lag(m, "lag m") for m in m_values)
-    n_values = tuple(_lag(n, "holding period n") for n in n_values)
+    m_values = tuple(_integer(m, "lag m") for m in m_values)
+    n_values = tuple(_integer(n, "holding period n") for n in n_values)
+    min_months = _integer(min_months, "min_months")
     if not m_values or not n_values:
         raise ValueError("empty (m, n) grid range")
     if stat not in STATISTICS:

@@ -11,6 +11,7 @@ silent zeros.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -175,11 +176,10 @@ class Calendar:
         Any length is held in memory; :func:`emit_csv` refuses dates past
         9999-12, which four-digit ISO years cannot name. The dates are one
         read-only ``datetime64[M]`` arange that the calendar keeps without a
-        copy, so a long calendar peaks at its dates plus the increasing
-        check's difference array.
+        copy, so a long calendar peaks at its dates plus the order check's
+        mask of one byte per date.
         """
-        if n < 1:
-            raise PanelError("calendar needs at least one period")
+        n = _integer(n, "calendar length n", 1, PanelError)
         first = _parse_date(start)
         if first.dtype != _MONTHLY:
             raise PanelError(f"start must be YYYY-MM, got {start!r}")
@@ -616,6 +616,20 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
                 fh.write(f"# {key}={val}\r\n")
         csv.writer(fh).writerow(columns)
         fh.writelines(chunks())
+
+
+def _integer(value, what: str, low: int | None = None, error=ValueError) -> int:
+    """``value`` as a plain int, read through its ``__index__``: ``np.int64(2)``
+    and ``True`` pass, ``1.5``, ``np.float64(2.0)`` and ``"2"`` do not. A
+    non-integer, or one below ``low`` when given, is an ``error`` naming the
+    argument as ``what``; each module passes its own error class."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and number < low:
+        raise error(f"{what} must be >= {low}")
+    return number
 
 
 def _workers() -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .panel import NamedSeries, ReturnPanel, require_aligned
+from .panel import NamedSeries, ReturnPanel, _integer, require_aligned
 
 __all__ = [
     "InsufficientHistoryError",
@@ -44,14 +44,14 @@ class PipelineConfig:
     min_obs: int | None = None
 
     def __post_init__(self):
-        if self.window_months < 2:
-            raise ValueError("window_months must be >= 2")
-        if self.lag_months < 1:
-            raise ValueError("lag_months must be >= 1 (causality)")
+        for key, low in (("window_months", 2), ("lag_months", 1)):  # lag >= 1: causality
+            object.__setattr__(self, key, _integer(getattr(self, key), key, low))
         if not (np.isfinite(self.vol_target) and self.vol_target > 0):
             raise ValueError(f"vol_target must be finite and positive, got {self.vol_target}")
-        if self.min_obs is not None and not 2 <= self.min_obs <= self.window_months:
-            raise ValueError("min_obs must lie in [2, window_months]")
+        if self.min_obs is not None:
+            object.__setattr__(self, "min_obs", _integer(self.min_obs, "min_obs"))
+            if not 2 <= self.min_obs <= self.window_months:
+                raise ValueError("min_obs must lie in [2, window_months]")
 
     @property
     def effective_min_obs(self) -> int:

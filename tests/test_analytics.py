@@ -252,6 +252,24 @@ def test_collinear_controls_are_named():
         spanning_regression(target, [c1, c2])
 
 
+# a constant of 0.01 has a rounded mean, so its computed spread is not 0
+@pytest.mark.parametrize("level", [0.5, 0.01])
+@pytest.mark.parametrize("target, controls, error, message", [
+    ("noise", [], ValueError, "^need at least one control series$"),
+    ("noise", ["constant"], RankDeficiencyError,
+     r"^collinear controls \(condition .* > 1e\+10\): \('flat', 'intercept'\)$"),
+    ("noise", ["zero"], RankDeficiencyError,
+     r"^degenerate regressor pair: \('nil', 'intercept'\)$"),
+    ("constant", ["noise"], UndefinedStatError, "^target has zero variance$"),
+])
+def test_spanning_input_errors(level, target, controls, error, message):
+    made = {"noise": series(np.random.default_rng(5).normal(0, 0.02, 60), "noise"),
+            "constant": series(np.full(60, level), "flat"),
+            "zero": series(np.zeros(60), "nil")}
+    with pytest.raises(error, match=message):
+        spanning_regression(made[target], [made[c] for c in controls])
+
+
 def test_spanning_needs_enough_overlap():
     # one control needs at least three overlapping months
     target = series([0.01, 0.02], "t")

@@ -182,6 +182,25 @@ def test_backtest_all_zero_panel_exit_2(sim_inputs, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_backtest_undefined_statistics_exit_2_naming_the_row(tmp_path, capsys):
+    # constant factors hedge to constants, whose volatility is never defined
+    cal = panel.Calendar.periods(200)
+    panel.emit_csv(panel.ReturnPanel(cal, ("f0", "f1"), np.full((200, 2), 0.01)),
+                   tmp_path / "flat.csv")
+    market = np.random.default_rng(1).normal(0, 0.03, 200)
+    panel.emit_csv(panel.NamedSeries(cal, "mkt", market), tmp_path / "market.csv")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "factors": str(tmp_path / "flat.csv"), "market": str(tmp_path / "market.csv"),
+        "m": 1, "n": 3, "strategies_risk_managed": False, "menagerie_risk_managed": False,
+    }))
+    code = main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "backtest"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: undefined statistics for 'menagerie': "
+                                       "need at least 2 observations, got 0\n")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -614,7 +633,7 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     ({"n_batches": 0}, "n_batches"),
     ({"n_batches": 1}, "n_batches"),
     ({"burn_in": -1}, "burn_in"),
-    ({"m": 0}, "m >= 1"),
+    ({"m": 0}, "m must be >= 1"),
     ({"beta": []}, "'beta'"),
     ({"beta": [1, math.nan]}, "'beta'"),
     ({"beta": [[0.8, 0.8]]}, "'beta'"),
@@ -831,6 +850,25 @@ def test_sweep_fixed_control_series(sim_inputs, tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "sweep"]) == 0
     assert out.exists()
+
+
+def test_sweep_corr_without_reference_correlates_with_the_first_control(sim_inputs, tmp_path):
+    factors = panel.load_panel(sim_inputs / "factors.csv")
+    for name in ("f2", "f3"):
+        panel.emit_csv(factors.column(name), tmp_path / f"{name}.csv")
+    first, second = str(tmp_path / "f2.csv"), str(tmp_path / "f3.csv")
+    grids = {}
+    for run, extra in (("controls", {"control_series": [first, second]}),
+                       ("first", {"reference": first}), ("second", {"reference": second})):
+        cfg = {"factor_panel": str(sim_inputs / "factors.csv"), "stats": ["corr"],
+               "m": "1..3", "n": "1..3", **extra}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "cfg.json"), "--out-dir",
+                     str(tmp_path / run), "sweep"]) == 0
+        text = (tmp_path / run / "grid_corr.csv").read_text()
+        grids[run] = [line for line in text.splitlines() if not line.startswith("#")]
+    assert grids["controls"] == grids["first"] != grids["second"]
+    assert all(line.split(",")[1:] != [""] * 3 for line in grids["first"][1:])
 
 
 def test_market_control_false_leaves_the_market_out(sim_inputs, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -89,6 +90,38 @@ def test_parameter_validation():
                       ("mu", [0.0, np.nan]), ("sigma", np.diag([1.0, np.nan]))):
         with pytest.raises(ParameterError, match=f"^'{name}' must be finite$"):
             ModelParams(**{**good, name: bad})
+
+
+# a library caller's fields are read as strictly as a JSON file's
+@pytest.mark.parametrize("field, bad, message", [
+    ("rho", "0.1", "^'rho' must be a number, got '0.1'$"),
+    ("w", ["1", "2"], "^'w' must be a number, got '1'$"),
+    ("alpha", True, "^'alpha' must be a number, got True$"),
+    ("alpha", "0.5", "^'alpha' must be a number, got '0.5'$"),
+    ("mu", [0.0, False], "^'mu' must be a number, got False$"),
+    ("sigma", [[1.0, 0.0], [0.0, "1"]], "^'sigma' must be a number, got '1'$"),
+    ("normalize_w", "no", "^'normalize_w' must be true or false, got 'no'$"),
+    ("normalize_w", 0, "^'normalize_w' must be true or false, got 0$"),
+])
+def test_params_read_their_own_fields(field, bad, message):
+    good = {"alpha": 0.1, "w": [1, 1], "mu": [0, 0], "rho": 0, "sigma": [[1, 0], [0, 1]]}
+    p = ModelParams(**good)
+    assert (type(p.alpha), type(p.rho), p.w.dtype, p.sigma.dtype) == (float, float, float, float)
+    with pytest.raises(ParameterError, match=message):
+        ModelParams(**{**good, field: bad})
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"w": np.array([])}, "^w must be a non-empty vector$"),
+    ({"w": np.ones((2, 1))}, "^w must be a non-empty vector$"),
+    ({"w": np.zeros(2)}, "^cannot normalize a zero w$"),
+    ({"sigma": np.eye(3)}, r"^sigma must be 2x2, got \(3, 3\)$"),
+    ({"sigma": np.ones(2)}, r"^sigma must be 2x2, got \(2,\)$"),
+])
+def test_params_refuse_wrong_shapes(change, message):
+    good = {"alpha": 0.1, "w": np.ones(2), "mu": np.zeros(2), "rho": 0.0, "sigma": np.eye(2)}
+    with pytest.raises(ParameterError, match=message):
+        ModelParams(**{**good, **change})
 
 
 def test_params_json_round_trip(tmp_path):
@@ -523,6 +556,71 @@ def test_simulators_check_path_length_before_simulating(monkeypatch, simulator, 
         SIMULATORS[simulator](**{"seed": 1, **kwargs})
 
 
+def _cov_check(**kw):
+    args = {"m": 1, "n": 2, "T": 200, "burn_in": 10, "n_batches": 4, **kw}
+    return momentum_covariance_check(np.ones(2), AR1Params(0.5, 0.0, 1.0), 1.0, seed=1, **args)
+
+
+_X = np.random.default_rng(4).standard_normal((300, 3))
+
+# Every integer argument of the model, its name in messages, a valid value
+# and a call that sets it. The lags and counts are read by one rule.
+MODEL_INTEGERS = {
+    "simulate.T": ("T", 24, lambda v: simulate(make_params(), v, seed=1, burn_in=5)),
+    "simulate.burn_in": ("burn_in", 5, lambda v: simulate(make_params(), 24, 1, v)),
+    "simulate_ar1.T": ("T", 24, lambda v: simulate_ar1(AR1Params(0.5, 0.0, 1.0), v, 1)),
+    "simulate_ar1.burn_in": ("burn_in", 5, lambda v: simulate_ar1(
+        AR1Params(0.5, 0.0, 1.0), 24, 1, burn_in=v)),
+    "reconstruction_check.T": ("T", 300, lambda v: reconstruction_check(
+        make_params(), T=v, seed=1, depth=20, burn_in=30)),
+    "reconstruction_check.burn_in": ("burn_in", 30, lambda v: reconstruction_check(
+        make_params(), T=300, seed=1, depth=20, burn_in=v)),
+    "reconstruction_check.depth": ("depth", 20, lambda v: reconstruction_check(
+        make_params(), T=300, seed=1, depth=v, burn_in=30)),
+    "momentum_covariance_check.m": ("m", 1, lambda v: _cov_check(m=v)),
+    "momentum_covariance_check.n": ("n", 2, lambda v: _cov_check(n=v)),
+    "momentum_covariance_check.T": ("T", 200, lambda v: _cov_check(T=v)),
+    "momentum_covariance_check.burn_in": ("burn_in", 10, lambda v: _cov_check(burn_in=v)),
+    "momentum_covariance_check.n_batches": ("n_batches", 4, lambda v: _cov_check(n_batches=v)),
+    "verify_model.T": ("T", 2000, lambda v: verify_model(default_params(), 1, T=v)),
+    "verify_model.k_max": ("k_max", 2, lambda v: verify_model(default_params(), 1, 2000, v)),
+    "autocovariance_matrices.k_max": ("k_max", 3, lambda v: autocovariance_matrices(
+        default_params(), v)),
+    "AutocovarianceSet.omega.k": ("k", 2, lambda v: autocovariance_matrices(
+        default_params(), 3).omega(v)),
+    "expected_factor_momentum.k": ("k", 2, lambda v: expected_factor_momentum(
+        default_params(), v)),
+    "expected_stock_momentum.k": ("k", 2, lambda v: expected_stock_momentum(
+        default_params(), v)),
+    "sample_autocovariance.k": ("lag k", 2, lambda v: sample_autocovariance(_X, [1, v], 5)),
+    "sample_autocovariance.n_batches": ("n_batches", 5, lambda v: sample_autocovariance(
+        _X, 2, v)),
+    "stock_moment_mc.k": ("lag k", 2, lambda v: stock_moment_mc(_X, v, 5)),
+    "stock_moment_mc.n_batches": ("n_batches", 5, lambda v: stock_moment_mc(_X, 2, v)),
+    "factor_moment_mc.k": ("lag k", 2, lambda v: factor_moment_mc(_X[:, 0], v, 5)),
+    "factor_moment_mc.n_batches": ("n_batches", 5, lambda v: factor_moment_mc(
+        _X[:, 0], [2], v)),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_INTEGERS)
+@pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "2"], ids=["1.5", "float64", "str"])
+def test_integer_arguments_refuse_non_integers_before_simulating(monkeypatch, case, bad):
+    for name in ("_fill_raw", "_ar1", "_lag_windows", "simulate_ar1", "simulate",
+                 "reconstruction_check"):
+        monkeypatch.setattr(model, name, None)
+    what, _, call = MODEL_INTEGERS[case]
+    with pytest.raises(ParameterError, match=f"^{what} must be an integer, got "
+                       f"{re.escape(repr(bad))}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("case", MODEL_INTEGERS)
+def test_integer_arguments_read_numpy_integers_as_ints(case):
+    _, good, call = MODEL_INTEGERS[case]
+    assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
+
+
 def test_reconstruction_deviation_decreases_with_depth():
     p = make_params(n=3, alpha=0.85, rho=0.1, seed=55)
     devs = [
@@ -600,6 +698,13 @@ def test_cov_check_refuses_an_idio_vol_that_is_not_finite_and_nonnegative(monkey
     with pytest.raises(ParameterError, match="'idio_vol'"):
         momentum_covariance_check(np.ones(2), AR1Params(0.0, 0.0, 1.0), idio_vol, 1, 2,
                                   T=1000, seed=1)
+
+
+def test_omega_refuses_orders_outside_its_set():
+    omegas = autocovariance_matrices(default_params(), 2)
+    for k in (0, 3):
+        with pytest.raises(KeyError, match=f"^'k must be in 1..2, got {k}'$"):
+            omegas.omega(k)
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +903,7 @@ def test_estimators_refuse_wrong_dimensions():
         (factor_moment_mc, panel[:, 0], np.float64(2), np.float64(2)),
         (stock_moment_mc, panel, [np.int64(1), "2"], "2"),
     ):
-        message = f"^need an integer lag k, got {re.escape(repr(bad))}$"
+        message = f"^lag k must be an integer, got {re.escape(repr(bad))}$"
         with pytest.raises(ParameterError, match=message):
             estimator(values, k)
     assert stock_moment_mc(panel, np.int64(2)) == stock_moment_mc(panel, 2)

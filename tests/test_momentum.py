@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -352,20 +353,26 @@ def test_grid_result_validation():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        StrategySpec(-1, 1)
-    with pytest.raises(ValueError):
-        StrategySpec(1, 0)
+    panel = random_panel(20, 3, seed=1)
+    for m, n, message in ((-1, 1, "^lag m must be >= 0$"),
+                          (0, 0, "^holding period n must be >= 1$")):
+        with pytest.raises(ValueError, match=message):
+            StrategySpec(m, n)
+        with pytest.raises(ValueError, match=message):
+            signal(panel, m, n)
     with pytest.raises(ValueError):
         StrategySpec(1, 1, "middle")
     with pytest.raises(ValueError):
         StrategySpec(1, 1, "rank", "sides")
 
 
-@pytest.mark.parametrize("m, n, bad", [(1.5, 2, "lag m"), (1, 2.0, "holding period n"),
-                                       ("1", 2, "lag m")])
+@pytest.mark.parametrize("m, n, bad", [
+    (1.5, 2, "lag m"), (1, 2.0, "holding period n"), ("1", 2, "lag m"),
+    pytest.param(np.float64(2.0), 2, "lag m", id="float64-2-lag m"),
+    pytest.param(1, np.float64(2.0), "holding period n", id="1-float64-holding period n"),
+])
 def test_lags_must_be_integers(m, n, bad):
-    message = rf"^{bad} must be an integer, got {(m if bad == 'lag m' else n)!r}$"
+    message = rf"^{bad} must be an integer, got {re.escape(repr(m if bad == 'lag m' else n))}$"
     with pytest.raises(ValueError, match=message):
         StrategySpec(m, n)
     panel = random_panel(20, 3, seed=1)
@@ -375,6 +382,16 @@ def test_lags_must_be_integers(m, n, bad):
         signal(panel, m, n)
     with pytest.raises(ValueError, match=message):  # no silent int(1.5) == 1 cell
         grid_sweep(pnl_grid(panel, [1], [2]), [m], [n])
+
+
+@pytest.mark.parametrize("bad", [23.5, np.float64(24.0)])
+def test_min_months_must_be_an_integer(bad):
+    pnls = pnl_grid(random_panel(40, 3, seed=1), [1], [2])
+    with pytest.raises(ValueError, match=f"^min_months must be an integer, got "
+                       f"{re.escape(repr(bad))}$"):
+        grid_sweep(pnls, [1], [2], min_months=bad)
+    read = grid_sweep(pnls, [1], [2], min_months=np.int64(24)).cells
+    assert np.isfinite(read).all() and read.tobytes() == grid_sweep(pnls, [1], [2]).cells.tobytes()
 
 
 def test_integer_like_lags_are_read_as_plain_ints():

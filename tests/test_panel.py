@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,22 @@ def test_calendar_periods_iso_and_synthetic():
     big = Calendar.periods(1_000_000)
     assert len(big) == 1_000_000
     assert big[0] < big[1] < big[-1]  # synthetic labels still ordered
+
+
+@pytest.mark.parametrize("n, message", [
+    (1.5, "must be an integer, got 1.5"),
+    (np.float64(3.0), f"must be an integer, got {re.escape(repr(np.float64(3.0)))}"),
+    (0, "must be >= 1"),
+])
+def test_calendar_periods_reads_its_length_as_an_integer(n, message):
+    with pytest.raises(PanelError, match=f"^calendar length n {message}$"):
+        Calendar.periods(n)
+    assert Calendar.periods(np.int64(3)) == Calendar.periods(3)
+
+
+def test_calendar_periods_needs_a_monthly_start():
+    with pytest.raises(PanelError, match="^start must be YYYY-MM, got '2000-01-05'$"):
+        Calendar.periods(3, start="2000-01-05")
 
 
 def test_calendar_periods_peak_memory():
@@ -156,6 +173,34 @@ def test_load_errors(tmp_path):
     mixed.write_text("date,A\n2000-01,0.01\n2000-02-01,0.02\n")
     with pytest.raises(ParseError):
         load_panel(mixed, "wide")
+
+
+@pytest.mark.parametrize("layout, text, error, message", [
+    ("tall", "date,A\n2000-01,0.1\n", PanelError, "^unknown layout 'tall'$"),
+    ("long", "date,asset,value\n2000-01,A,0.1\n", ParseError,
+     "^line 1: long header must be 'date,asset,return'$"),
+    ("long", "date,asset,return\n2000-01,A\n", ParseError, "^line 2: expected 3 cells, got 2$"),
+    ("long", "date,asset,return\n2000-01, ,0.1\n", ParseError, "^line 2: empty asset id$"),
+    ("long", "date,asset,return\n# no data\n", EmptyInputError, "p.csv: no data rows$"),
+])
+def test_load_input_errors_are_named(tmp_path, layout, text, error, message):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        load_panel(path, layout)
+
+
+def test_load_series_needs_one_column(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("date,A,B\n2000-01,0.1,0.2\n")
+    with pytest.raises(PanelError, match="two.csv: expected one value column, got 2$"):
+        load_series(path)
+
+
+def test_emit_refuses_an_unsupported_object(tmp_path):
+    with pytest.raises(PanelError, match="^cannot emit object of type dict$"):
+        emit_csv({"date": ["2000-01"]}, tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
 
 
 # the first four are not dates; numpy alone accepts the next five (as

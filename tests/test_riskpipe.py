@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,16 +35,32 @@ def ols_slope_and_se(y, x):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^window_months must be >= 2$"):
         PipelineConfig(window_months=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lag_months must be >= 1$"):
         PipelineConfig(lag_months=0)
     for vol_target in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="vol_target must be finite and positive"):
             PipelineConfig(vol_target=vol_target)
-    with pytest.raises(ValueError):
-        PipelineConfig(min_obs=1)
+    for min_obs in (1, 37):
+        with pytest.raises(ValueError, match=r"^min_obs must lie in \[2, window_months\]$"):
+            PipelineConfig(min_obs=min_obs)
     assert PipelineConfig().effective_min_obs == 36
+
+
+@pytest.mark.parametrize("key, bad", [("window_months", 1.5),
+                                      ("window_months", np.float64(24.0)),
+                                      ("lag_months", 2.0), ("min_obs", np.float64(2.5))])
+def test_config_refuses_non_integers_by_name(key, bad):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {re.escape(repr(bad))}$"):
+        PipelineConfig(**{key: bad})
+
+
+def test_config_reads_numpy_integers_as_ints():
+    cfg = PipelineConfig(window_months=np.int64(12), lag_months=np.int32(2),
+                         min_obs=np.uint8(6))
+    assert cfg == PipelineConfig(12, 2, min_obs=6)
+    assert [type(v) for v in (cfg.window_months, cfg.lag_months, cfg.min_obs)] == [int] * 3
 
 
 # ---------------------------------------------------------------------------
