@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .panel import AlignmentError, Calendar, NamedSeries
+from .panel import AlignmentError, Calendar, NamedSeries, _number
 
 __all__ = [
     "AR1MomentumPnl",
@@ -73,7 +73,7 @@ def perf_stats(series) -> PerfStats:
         raise UndefinedStatError(f"need at least 2 observations, got {n}")
     mean = float(x.mean())
     vol = float(x.std(ddof=1))
-    if vol == 0.0:
+    if vol == 0.0 or np.ptp(x) == 0.0:  # a constant's rounded mean leaves vol > 0
         raise UndefinedStatError("zero volatility, Sharpe undefined")
     sharpe = mean / vol * np.sqrt(MONTHS_PER_YEAR)
     t_stat = sharpe * np.sqrt(n / MONTHS_PER_YEAR)
@@ -116,7 +116,7 @@ def correlation(a, b) -> float:
         raise UndefinedStatError("need at least 2 overlapping observations")
     dx, dy = x - x.mean(), y - y.mean()
     denom = np.sqrt((dx @ dx) * (dy @ dy))
-    if denom == 0.0:
+    if denom == 0.0 or np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise UndefinedStatError("degenerate variance, correlation undefined")
     return float((dx @ dy) / denom)
 
@@ -226,19 +226,20 @@ def spanning_regression(target: NamedSeries,
 
 @dataclass(frozen=True)
 class AR1Params:
-    """f_t = (1 - rho) * mu + rho * f_{t-1} + u_t with u_t ~ N(0, sigma_u^2)."""
+    """f_t = (1 - rho) * mu + rho * f_{t-1} + u_t with u_t ~ N(0, sigma_u^2).
+    Each field is read as a float by :func:`panel._number`."""
 
     rho: float
     mu: float
     sigma_u: float
 
     def __post_init__(self):
+        for name in ("rho", "mu", "sigma_u"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not abs(self.rho) < 1:
             raise NonStationaryError(f"|rho| must be < 1, got {self.rho}")
-        if not np.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
-        if not (np.isfinite(self.sigma_u) and self.sigma_u >= 0):
-            raise ValueError(f"sigma_u must be finite and non-negative, got {self.sigma_u}")
+        if not self.sigma_u >= 0:
+            raise ValueError(f"sigma_u must be non-negative, got {self.sigma_u}")
 
     @property
     def sigma_f(self) -> float:
@@ -247,7 +248,9 @@ class AR1Params:
 
     @staticmethod
     def from_sigma_f(rho: float, mu: float, sigma_f: float) -> "AR1Params":
-        return AR1Params(rho, mu, sigma_f * np.sqrt(1.0 - rho**2))
+        unit = AR1Params(rho, mu, 1.0)  # refuses |rho| >= 1 before the square root
+        sigma_u = _number(sigma_f, "sigma_f") * np.sqrt(1.0 - unit.rho**2)
+        return AR1Params(unit.rho, unit.mu, sigma_u)
 
 
 @dataclass(frozen=True)

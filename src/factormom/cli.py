@@ -143,7 +143,9 @@ def _read_args(obj, accepting, what: str = "") -> dict:
     bad += [f"missing key {key!r}" for key in required if key not in obj]
     if bad:
         raise ConfigError(f"{what or 'config'}: " + ", ".join(bad))
-    readers = {"int": _as_int, "float": _as_float, "bool": _as_bool, "list": _as_list,
+    readers = {"int": _as_int, "bool": _as_bool, "list": _as_list,
+               "float": lambda value, key: panel._number(value, f"config key {key!r}",
+                                                         ConfigError),
                "int | None": lambda value, key: None if value is None else _as_int(value, key),
                "riskpipe.PipelineConfig": lambda value, key: riskpipe.PipelineConfig(
                    **_read_args(value, riskpipe.PipelineConfig, key)),
@@ -164,16 +166,6 @@ def _as_int(value, key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-
-
-def _as_float(value, key: str) -> float:
-    """``value`` of config key ``key`` as a float. Finite JSON numbers pass;
-    anything else, ``NaN``, ``Infinity`` and integers past the float range
-    included, is a ``ConfigError`` naming the key."""
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max):  # false for NaN
-        return float(value)
-    raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
 
 
 def _as_bool(value, key: str) -> bool:

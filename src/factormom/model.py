@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -28,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import AR1Params, NonStationaryError
 from .momentum import signal
-from .panel import (Calendar, NamedSeries, ReturnPanel, _integer, _pool, _walk_runs,
+from .panel import (Calendar, NamedSeries, ReturnPanel, _integer, _number, _pool, _walk_runs,
                     _workers)
 
 __all__ = [
@@ -69,22 +68,17 @@ class ParameterError(ValueError):
     """Model parameters violate their constraints."""
 
 
-def _number(value, key: str) -> float:
-    """``value`` of parameter ``key`` as a float. A string, a boolean or any
-    other non-number is a ParameterError naming the key."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ParameterError(f"{key!r} must be a number, got {value!r}")
-
-
 def _numbers(value, key: str) -> np.ndarray:
     """``value`` of parameter ``key``, a number or (nested) list or array of
-    numbers, as a new float array; each entry is read by :func:`_number`,
-    an integer or float array in one cast."""
+    numbers, as a new float array; each entry is read by :func:`panel._number`,
+    a finite integer or float array in one cast."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        return value.astype(float)
+        floats = value.astype(float)
+        if np.isfinite(floats).all():
+            return floats
     cells = np.asarray(value, dtype=object)
-    return np.array([_number(x, key) for x in cells.flat], float).reshape(cells.shape)
+    return np.array([_number(x, repr(key), ParameterError) for x in cells.flat],
+                    float).reshape(cells.shape)
 
 
 @dataclass(frozen=True)
@@ -109,12 +103,8 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.normalize_w, bool):
             raise ParameterError(f"'normalize_w' must be true or false, got {self.normalize_w!r}")
-        alpha, rho = _number(self.alpha, "alpha"), _number(self.rho, "rho")
-        w, mu, sigma = (_numbers(getattr(self, name), name) for name in ("w", "mu", "sigma"))
-        names = ("alpha", "rho", "w", "mu", "sigma")
-        for name, value in zip(names, (alpha, rho, w, mu, sigma)):
-            if not np.isfinite(value).all():
-                raise ParameterError(f"{name!r} must be finite")
+        alpha, rho = (_number(getattr(self, k), repr(k), ParameterError) for k in ("alpha", "rho"))
+        w, mu, sigma = (_numbers(getattr(self, k), k) for k in ("w", "mu", "sigma"))
         if w.ndim != 1 or len(w) < 1:
             raise ParameterError("w must be a non-empty vector")
         if self.normalize_w:
@@ -137,7 +127,7 @@ class ModelParams:
             raise ParameterError("alpha * w'w must be non-negative")
         if a >= 1.0:
             raise NonStationaryError(f"a = alpha * w'w = {a:g} must be < 1")
-        for name, value in zip(names, (alpha, rho, w, mu, sigma)):
+        for name, value in zip(("alpha", "rho", "w", "mu", "sigma"), (alpha, rho, w, mu, sigma)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -192,7 +182,7 @@ class ModelParams:
         bad += [f"missing key {key!r}" for key in keys[:-1] if key not in d]
         if bad:
             raise ParameterError("model parameters: " + ", ".join(bad))
-        if not _number(d["N"], "N").is_integer():
+        if not _number(d["N"], "'N'", ParameterError).is_integer():
             raise ParameterError(f"'N' must be an integer, got {d['N']!r}")
         sig = d["sigma"]
         if not (isinstance(sig, dict) and len(sig) == 1 and sig.keys() <= {"diag", "full"}):
@@ -802,9 +792,9 @@ def momentum_covariance_check(
     """
     m, n = _integer(m, "m", 1, ParameterError), _integer(n, "n", 1, ParameterError)
     beta = _numbers(beta, "beta")
-    if beta.ndim != 1 or not len(beta) or not np.isfinite(beta).all():
+    if beta.ndim != 1 or not len(beta):
         raise ParameterError("'beta' must be a non-empty 1-d vector of finite numbers")
-    if not 0.0 <= _number(idio_vol, "idio_vol") < np.inf:
+    if not 0.0 <= _number(idio_vol, "'idio_vol'", ParameterError):
         raise ParameterError(f"'idio_vol' must be finite and >= 0, got {idio_vol!r}")
     length = _path_rows(T, burn_in) + m + n
     size = _batch_size(T + 1, n_batches)

@@ -11,8 +11,10 @@ silent zeros.
 from __future__ import annotations
 
 import csv
+import numbers
 import operator
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -159,7 +161,7 @@ class Calendar:
         return tuple(np.datetime_as_string(self.dates).tolist())
 
     def head(self, k: int) -> "Calendar":
-        return Calendar(self.dates[:k])
+        return Calendar(self.dates[:_integer(k, "k", 0, PanelError)])
 
     @property
     def is_monthly(self) -> bool:
@@ -630,6 +632,17 @@ def _integer(value, what: str, low: int | None = None, error=ValueError) -> int:
     if low is not None and number < low:
         raise error(f"{what} must be >= {low}")
     return number
+
+
+def _number(value, what: str, error=ValueError) -> float:
+    """``value`` as a finite float: ``np.int64(1)`` passes; ``"0.1"``, ``True``,
+    NaN, an infinity and ``10**400`` are each an ``error`` naming the argument
+    as ``what``, as with :func:`_integer`."""
+    limit = sys.float_info.max  # not abs(value): np.int64's least overflows it
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -limit <= value <= limit):  # false for NaN
+        return float(value)
+    raise error(f"{what} must be a finite number, got {value!r}")
 
 
 def _workers() -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .panel import NamedSeries, ReturnPanel, _integer, require_aligned
+from .panel import NamedSeries, ReturnPanel, _integer, _number, require_aligned
 
 __all__ = [
     "InsufficientHistoryError",
@@ -46,8 +46,9 @@ class PipelineConfig:
     def __post_init__(self):
         for key, low in (("window_months", 2), ("lag_months", 1)):  # lag >= 1: causality
             object.__setattr__(self, key, _integer(getattr(self, key), key, low))
-        if not (np.isfinite(self.vol_target) and self.vol_target > 0):
-            raise ValueError(f"vol_target must be finite and positive, got {self.vol_target}")
+        object.__setattr__(self, "vol_target", _number(self.vol_target, "vol_target"))
+        if not self.vol_target > 0:
+            raise ValueError(f"vol_target must be positive, got {self.vol_target}")
         if self.min_obs is not None:
             object.__setattr__(self, "min_obs", _integer(self.min_obs, "min_obs"))
             if not 2 <= self.min_obs <= self.window_months:

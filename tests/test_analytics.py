@@ -64,11 +64,19 @@ def test_perf_stats_scale_invariance():
     assert a.t_stat == pytest.approx(b.t_stat, rel=1e-12)
 
 
+# constants whose rounded mean leaves a spread of about 1e-18, not zero, and
+# distinct values whose squared deviations underflow to zero
+FLAT_SERIES = (np.full(60, 0.01), np.full(3, 0.1), np.full(1200, 0.3), [1e-200, 2e-200, 3e-200])
+
+
 def test_perf_stats_error_cases():
     with pytest.raises(UndefinedStatError):
         perf_stats(series([0.01]))
     with pytest.raises(UndefinedStatError):
         perf_stats(series([0.01, 0.01]))  # zero volatility
+    for flat in FLAT_SERIES:
+        with pytest.raises(UndefinedStatError, match="^zero volatility, Sharpe undefined$"):
+            perf_stats(series(flat))
     missing = series([np.nan, 0.01, np.nan, 0.02, 0.03])
     assert perf_stats(missing).n_months == 3
 
@@ -169,6 +177,11 @@ def test_correlation_degenerate_cases():
     short_b = series([np.nan, 0.02], "b")
     with pytest.raises(UndefinedStatError):
         correlation(short_a, short_b)
+    for flat in map(series, FLAT_SERIES):
+        noise = series(np.random.default_rng(5).normal(0.0, 0.02, len(flat.values)), "noise")
+        for pair in ((flat, noise), (noise, flat)):
+            with pytest.raises(UndefinedStatError, match="^degenerate variance"):
+                correlation(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +337,7 @@ def test_ar1_rejects_nonstationary():
 
 
 def test_ar1_rejects_non_finite_mean_and_noise():
-    for mu, sigma_u, word in ((np.nan, 1.0, "mu"), (0.0, np.inf, "sigma_u"),
-                              (0.0, np.nan, "sigma_u")):
-        with pytest.raises(ValueError, match=f"^{word} must be finite"):
+    for mu, sigma_u, word, shown in ((np.nan, 1.0, "mu", "nan"), (0.0, np.inf, "sigma_u", "inf"),
+                                     (0.0, np.nan, "sigma_u", "nan")):
+        with pytest.raises(ValueError, match=f"^{word} must be a finite number, got {shown}$"):
             AR1Params(rho=0.5, mu=mu, sigma_u=sigma_u)

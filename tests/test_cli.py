@@ -639,6 +639,7 @@ def test_verify_malformed_eq3_exit_2(tmp_path, capsys, change, key):
     ({"beta": [[0.8, 0.8]]}, "'beta'"),
     ({"beta": [0.8, "0.8"]}, "'beta'"),
     ({"idio_vol": -1}, "'idio_vol'"),
+    ({"beta": [10**400, 0.8]}, "'beta'"),
 ])
 def test_verify_bad_eq3_values_exit_2_before_simulating(tmp_path, capsys, change, key):
     eq3 = {
@@ -759,6 +760,10 @@ def test_verify_bad_eq3_values_exit_2_before_simulating(tmp_path, capsys, change
         ({"N": "2"}, "N"),
         ({"sigma": {"diag": [1, 1], "full": [[1, 0], [0, 1]]}}, "sigma"),
     ]],
+    # an integer past the float range is an input error, not an OverflowError
+    ("simulate", {"T": 50, "params": {
+        "N": 2, "alpha": 10**400, "w": [1, 1], "mu": [0, 0], "rho": 0.1,
+        "sigma": {"diag": [1, 1]}}}, "alpha"),
 ])
 def test_wrong_typed_config_value_exit_2(workdir, capsys, command, cfg, key):
     (workdir / "cfg.json").write_text(json.dumps(cfg))

@@ -34,6 +34,7 @@ from factormom.model import (
     stock_moment_mc,
     verify_model,
 )
+from factormom.riskpipe import PipelineConfig
 
 
 def make_params(n=5, alpha=0.3, rho=0.1, mu=0.0, sigma=None, seed=None, w=None):
@@ -86,20 +87,22 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         ModelParams(0.1, np.ones(2), np.zeros(2), 0.0, asym)
     good = {"alpha": 0.1, "w": np.ones(2), "mu": np.zeros(2), "rho": 0.0, "sigma": np.eye(2)}
-    for name, bad in (("alpha", np.nan), ("rho", np.inf), ("w", [1.0, -np.inf]),
-                      ("mu", [0.0, np.nan]), ("sigma", np.diag([1.0, np.nan]))):
-        with pytest.raises(ParameterError, match=f"^'{name}' must be finite$"):
+    for name, bad, shown in (("alpha", np.nan, "nan"), ("rho", np.inf, "inf"),
+                             ("w", [1.0, -np.inf], "-inf"), ("mu", [0.0, np.nan], "nan"),
+                             ("sigma", np.diag([1.0, np.nan]), "nan")):
+        message = f"^'{name}' must be a finite number, got {shown}$"
+        with pytest.raises(ParameterError, match=message):
             ModelParams(**{**good, name: bad})
 
 
 # a library caller's fields are read as strictly as a JSON file's
 @pytest.mark.parametrize("field, bad, message", [
-    ("rho", "0.1", "^'rho' must be a number, got '0.1'$"),
-    ("w", ["1", "2"], "^'w' must be a number, got '1'$"),
-    ("alpha", True, "^'alpha' must be a number, got True$"),
-    ("alpha", "0.5", "^'alpha' must be a number, got '0.5'$"),
-    ("mu", [0.0, False], "^'mu' must be a number, got False$"),
-    ("sigma", [[1.0, 0.0], [0.0, "1"]], "^'sigma' must be a number, got '1'$"),
+    ("rho", "0.1", "^'rho' must be a finite number, got '0.1'$"),
+    ("w", ["1", "2"], "^'w' must be a finite number, got '1'$"),
+    ("alpha", True, "^'alpha' must be a finite number, got True$"),
+    ("alpha", "0.5", "^'alpha' must be a finite number, got '0.5'$"),
+    ("mu", [0.0, False], "^'mu' must be a finite number, got False$"),
+    ("sigma", [[1.0, 0.0], [0.0, "1"]], "^'sigma' must be a finite number, got '1'$"),
     ("normalize_w", "no", "^'normalize_w' must be true or false, got 'no'$"),
     ("normalize_w", 0, "^'normalize_w' must be true or false, got 0$"),
 ])
@@ -557,8 +560,9 @@ def test_simulators_check_path_length_before_simulating(monkeypatch, simulator, 
 
 
 def _cov_check(**kw):
-    args = {"m": 1, "n": 2, "T": 200, "burn_in": 10, "n_batches": 4, **kw}
-    return momentum_covariance_check(np.ones(2), AR1Params(0.5, 0.0, 1.0), 1.0, seed=1, **args)
+    args = {"beta": np.ones(2), "factor": AR1Params(0.5, 0.0, 1.0), "idio_vol": 1.0,
+            "m": 1, "n": 2, "T": 200, "burn_in": 10, "n_batches": 4, **kw}
+    return momentum_covariance_check(seed=1, **args)
 
 
 _X = np.random.default_rng(4).standard_normal((300, 3))
@@ -619,6 +623,65 @@ def test_integer_arguments_refuse_non_integers_before_simulating(monkeypatch, ca
 def test_integer_arguments_read_numpy_integers_as_ints(case):
     _, good, call = MODEL_INTEGERS[case]
     assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
+
+
+def _params(**change):
+    # w'w = 0.5 unnormalized, so alpha = 1 is still stationary
+    good = {"alpha": 0.1, "w": [0.5, 0.5], "mu": [0.0, 0.0], "rho": 0.1,
+            "sigma": [[1.0, 0.0], [0.0, 1.0]], "normalize_w": False}
+    return ModelParams(**{**good, **change})
+
+
+_HALF_ONE = (np.float64(0.5), np.int64(1))
+_HALF_ZERO = (np.float64(0.5), np.int64(0))  # an AR(1) coefficient must stay below 1
+
+# Every real parameter of the library, its name in messages, its error class,
+# numpy scalars it admits and a call that sets it. All are read by one rule.
+NUMBER_READERS = {
+    "ModelParams.alpha": ("'alpha'", ParameterError, _HALF_ONE, lambda v: _params(alpha=v)),
+    "ModelParams.rho": ("'rho'", ParameterError, _HALF_ONE, lambda v: _params(rho=v)),
+    "ModelParams.w": ("'w'", ParameterError, _HALF_ONE, lambda v: _params(w=[v, 0.5])),
+    "ModelParams.mu": ("'mu'", ParameterError, _HALF_ONE, lambda v: _params(mu=[v, 0.0])),
+    "ModelParams.sigma": ("'sigma'", ParameterError, _HALF_ONE, lambda v: _params(
+        sigma=[[v, 0.0], [0.0, 1.0]])),
+    "from_dict.N": ("'N'", ParameterError, (np.float64(2.0), np.int64(2)),
+                    lambda v: ModelParams.from_dict({
+                        "N": v, "alpha": 0.1, "w": [1, 1], "mu": [0, 0], "rho": 0.1,
+                        "sigma": {"diag": [1, 1]}})),
+    "AR1Params.rho": ("rho", ValueError, _HALF_ZERO, lambda v: AR1Params(v, 0.0, 1.0)),
+    "AR1Params.mu": ("mu", ValueError, _HALF_ONE, lambda v: AR1Params(0.5, v, 1.0)),
+    "AR1Params.sigma_u": ("sigma_u", ValueError, _HALF_ONE, lambda v: AR1Params(0.5, 0.0, v)),
+    "from_sigma_f.rho": ("rho", ValueError, _HALF_ZERO,
+                         lambda v: AR1Params.from_sigma_f(v, 0.0, 1.0)),
+    "from_sigma_f.mu": ("mu", ValueError, _HALF_ONE,
+                        lambda v: AR1Params.from_sigma_f(0.5, v, 1.0)),
+    "from_sigma_f.sigma_f": ("sigma_f", ValueError, _HALF_ONE,
+                             lambda v: AR1Params.from_sigma_f(0.5, 0.0, v)),
+    "PipelineConfig.vol_target": ("vol_target", ValueError, _HALF_ONE,
+                                  lambda v: PipelineConfig(vol_target=v)),
+    "momentum_covariance_check.beta": ("'beta'", ParameterError, _HALF_ONE,
+                                       lambda v: _cov_check(beta=[v, 1.0])),
+    "momentum_covariance_check.idio_vol": ("'idio_vol'", ParameterError, _HALF_ONE,
+                                           lambda v: _cov_check(idio_vol=v)),
+}
+
+
+@pytest.mark.parametrize("case", NUMBER_READERS)
+@pytest.mark.parametrize("bad", ["0.1", True, float("nan"), float("inf"), 10**400],
+                         ids=["str", "bool", "nan", "inf", "10**400"])
+def test_real_arguments_refuse_what_is_not_a_finite_number(monkeypatch, case, bad):
+    monkeypatch.setattr(model, "simulate_ar1", None)  # every check comes before a draw
+    what, error, _, call = NUMBER_READERS[case]
+    with pytest.raises(error, match=f"^{re.escape(what)} must be a finite number, got "
+                       f"{re.escape(repr(bad))}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("case", NUMBER_READERS)
+def test_real_arguments_read_numpy_scalars_as_floats(case):
+    _, _, goods, call = NUMBER_READERS[case]
+    for good in goods:
+        assert pickle.dumps(call(good)) == pickle.dumps(call(float(good)))
 
 
 def test_reconstruction_deviation_decreases_with_depth():

@@ -300,11 +300,14 @@ def test_grid_insufficient_history_cells_are_missing():
 def test_grid_zero_volatility_cell_is_missing():
     panel = random_panel(60, 3, seed=16)
     pnls = pnl_grid(panel, (1,), (1, 2), "sign")
-    # a strategy that never trades: sixty flat months, Sharpe undefined
-    pnls[1, 2] = NamedSeries(panel.calendar, "flat", np.zeros(60))
-    grid = grid_sweep(pnls, (1,), (1, 2), "sharpe", min_months=24)
-    assert np.isfinite(grid.cell(1, 1))
-    assert np.isnan(grid.cell(1, 2))
+    # a strategy that never trades: sixty flat months, Sharpe undefined; so is
+    # a constant whose rounded mean leaves a vol of about 1e-18
+    for flat in (np.zeros(60), np.full(60, 0.01)):
+        pnls[1, 2] = NamedSeries(panel.calendar, "flat", flat)
+        for stat, extra in (("sharpe", {}), ("corr", {"reference": pnls[1, 1]})):
+            grid = grid_sweep(pnls, (1,), (1, 2), stat, min_months=24, **extra)
+            assert np.isfinite(grid.cell(1, 1))
+            assert np.isnan(grid.cell(1, 2))
 
 
 def test_grid_rejects_empty_ranges_and_bad_stat():

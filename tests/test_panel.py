@@ -60,6 +60,17 @@ def test_calendar_periods_reads_its_length_as_an_integer(n, message):
     assert Calendar.periods(np.int64(3)) == Calendar.periods(3)
 
 
+@pytest.mark.parametrize("k, message", [(1.5, "must be an integer, got 1.5"),
+                                        (-2, "must be >= 0")])
+def test_head_reads_its_length_as_an_integer(k, message):
+    cal = Calendar.periods(5)
+    for obj in (cal, ReturnPanel(cal, ("A",), np.zeros((5, 1))),
+                NamedSeries(cal, "x", np.zeros(5))):
+        with pytest.raises(PanelError, match=f"^k {message}$"):
+            obj.head(k)
+    assert cal.head(np.int64(2)) == Calendar.periods(2)
+
+
 def test_calendar_periods_needs_a_monthly_start():
     with pytest.raises(PanelError, match="^start must be YYYY-MM, got '2000-01-05'$"):
         Calendar.periods(3, start="2000-01-05")

@@ -39,8 +39,11 @@ def test_config_validation():
         PipelineConfig(window_months=1)
     with pytest.raises(ValueError, match="^lag_months must be >= 1$"):
         PipelineConfig(lag_months=0)
-    for vol_target in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="vol_target must be finite and positive"):
+    with pytest.raises(ValueError, match="^vol_target must be positive, got 0.0$"):
+        PipelineConfig(vol_target=0.0)
+    for vol_target in (np.nan, np.inf):
+        message = f"^vol_target must be a finite number, got {vol_target}$"
+        with pytest.raises(ValueError, match=message):
             PipelineConfig(vol_target=vol_target)
     for min_obs in (1, 37):
         with pytest.raises(ValueError, match=r"^min_obs must lie in \[2, window_months\]$"):
