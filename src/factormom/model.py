@@ -17,9 +17,10 @@ Monte Carlo paths with batch-means standard errors.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -250,6 +251,25 @@ def _chol_psd(sigma: np.ndarray) -> np.ndarray:
         return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
+def _root_map(sigma: np.ndarray):
+    """In-place map of a block of standard normal rows z onto z @ root.T, the
+    root from :func:`_chol_psd`. A diagonal root with no zero on its diagonal
+    scales the columns instead: each gemm element is then one product plus
+    exact zeros, so no bit moves and no BLAS call is made. A zero on the
+    diagonal keeps the gemm, whose sum of zeros is +0 where the product of a
+    negative draw would be -0."""
+    root = _chol_psd(sigma)
+    scale = np.diag(root).copy()
+    if np.array_equal(root, np.diag(scale)) and np.all(scale != 0.0):
+        return lambda rows: np.multiply(rows, scale, out=rows)
+    root_t = root.T
+
+    def transform(rows):
+        rows[:] = rows @ root_t
+
+    return transform
+
+
 def _ar1(x: np.ndarray, coef: float, init: float) -> np.ndarray:
     """y_t = x_t + coef * y_{t-1} from y_{-1} = init, evaluated in order: one
     rounded multiply and one rounded add per step keep the pinned paths
@@ -271,14 +291,15 @@ def _row_blocks(start: int, stop: int):
         start = hi
 
 
-def _project(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """values @ w as a left-to-right sum over columns of elementwise products.
+def _project(values: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """values @ w as a left-to-right sum over columns of elementwise products,
+    into ``out`` when one is given.
 
     No BLAS call, so no thread count, CPU dispatch or row split can change a
     bit. It walks :func:`_row_blocks` so that the strided column reads stay
     in cache; each row is summed in the same order at any block size.
     """
-    out = np.empty(len(values))
+    out = np.empty(len(values)) if out is None else out
     for lo, hi in _row_blocks(0, len(values)):
         rows, acc = values[lo:hi], out[lo:hi]
         np.multiply(rows[:, 0], w[0], out=acc)
@@ -287,67 +308,120 @@ def _project(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_raw(params: ModelParams, r: np.ndarray, seed, e: np.ndarray | None = None,
-              f: np.ndarray | None = None) -> None:
-    """Fill ``r`` (length, N) with a path started from the unconditional mean
-    with e_{-1} = 0, ``e`` with its innovations when one is given, and ``f``
-    (length,) with the factor series F = r'w when one is given.
+def _reverse(rows: np.ndarray, rho: float, e_prev: np.ndarray | None) -> None:
+    """eps_t = e_t - rho e_{t-1} in place on a block of innovations, e_prev
+    being the row before the block (None for the path's first block)."""
+    if rho != 0.0:
+        rows[1:] -= rho * rows[:-1]  # the product is taken before the update
+        if e_prev is not None:
+            rows[0] -= rho * e_prev
 
-    One pass over row blocks (:func:`_row_blocks`) that carries e_{t-1} and
-    the AR(1) state across block edges, with x = eps'w and F by
-    :func:`_project`, F taken while the block's finished rows are in cache:
-    every row is bit-identical to the whole-array formulas at any block size
-    and any BLAS thread count.
+
+def _add_load(rows: np.ndarray, params: ModelParams, s_prev: np.ndarray) -> None:
+    """r_t = eps_t + mu + alpha s_{t-1} w in place, s_prev holding s_{t-1}."""
+    rows += params.mu
+    rows += np.outer(s_prev, params.alpha * params.w)
+
+
+@dataclass
+class _Tape:
+    """What a replay of a simulated path reads, recorded by
+    :func:`_path_blocks`: the row blocks, the bit generator's state before
+    each block's draw, each block's last innovation row (the next block's
+    reversal reads it), and the AR(1) factor state s with s[0] its start
+    value, so that rows [lo, hi) add the load s[lo:hi]. That is 8 bytes a
+    row, where the path is 8 N."""
+
+    bounds: list = field(default_factory=list)
+    states: list = field(default_factory=list)
+    e_last: list = field(default_factory=list)
+    s: np.ndarray | None = None
+
+
+def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None = None,
+                 innovations: bool = False, tape: _Tape | None = None):
+    """Yield ``(start, stop, rows, e)`` for each block of a path of ``length``
+    rows started from the unconditional mean with e_{-1} = 0: ``rows`` holds
+    the block's finished returns and ``e``, with ``innovations``, its
+    innovations, else None. Both are valid until the next block is asked for.
+
+    The rows are drawn into ``out`` (length, N) in place when one is given,
+    else into a ring of two block buffers. One pass over row blocks
+    (:func:`_row_blocks`) that carries e_{t-1} and the AR(1) state across
+    block edges, with x = eps'w by :func:`_project`: every row is
+    bit-identical to the whole-array formulas at any block size and any BLAS
+    thread count. ``tape``, when given, records what :class:`_Replay` needs
+    to redraw any block.
 
     One helper thread draws block b + 1's standard normals in place while
-    this thread forms eps, projects, runs the AR(1) and adds the load for
-    block b. The draws are one stream taken in block order, so no bit
-    depends on the thread that draws them, and nothing is allocated for
-    them.
+    this thread forms eps, projects and runs the AR(1) for block b, and
+    while the caller reads it. The draws are one stream taken in block
+    order, so no bit depends on the thread that draws them.
     """
     rng = np.random.default_rng(seed)
-    chol_t = _chol_psd(params.sigma).T
-    rho = params.rho
-    load = params.alpha * params.w
-    state = params.factor_mean
-    bounds = list(_row_blocks(0, len(r)))
+    transform = _root_map(params.sigma)
+    bounds = list(_row_blocks(0, length))
+    widest = max(hi - lo for lo, hi in bounds)
+    ring = np.empty((2, widest, params.n)) if out is None else None
+    e_buf = np.empty((widest, params.n)) if innovations else None
+    if tape is not None:
+        tape.bounds = bounds
+        tape.s = np.empty(length + 1)
+        tape.s[0] = params.factor_mean
+
+    def slot(b):
+        lo, hi = bounds[b]
+        return out[lo:hi] if ring is None else ring[b % 2, : hi - lo]
+
+    def draw(b):
+        if tape is not None:
+            tape.states.append(rng.bit_generator.state)
+        return pool.submit(rng.standard_normal, out=slot(b))
+
+    state, e_last = params.factor_mean, None
     with _pool(1) as pool:
-        drawn = pool.submit(rng.standard_normal, out=r[slice(*bounds[0])])
+        drawn = draw(0)
         for b, (start, stop) in enumerate(bounds):
             drawn.result()  # block b's innovations are in place
             if b + 1 < len(bounds):
-                drawn = pool.submit(rng.standard_normal, out=r[slice(*bounds[b + 1])])
-            rows = r[start:stop]
-            rows[:] = rows @ chol_t
-            if e is not None:
-                e[start:stop] = rows
+                drawn = draw(b + 1)
+            rows = slot(b)
+            transform(rows)
+            e = None
+            if innovations:
+                e = e_buf[: stop - start]
+                e[:] = rows
             e_next = rows[-1].copy()
-            if rho != 0.0:
-                rows[1:] -= rho * rows[:-1]  # the product is taken before the update
-                if start:
-                    rows[0] -= rho * e_last
+            _reverse(rows, params.rho, e_last)
             e_last = e_next
             x = _project(rows, params.w) + params.factor_drift
             s = _ar1(x, params.a, state)
-            s_prev = np.concatenate(([state], s[:-1]))
+            _add_load(rows, params, np.concatenate(([state], s[:-1])))
             state = s[-1]
-            rows += params.mu
-            rows += np.outer(s_prev, load)
-            if f is not None:
-                f[start:stop] = _project(rows, params.w)
+            if tape is not None:
+                tape.e_last.append(e_last)
+                tape.s[start + 1 : stop + 1] = s
+            yield start, stop, rows, e
 
 
 def _path_rows(T: int, burn_in: int) -> int:
-    """Rows of a simulated path that keeps T months after ``burn_in``."""
+    """Rows of a simulated path that keeps T months after ``burn_in``; a
+    count past numpy's index range is refused before anything is made."""
     T = _integer(T, "T", 1, ParameterError)
-    return _integer(burn_in, "burn_in", 0, ParameterError) + T
+    length = _integer(burn_in, "burn_in", 0, ParameterError) + T
+    if length > np.iinfo(np.intp).max:
+        raise ParameterError(
+            f"'T' = {T} with burn_in = {burn_in} exceeds the {np.iinfo(np.intp).max} rows "
+            "numpy can index")
+    return length
 
 
 def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Return (r, e) arrays of shape (length, N), starting from the
     unconditional mean with e_{-1} = 0."""
     r, e = np.empty((length, params.n)), np.empty((length, params.n))
-    _fill_raw(params, r, seed, e)
+    for start, stop, _, e_block in _path_blocks(params, length, seed, r, innovations=True):
+        e[start:stop] = e_block
     return r, e
 
 
@@ -376,7 +450,8 @@ def simulate(
     """
     r = np.empty((_path_rows(T, burn_in), params.n))
     f = np.empty(len(r))
-    _fill_raw(params, r, seed, f=f)
+    for start, stop, rows, _ in _path_blocks(params, len(r), seed, r):
+        _project(rows, params.w, f[start:stop])  # while the block is in cache
     r.setflags(write=False)
     f.setflags(write=False)
     calendar = Calendar.periods(T)
@@ -532,15 +607,6 @@ def _batch_size(count: int, n_batches: int) -> int:
     return size
 
 
-def _lag_windows(x: np.ndarray, k: int, n_batches: int):
-    """Each of the ``n_batches`` consecutive batches of the len(x) - k lag-k
-    pairs as one window of ``size + k`` rows: window[:size] holds the lags
-    and window[k:] the leads. The leftover pairs are dropped."""
-    size = _batch_size(len(x) - k, n_batches)
-    for b in range(n_batches):
-        yield x[b * size : (b + 1) * size + k]
-
-
 def _mean_se(per_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the batches (axis 0) and its batch-means standard error."""
     return per_batch.mean(axis=0), per_batch.std(axis=0, ddof=1) / np.sqrt(len(per_batch))
@@ -552,58 +618,202 @@ def _within_3se(deviation, se) -> bool:
     return bool(np.all(np.abs(deviation) <= 3.0 * se))
 
 
-def _lead_lag_walk(values, k, n_batches, batch, read_out, slot, centre=False):
-    """The one batch walk of the Monte Carlo moment estimators: a result per
-    lag, in a list for a sequence of lags.
+class _ArrayRows:
+    """The row source of a public estimator: its input read as a C-ordered
+    (T, N) array, a series as one column, so no bit depends on its memory
+    order. Its one series is that array, and each batch window a slice of it."""
 
-    ``values`` is read as a C-ordered (T, N) array, a series as one column, so
-    no bit depends on its memory order. Every lag is read first, by the
-    library's one integer rule (:func:`panel._integer`, ``lag k must be an
-    integer, got 1.5``), then checked to lie in [1, T). Lags of one batch size
-    share a walk over :func:`_lag_windows` at their top lag, each reading the
-    rows its own walk would, in order. ``batch(rows, size, lags, buf, out)``
-    fills ``out``, the batch's slot of an (n_batches, *slot(N, top)) array that
-    ``read_out(per_batch, lag)`` reads. ``rows`` is the window or, with
-    ``centre``, the window less the column mean in ``buf``, a (size + top, N)
-    array that one worker reuses. One column is walked on this thread: a pool
-    costs it more than it saves. Otherwise each worker walks one contiguous run
-    of batches into their own slots, so no bit depends on the worker count,
-    with a buffer made on this thread (from a pool thread's malloc arena it
-    would raise the peak RSS). ``batch`` may call no public function (a tracer
-    keeps one span stack per process) nor rely on ``np.errstate``, which pool
-    threads do not inherit.
+    def __init__(self, values):
+        x = np.asarray(values, float)
+        if x.ndim not in (1, 2):
+            raise ParameterError(f"need a 1-d series or a (T, N) array, got {x.ndim} dimensions")
+        self.x = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x)
+        self.T, self.N = self.x.shape
+        self.widths = (self.N,)
+
+    def mean(self) -> np.ndarray:
+        return self.x.mean(axis=0)
+
+    def reader(self, size: int, top: int) -> None:
+        return None
+
+    def windows(self, run, size, top, _):
+        for b in run:
+            yield b, (self.x[b * size : (b + 1) * size + top],)
+
+
+class _Replay:
+    """The kept rows of a simulated path, redrawn block by block from its
+    :class:`_Tape`, as the row source of :func:`_lead_lag_walk`. Its two
+    series are the returns R and the factor F = R w, projected per window by
+    :func:`_project`; ``sums`` are R's column sums, whose mean centres R.
+
+    A block is replayed by the operations of :func:`_path_blocks` in their
+    order: restore the bit generator's state, draw, map by the root, reverse
+    with the saved last row of the block before, add mu and the load of the
+    saved s. So every row is the path's own, bit for bit, with no call of
+    the GIL-holding :func:`_ar1`.
     """
-    x = np.asarray(values, float)
-    if x.ndim not in (1, 2):
-        raise ParameterError(f"need a 1-d series or a (T, N) array, got {x.ndim} dimensions")
-    x = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x)
-    T, N = x.shape
-    lags = [_integer(lag, "lag k", error=ParameterError) for lag in (k if np.ndim(k) else [k])]
+
+    def __init__(self, params: ModelParams, tape: _Tape, burn_in: int, sums: np.ndarray):
+        self.params, self.tape, self.burn_in, self.sums = params, tape, burn_in, sums
+        self.T, self.N = len(tape.s) - 1 - burn_in, params.n
+        self.widths = (self.N, 1)
+        self.transform = _root_map(params.sigma)
+        self.starts = [lo for lo, _ in tape.bounds]
+
+    def mean(self) -> np.ndarray:
+        return self.sums / self.T
+
+    def reader(self, size: int, top: int):
+        """One worker's buffers: a replayed block, a window and its F."""
+        widest = max(hi - lo for lo, hi in self.tape.bounds)
+        return np.empty((widest, self.N)), np.empty((size + top, self.N)), np.empty(size + top)
+
+    def _rows(self, lo: int, hi: int, block: np.ndarray):
+        """The path's rows [lo, hi) in pieces, one replayed block each."""
+        tape, params = self.tape, self.params
+        rng = np.random.default_rng(0)
+        for b in range(bisect.bisect_right(self.starts, lo) - 1, len(tape.bounds)):
+            start, stop = tape.bounds[b]
+            if start >= hi:
+                return
+            rows = block[: stop - start]
+            rng.bit_generator.state = tape.states[b]
+            rng.standard_normal(out=rows)
+            self.transform(rows)
+            _reverse(rows, params.rho, tape.e_last[b - 1] if b else None)
+            _add_load(rows, params, tape.s[start:stop])
+            yield rows[max(lo - start, 0) : hi - start]
+
+    def windows(self, run, size, top, buffers):
+        """(b, (R window, F window)) for each batch b of ``run``, replaying the
+        run's rows once; a window's last ``top`` rows start the next."""
+        block, window, factor = buffers
+        lo = self.burn_in + run[0] * size
+        filled, b = 0, run[0]
+        for piece in self._rows(lo, lo + len(run) * size + top, block):
+            while len(piece):
+                take = min(len(piece), size + top - filled)
+                window[filled : filled + take] = piece[:take]
+                piece, filled = piece[take:], filled + take
+                if filled == size + top:
+                    yield b, (window, _project(window, self.params.w, factor)[:, None])
+                    window[:top] = window[size:]
+                    filled, b = top, b + 1
+
+
+@dataclass(frozen=True)
+class _Moment:
+    """One estimator of a batch walk: its lags (one or a sequence), the
+    series of the row source it reads, whether that series is centred on its
+    column mean, and its kernel. ``batch(rows, size, lags, buf, out)`` fills
+    ``out``, the batch's slot of an (n_batches, *slot(N, top)) array that
+    ``read_out(per_batch, lag)`` reads."""
+
+    k: object
+    batch: object
+    read_out: object
+    slot: object
+    series: int = 0
+    centre: bool = False
+
+
+def _lead_lag_walk(source, moments: Sequence[_Moment], n_batches: int) -> list:
+    """The one batch walk of the Monte Carlo moment estimators: for each of
+    ``moments``, a result per lag, in a list for a sequence of lags.
+
+    Every lag is read first, by the library's one integer rule
+    (:func:`panel._integer`, ``lag k must be an integer, got 1.5``), then
+    checked to lie in [1, T). Lags of one batch size share a walk over
+    windows of ``size + top`` rows at the group's top lag, and each moment
+    reads the first ``size`` + its own top rows of a window, so each lag
+    reads the rows its own walk would, in order. ``rows`` is that window or,
+    with ``centre``, the window less the column mean in ``buf``, a
+    (size + top, N) array that one worker reuses.
+
+    ``source`` gives the windows: :class:`_ArrayRows` for the public
+    estimators, :class:`_Replay` for a path that :func:`verify_model` never
+    holds. One column is walked on this thread: a pool costs it more than it
+    saves. Otherwise each worker walks one contiguous run of batches into
+    their own slots, so no bit depends on the worker count, with buffers
+    made on this thread (from a pool thread's malloc arena they would raise
+    the peak RSS). ``batch`` may call no public function (a tracer keeps one
+    span stack per process) nor rely on ``np.errstate``, which pool threads
+    do not inherit.
+    """
+    T = source.T
+    lag_sets = [[_integer(lag, "lag k", error=ParameterError)
+                 for lag in (m.k if np.ndim(m.k) else [m.k])] for m in moments]
     groups = {}
-    for lag in lags:
-        if not 1 <= lag < T:
-            raise ParameterError(f"need 1 <= k < {T}, got {lag}")
-        groups.setdefault(_batch_size(T - lag, n_batches), []).append(lag)
-    mean = x.mean(axis=0) if centre else None
-    parts = 1 if N == 1 else min(_workers(), n_batches)
-    results = {}
-    for size, group in groups.items():
-        top = max(group)
-        windows = list(_lag_windows(x, top, n_batches))
-        per_batch = np.empty((n_batches, *slot(N, top)))
-        buffers = [np.empty((size + top, N)) for _ in range(parts)]
+    for i, lags in enumerate(lag_sets):
+        for lag in lags:
+            if not 1 <= lag < T:
+                raise ParameterError(f"need 1 <= k < {T}, got {lag}")
+            groups.setdefault(_batch_size(T - lag, n_batches), {}).setdefault(i, []).append(lag)
+    mean = source.mean() if any(m.centre for m in moments) else None
+    parts = 1 if source.N == 1 else min(_workers(), n_batches)
+    results = [{} for _ in moments]
+    for size, members in groups.items():
+        tops = {i: max(group) for i, group in members.items()}
+        top = max(tops.values())
+        per_batch = {i: np.empty((n_batches, *moments[i].slot(source.widths[moments[i].series],
+                                                               tops[i])))
+                     for i in members}
+        buffers = [{i: np.empty((size + tops[i], source.widths[moments[i].series]))
+                    for i in members} for _ in range(parts)]
+        readers = [source.reader(size, top) for _ in range(parts)]
 
-        def walk(run, buf):  # runs before the loop moves on, so binds this group
-            for b in run:
-                rows = windows[b] if mean is None else np.subtract(windows[b], mean, out=buf)
-                batch(rows, size, group, buf, per_batch[b])
+        def walk(run, buf, reader):  # runs before the loop moves on, so binds this group
+            for b, series in source.windows(run, size, top, reader):
+                for i, group in members.items():
+                    m = moments[i]
+                    rows = series[m.series][: size + tops[i]]
+                    if m.centre:
+                        rows = np.subtract(rows, mean, out=buf[i])
+                    m.batch(rows, size, group, buf[i], per_batch[i][b])
 
-        _walk_runs(walk, range(n_batches), parts, buffers)
-        del buffers  # before the read-out makes its temporaries
-        for lag in group:
-            results[lag] = read_out(per_batch, lag)
-    out = [results[lag] for lag in lags]
-    return out if np.ndim(k) else out[0]
+        _walk_runs(walk, range(n_batches), parts, buffers, readers)
+        del buffers, readers  # before the read-out makes its temporaries
+        for i, group in members.items():
+            for lag in group:
+                results[i][lag] = moments[i].read_out(per_batch[i], lag)
+    out = [[found[lag] for lag in lags] for found, lags in zip(results, lag_sets)]
+    return [got if np.ndim(m.k) else got[0] for got, m in zip(out, moments)]
+
+
+def _autocovariance_moment(k, one_d: bool = False) -> _Moment:
+    """:func:`sample_autocovariance` as a moment of the batch walk."""
+
+    def batch(xm, size, lags, buf, out):
+        N = xm.shape[1]
+        leads = sliding_window_view(xm.reshape(-1)[N:], (len(xm) - size) * N)[::N]
+        np.einsum("sj,sm->jm", xm[:size], leads, out=out)
+        out /= size
+
+    def read_out(per_batch, lag):
+        N = per_batch.shape[1]
+        # per_batch[b, j, (lag - 1) N + i] pairs the lag at j with the lead at i
+        est, se = _mean_se(per_batch[:, :, (lag - 1) * N : lag * N])
+        return (float(est[0, 0]), float(se[0, 0])) if one_d else (est.T.copy(), se.T.copy())
+
+    return _Moment(k, batch, read_out, lambda N, top: (N, top * N), centre=True)
+
+
+def _product_moment(k, series: int = 0) -> _Moment:
+    """:func:`stock_moment_mc` as a moment of the batch walk, on ``series``."""
+
+    def batch(window, size, lags, products, out):
+        for lag in lags:
+            np.multiply(window[lag : lag + size], window[:size], out=products[:size])
+            out[lag - 1] = products[:size].sum(axis=1).mean()
+
+    def read_out(per_batch, lag):
+        # a contiguous copy: numpy sums a 1-d vector pairwise, a column in order
+        mean, se = _mean_se(per_batch[:, lag - 1].copy())
+        return float(mean), float(se)
+
+    return _Moment(k, batch, read_out, lambda N, top: (top,), series)
 
 
 def sample_autocovariance(
@@ -621,22 +831,8 @@ def sample_autocovariance(
     block k - 1. Every element is still a sum in t order of separately
     rounded products, so the layout moves no bit.
     """
-    one_d = np.ndim(values) == 1
-
-    def batch(xm, size, lags, buf, out):
-        N = xm.shape[1]
-        leads = sliding_window_view(xm.reshape(-1)[N:], (len(xm) - size) * N)[::N]
-        np.einsum("sj,sm->jm", xm[:size], leads, out=out)
-        out /= size
-
-    def read_out(per_batch, lag):
-        N = per_batch.shape[1]
-        # per_batch[b, j, (lag - 1) N + i] pairs the lag at j with the lead at i
-        est, se = _mean_se(per_batch[:, :, (lag - 1) * N : lag * N])
-        return (float(est[0, 0]), float(se[0, 0])) if one_d else (est.T.copy(), se.T.copy())
-
-    return _lead_lag_walk(
-        values, k, n_batches, batch, read_out, lambda N, top: (N, top * N), centre=True)
+    moment = _autocovariance_moment(k, np.ndim(values) == 1)
+    return _lead_lag_walk(_ArrayRows(values), [moment], n_batches)[0]
 
 
 def factor_moment_mc(
@@ -656,18 +852,7 @@ def stock_moment_mc(
     """Monte Carlo E[r_{t-k}' r_t] (uncentered) with batch-means SE, from
     each batch's mean row product sum. Takes a (T, N) panel or a series as
     one column, and one lag or a sequence as :func:`sample_autocovariance`."""
-
-    def batch(window, size, lags, products, out):
-        for lag in lags:
-            np.multiply(window[lag : lag + size], window[:size], out=products[:size])
-            out[lag - 1] = products[:size].sum(axis=1).mean()
-
-    def read_out(per_batch, lag):
-        # a contiguous copy: numpy sums a 1-d vector pairwise, a column in order
-        mean, se = _mean_se(per_batch[:, lag - 1].copy())
-        return float(mean), float(se)
-
-    return _lead_lag_walk(return_values, k, n_batches, batch, read_out, lambda N, top: (top,))
+    return _lead_lag_walk(_ArrayRows(return_values), [_product_moment(k)], n_batches)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -703,37 +888,51 @@ def reconstruction_check(
     maximum elementwise deviation from the recursively simulated path along
     with the geometric bound on the truncated tail. Every argument is
     checked before anything is simulated.
+
+    One pass over the blocks of :func:`_path_blocks`, which keeps the last
+    ``depth`` factor innovations g = e'w and the last innovation row across
+    block edges: each block convolves its own g with the kernel in 'valid'
+    mode, which gives the whole-array convolution's bits, and maps e_{t-1}
+    on the whole block, so no full-length array is made.
     """
     length = _path_rows(T, burn_in)
     depth = _integer(depth, "depth", 2, ParameterError)
     first = max(burn_in, depth)
     if first >= length:
         raise ParameterError(f"burn_in + T = {length} leaves no rows past depth {depth}")
-    r, e = _simulate_raw(params, length, seed)
-    a, rho, alpha = params.a, params.rho, params.alpha
+    a, rho, alpha, n = params.a, params.rho, params.alpha, params.n
     c = a - rho
-    g = _project(e, params.w)
     kernel = a ** np.arange(depth - 1)  # exponents 0 .. depth-2 for k = 2 .. depth
-    conv = np.convolve(g, kernel)
-    lag_map = (params.impact_matrix - rho * np.eye(params.n)).T
+    lag_map = (params.impact_matrix - rho * np.eye(n)).T
 
-    deviation = scale = 0.0
-    for start, stop in _row_blocks(first, length):
-        recon = np.empty((stop - start, params.n))
-        recon[:] = params.mean_returns
-        recon += e[start:stop]
-        recon += e[start - 1 : stop - 1] @ lag_map
-        recon += np.outer(c * alpha * conv[start - 2 : stop - 2], params.w)
-        rows = r[start:stop]
-        deviation = max(deviation, float(np.max(np.abs(rows - recon))))
-        scale = max(scale, float(np.max(np.abs(rows))))
+    deviation = scale = g_max = 0.0
+    g_kept, e_prev = np.empty(0), np.zeros(n)  # g before the block; e_{-1} = 0
+    for start, stop, rows, e in _path_blocks(params, length, seed, innovations=True):
+        g = np.concatenate((g_kept, _project(e, params.w)))  # g[start - len(g_kept) : stop]
+        g_max = max(g_max, float(np.max(np.abs(g[len(g_kept):]))))
+        lagged = np.concatenate((e_prev[None], e[:-1])) @ lag_map  # on the whole block
+        e_prev = e[-1].copy()
+        t0 = max(start, first)
+        if t0 < stop:
+            # conv[t - 2] for t in [t0, stop), the full convolution's own bits
+            base = start - len(g_kept)
+            conv = np.convolve(g[t0 - depth - base : stop - 2 - base], kernel, "valid")
+            recon = np.empty((stop - t0, n))
+            recon[:] = params.mean_returns
+            recon += e[t0 - start :]
+            recon += lagged[t0 - start :]
+            recon += np.outer(c * alpha * conv, params.w)
+            kept = rows[t0 - start :]
+            deviation = max(deviation, float(np.max(np.abs(kept - recon))))
+            scale = max(scale, float(np.max(np.abs(kept))))
+        g_kept = g[-depth:]
     float_floor = 1e-12 * (1.0 + scale)
     # a = 0 leaves no tail: a ** (depth - 1) is then exactly 0
     tail = (
         abs(c)
         * alpha
         * float(np.max(np.abs(params.w)))
-        * float(np.max(np.abs(g)))
+        * g_max
         * a ** (depth - 1)
         / (1.0 - a)
     )
@@ -881,16 +1080,44 @@ def _rel_row(name: str, lhs: float, rhs: float, note: str) -> VerificationCheck:
     return VerificationCheck(name, lhs, rhs, None, "rel", _rel_close(lhs, rhs), note)
 
 
+def _autocovariance_rows(params: ModelParams, moments: list) -> list[VerificationCheck]:
+    """The 3-SE rows of the sample Omega_1.. (estimate, se) pairs ``moments``."""
+    omegas = autocovariance_matrices(params, len(moments))
+    return [_three_se_row(f"autocovariance_k{k}", omegas.omega(k), *moment)
+            for k, moment in enumerate(moments, start=1)]
+
+
 def check_autocovariances(
     params: ModelParams, return_values: np.ndarray, k_max: int
 ) -> list[VerificationCheck]:
     """Elementwise 3-SE comparison of sample vs closed-form Omega_1..k_max."""
-    omegas = autocovariance_matrices(params, k_max)
-    lags = range(1, k_max + 1)
-    return [
-        _three_se_row(f"autocovariance_k{k}", omegas.omega(k), *moment)
-        for k, moment in zip(lags, sample_autocovariance(return_values, lags))
-    ]
+    return _autocovariance_rows(
+        params, sample_autocovariance(return_values, range(1, k_max + 1)))
+
+
+def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
+                       burn_in: int = DEFAULT_BURN_IN) -> list:
+    """The Monte Carlo moments of :func:`verify_model` on the path
+    ``simulate(params, T, seed, burn_in)``, with the bits of
+    ``sample_autocovariance(R, 1..k_max)``, ``factor_moment_mc(F, 1..VERIFY_FACTOR_K)``
+    and ``stock_moment_mc(R, 1..VERIFY_STOCK_K)``, in that order, without the
+    (T, N) array.
+
+    Pass 1 walks the path's blocks once into a ring of two, recording the
+    :class:`_Tape` and adding the kept rows into R's column sums in t order,
+    the order of ``R.mean(axis=0)``. Pass 2 replays the path for one batch
+    walk (:class:`_Replay`) that feeds all three estimators.
+    """
+    tape, sums = _Tape(), None
+    for start, _, rows, _ in _path_blocks(params, _path_rows(T, burn_in), seed, tape=tape):
+        kept = rows[max(burn_in - start, 0) :]
+        if len(kept):
+            sums = (np.add.reduce(kept, axis=0) if sums is None
+                    else np.add.reduce(np.concatenate((sums[None], kept)), axis=0))
+    moments = [_autocovariance_moment(range(1, k_max + 1)),
+               _product_moment(range(1, VERIFY_FACTOR_K + 1), series=1),
+               _product_moment(range(1, VERIFY_STOCK_K + 1))]
+    return _lead_lag_walk(_Replay(params, tape, burn_in, sums), moments, DEFAULT_BATCHES)
 
 
 def verify_model(
@@ -914,6 +1141,11 @@ def verify_model(
     :func:`momentum_covariance_check`, which runs before the battery, so its
     argument checks fire before any large draw, and reports as the last row.
 
+    The moments are those of the public estimators on ``simulate(params, T,
+    seed)``, bit for bit, taken in two passes over the path's blocks (see
+    :func:`_simulated_moments`), so the peak memory is the AR(1) state of 8
+    bytes a row and a few batch windows, not the (T, N) panel.
+
     Raises :class:`ParameterError` before simulating anything when T leaves
     fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked.
     """
@@ -926,16 +1158,15 @@ def verify_model(
             f"{T - k_top} observations for {DEFAULT_BATCHES} batches; "
             f"need T >= {k_top + DEFAULT_BATCHES}"
         )
-    # each on its own path (reconstruction on seed + 1), run first so their
-    # arrays are gone before the panel
+    _path_rows(T, DEFAULT_BURN_IN)  # a T numpy cannot index stops here, before any draw
+    # each on its own path (reconstruction on seed + 1)
     cov = None if eq3 is None else momentum_covariance_check(**eq3)
     recon = reconstruction_check(params, seed=seed + 1)
-    path = simulate(params, T, seed)
-    R, F = path.panel.values, path.factor.values
+    autocov, factor, stock = _simulated_moments(params, T, seed, k_max)
     omegas = autocovariance_matrices(params, max(k_max, VERIFY_FACTOR_K, VERIFY_STOCK_K))
 
-    checks = check_autocovariances(params, R, k_max)
-    for k, mc in enumerate(factor_moment_mc(F, range(1, VERIFY_FACTOR_K + 1)), start=1):
+    checks = _autocovariance_rows(params, autocov)
+    for k, mc in enumerate(factor, start=1):
         moment = expected_factor_momentum(params, k)
         checks += [
             _three_se_row(f"factor_momentum_k{k}", moment.total, *mc),
@@ -955,7 +1186,7 @@ def verify_model(
             "momentum term decays geometrically at rate a",
         ))
 
-    for k, (mc, se) in enumerate(stock_moment_mc(R, range(1, VERIFY_STOCK_K + 1)), start=1):
+    for k, (mc, se) in enumerate(stock, start=1):
         moment = expected_stock_momentum(params, k, omegas)
         plain = moment.reduced_term + moment.drift_term
         checks += [

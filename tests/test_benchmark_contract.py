@@ -47,6 +47,7 @@ def test_tracer_installs_and_counts(tmp_path):
     assert result["codes"] == [0, 0]
     assert result["counters"]["panel.Calendar.periods.labels"] == 24
     assert result["counters"]["panel.emit_csv.cells"] > 0
+    assert result["counters"]["model.simulated_cells"] > 0
     assert {"panel.Calendar.periods", "panel.resample_monthly", "model.simulate"} <= set(
         result["spans"])
 
@@ -75,9 +76,9 @@ def test_tracer_spans_verify_and_wraps_every_declared_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] in (0, 1)  # a small-T verify can miss a 3-SE check
-    assert {"model.verify_model", "model.simulate", "model.sample_autocovariance",
-            "model.reconstruction_check"} <= set(result["spans"])
-    assert result["counters"]["model.simulated_cells"] > 0
+    # verify streams its path through private helpers: neither simulate nor
+    # the public estimators run, so only its own spans are required
+    assert {"model.verify_model", "model.reconstruction_check"} <= set(result["spans"])
     # a traced benchmark run is marked incorrect when a declared layer never reports
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     declared = {m["name"].removesuffix(".calls") for m in per_layer if m["name"].endswith(".calls")}

@@ -539,6 +539,7 @@ def test_verify_rejects_unestimable_lag_before_simulating(tmp_path, capsys, monk
 
     monkeypatch.setattr(model, "simulate", no_simulation)
     monkeypatch.setattr(model, "_simulate_raw", no_simulation)
+    monkeypatch.setattr(model, "_path_blocks", no_simulation)
     monkeypatch.setattr(model, "autocovariance_matrices", no_simulation)
     code = main(["--seed", "0", "--out-dir", str(tmp_path), "verify", *argv])
     assert code == 2
@@ -760,6 +761,9 @@ def test_verify_bad_eq3_values_exit_2_before_simulating(tmp_path, capsys, change
         ({"N": "2"}, "N"),
         ({"sigma": {"diag": [1, 1], "full": [[1, 0], [0, 1]]}}, "sigma"),
     ]],
+    # a path longer than numpy can index is refused by name before any draw
+    ("simulate", {"T": 10**400}, "T"),
+    ("verify", {"T": 10**400}, "T"),
     # an integer past the float range is an input error, not an OverflowError
     ("simulate", {"T": 50, "params": {
         "N": 2, "alpha": 10**400, "w": [1, 1], "mu": [0, 0], "rho": 0.1,

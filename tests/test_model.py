@@ -233,8 +233,12 @@ BLOCK_EDGE_PARAMS = {
     "rho=0": make_params(n=3, alpha=0.45, rho=0.0, mu=0.02, seed=4),
     "rho!=0": make_params(n=3, alpha=0.3, rho=-0.25, mu=[0.01, 0.0, -0.03],
                           sigma=random_psd(3, 5), seed=6),
-    # diagonal: a diagonal root's bits through the one matrix-product draw
+    # diagonal: a diagonal root scales the draws where the reference multiplies
     "diagonal": make_params(n=3, alpha=0.4, rho=0.15, sigma=np.diag([0.5, 2.0, 3.0]), seed=7),
+    # a zero variance: Cholesky fails, and the eigh root is diagonal with a
+    # zero, where a scaled negative draw is -0 and the gemm's sum is +0
+    "zero variance": make_params(n=3, alpha=0.4, rho=0.15, sigma=np.diag([0.0, 0.5, 2.0]),
+                                 seed=9),
     # exactly singular: Cholesky fails and the eigh square root is used
     "singular": make_params(n=3, alpha=0.5, rho=0.2, sigma=np.array(
         [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]), seed=8),
@@ -246,7 +250,7 @@ BLOCK_EDGE_PARAMS = {
 @pytest.mark.parametrize("case", sorted(BLOCK_EDGE_PARAMS))
 def test_simulation_blocks_bit_identical_to_whole_array(monkeypatch, case, block):
     p = BLOCK_EDGE_PARAMS[case]
-    if case == "singular":
+    if case in ("singular", "zero variance"):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(p.sigma)
     monkeypatch.setattr(model, "_BLOCK_ROWS", block)
@@ -531,7 +535,7 @@ def test_reconstruction_refuses_a_path_shorter_than_its_depth():
     ({"depth": 1}, "^depth must be >= 2$"),
 ])
 def test_reconstruction_checks_arguments_before_simulating(monkeypatch, kwargs, message):
-    monkeypatch.setattr(model, "_simulate_raw", None)
+    monkeypatch.setattr(model, "_path_blocks", None)
     with pytest.raises(ParameterError, match=message):
         reconstruction_check(make_params(), **{"seed": 1, **kwargs})
 
@@ -553,7 +557,7 @@ SIMULATORS = {
 ], ids=["T=0", "T=-5", "burn_in=-3"])
 def test_simulators_check_path_length_before_simulating(monkeypatch, simulator, kwargs,
                                                         message):
-    monkeypatch.setattr(model, "_fill_raw", None)
+    monkeypatch.setattr(model, "_path_blocks", None)
     monkeypatch.setattr(model, "_ar1", None)
     with pytest.raises(ParameterError, match=message):
         SIMULATORS[simulator](**{"seed": 1, **kwargs})
@@ -610,7 +614,7 @@ MODEL_INTEGERS = {
 @pytest.mark.parametrize("case", MODEL_INTEGERS)
 @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "2"], ids=["1.5", "float64", "str"])
 def test_integer_arguments_refuse_non_integers_before_simulating(monkeypatch, case, bad):
-    for name in ("_fill_raw", "_ar1", "_lag_windows", "simulate_ar1", "simulate",
+    for name in ("_path_blocks", "_ar1", "_walk_runs", "simulate_ar1", "simulate",
                  "reconstruction_check"):
         monkeypatch.setattr(model, name, None)
     what, _, call = MODEL_INTEGERS[case]
@@ -850,7 +854,7 @@ def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_bat
         with pytest.raises(ParameterError, match=f"^need 1 <= k < {T}, got {bad}$"):
             stock_moment_mc(x, bad, n_batches)
     # a bad lag anywhere in the sequence is rejected before any batch is read
-    monkeypatch.setattr(model, "_lag_windows", None)
+    monkeypatch.setattr(model, "_walk_runs", None)
     for values in (x, x[:, 0]):
         for bad, message in ((k, short), (0, "^need 1 <= k < "), (T, "^need 1 <= k < ")):
             for estimator in (sample_autocovariance, stock_moment_mc):
@@ -991,18 +995,123 @@ def test_estimators_ignore_memory_order():
             assert estimator(series, k) == estimator(series.copy(), k)
 
 
-def test_verify_walks_each_path_once_per_estimator(monkeypatch):
-    cuts = []
-    lag_windows = model._lag_windows
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_draws_its_path_once_and_replays_it_once(monkeypatch, workers):
+    # the reconstruction draws its own path once and pass 1 the battery's;
+    # one replay then feeds all three estimators, each worker redrawing the
+    # blocks of its run of batches, so two workers may share one block
+    monkeypatch.setattr(model, "_workers", lambda: workers)
+    passes, replayed = [], []
+    path_blocks, replay_rows = model._path_blocks, model._Replay._rows
 
-    def counted(x, k, n_batches):
-        cuts.append(x.shape)
-        return lag_windows(x, k, n_batches)
+    def counted_pass(params, length, seed, *args, **kwargs):
+        passes.append((length, seed))
+        return path_blocks(params, length, seed, *args, **kwargs)
 
-    monkeypatch.setattr(model, "_lag_windows", counted)
+    def counted_replay(self, lo, hi, block):
+        replayed.extend(b for b, (start, stop) in enumerate(self.tape.bounds)
+                        if start < hi and stop > lo)
+        return replay_rows(self, lo, hi, block)
+
+    monkeypatch.setattr(model, "_path_blocks", counted_pass)
+    monkeypatch.setattr(model._Replay, "_rows", counted_replay)
     verify_model(default_params(), seed=3, T=20_000)
-    # the autocovariances and the stock moment read R, the factor moment F
-    assert sorted(cuts) == [(20_000, 1), (20_000, 20), (20_000, 20)]
+    assert passes == [(200_500, 4), (20_500, 3)]
+    # lags 1..6 all take batches of 199 rows: the walk reads rows 500 .. 500 +
+    # 100 * 199 + 6 of the path, so its last block, rows 20,480 .., is not drawn
+    needed = [b for b, (start, stop) in enumerate(model._row_blocks(0, 20_500))
+              if start < 500 + 100 * 199 + 6 and stop > 500]
+    assert set(replayed) == set(needed) and len(needed) == 5
+    assert len(replayed) <= len(needed) + workers - 1
+
+
+def reference_moments(p, T, seed, burn_in, k_max):
+    """verify's moments from the public estimators on the simulated path."""
+    path = simulate(p, T, seed, burn_in)
+    R, F = path.panel.values, path.factor.values
+    return [sample_autocovariance(R, range(1, k_max + 1)),
+            factor_moment_mc(F, range(1, model.VERIFY_FACTOR_K + 1)),
+            stock_moment_mc(R, range(1, model.VERIFY_STOCK_K + 1))]
+
+
+STREAM_PARAMS = {
+    "shipped": default_params(),
+    "dense": make_params(n=4, alpha=0.5, rho=0.2, mu=[0.01, -0.02, 0.0, 0.03],
+                         sigma=random_psd(4, 12), seed=13),
+}
+
+
+# T = 20,001 puts lag 1 in batches of 200 rows and lags 2..6 in batches of 199;
+# 3 workers are more threads than a 2-CPU host has
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("burn_in", [0, 500])
+@pytest.mark.parametrize("case", sorted(STREAM_PARAMS))
+def test_streamed_moments_are_the_public_estimators_bits(monkeypatch, fine_switching, case,
+                                                         burn_in, block, workers):
+    monkeypatch.setattr(model, "_workers", lambda: workers)
+    monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+    p, T = STREAM_PARAMS[case], 20_001
+    assert len({(T - k) // model.DEFAULT_BATCHES for k in range(1, 7)}) == 2
+    want = reference_moments(p, T, 5, burn_in, 3)
+    got = model._simulated_moments(p, T, 5, 3, burn_in)
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+def whole_array_reconstruction(p, T, seed, depth, burn_in):
+    """reconstruction_check's whole-array formula, the streamed check's
+    reference: one full convolution of g and one matrix product per block."""
+    length = burn_in + T
+    first = max(burn_in, depth)
+    r, e = whole_array_raw(p, length, seed)
+    a, rho, alpha = p.a, p.rho, p.alpha
+    c = a - rho
+    g = fixed_order_dot(e, p.w)
+    conv = np.convolve(g, a ** np.arange(depth - 1))
+    lag_map = (p.impact_matrix - rho * np.eye(p.n)).T
+    deviation = scale = 0.0
+    for start, stop in model._row_blocks(first, length):
+        recon = np.empty((stop - start, p.n))
+        recon[:] = p.mean_returns
+        recon += e[start:stop]
+        recon += e[start - 1 : stop - 1] @ lag_map
+        recon += np.outer(c * alpha * conv[start - 2 : stop - 2], p.w)
+        rows = r[start:stop]
+        deviation = max(deviation, float(np.max(np.abs(rows - recon))))
+        scale = max(scale, float(np.max(np.abs(rows))))
+    tail = (abs(c) * alpha * float(np.max(np.abs(p.w))) * float(np.max(np.abs(g)))
+            * a ** (depth - 1) / (1.0 - a))
+    return model.ReconstructionCheck(depth, deviation, tail + 1e-12 * (1.0 + scale))
+
+
+@pytest.mark.parametrize("block", [7, 64, None])
+@pytest.mark.parametrize("depth, burn_in", [(2, 0), (20, 0), (20, 30), (150, 3)])
+@pytest.mark.parametrize("case", sorted(BLOCK_EDGE_PARAMS))
+def test_streamed_reconstruction_is_the_whole_array_formula(monkeypatch, case, depth, burn_in,
+                                                            block):
+    if block is not None:
+        monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+    p, T = BLOCK_EDGE_PARAMS[case], 700
+    want = whole_array_reconstruction(p, T, 17, depth, burn_in)
+    assert reconstruction_check(p, T, 17, depth, burn_in) == want
+
+
+def test_blockwise_sums_and_valid_convolutions_keep_the_whole_array_bits():
+    # the two identities the streamed verify rests on; a numpy release that
+    # breaks either fails here first
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((200_500, 20))
+    sums = None
+    for lo, hi in [(0, 500), *model._row_blocks(500, len(x))]:
+        sums = (np.add.reduce(x[lo:hi], axis=0) if sums is None
+                else np.add.reduce(np.concatenate((sums[None], x[lo:hi])), axis=0))
+    assert (sums / len(x)).tobytes() == x.mean(axis=0).tobytes()
+    g, depth = rng.standard_normal(200_500), 200
+    kernel = 0.6 ** np.arange(depth - 1)
+    full = np.convolve(g, kernel)
+    for lo, hi in model._row_blocks(depth - 2, len(g)):
+        valid = np.convolve(g[lo - (depth - 2) : hi], kernel, "valid")
+        assert valid.tobytes() == full[lo:hi].tobytes(), lo
 
 
 def _traced_peak(fn) -> int:
@@ -1046,7 +1155,9 @@ def test_monte_carlo_peak_memory_stays_near_one_panel():
     p, T = default_params(), 200_000
     panel_bytes = T * p.n * 8
     assert _traced_peak(lambda: simulate(p, T, seed=3)) <= 2.5 * panel_bytes
-    assert _traced_peak(lambda: verify_model(p, seed=3, T=T)) <= 4 * panel_bytes
+    # verify never holds the panel: the AR(1) state of 8 bytes a row, a few
+    # blocks and batch windows
+    assert _traced_peak(lambda: verify_model(p, seed=3, T=T)) <= panel_bytes / 3
 
 
 def test_simulate_ar1_hits_stationary_moments():
