@@ -257,15 +257,22 @@ def _root_map(sigma: np.ndarray):
     scales the columns instead: each gemm element is then one product plus
     exact zeros, so no bit moves and no BLAS call is made. A zero on the
     diagonal keeps the gemm, whose sum of zeros is +0 where the product of a
-    negative draw would be -0."""
+    negative draw would be -0.
+
+    The gemm runs on sub-blocks of at most 2**18 multiply-adds, which
+    OpenBLAS keeps on the calling thread: a threaded gemm per block leaves
+    its threads spinning against the draw thread and the replay's workers.
+    A row's bits do not depend on the rows multiplied with it (see
+    :func:`_row_blocks`)."""
     root = _chol_psd(sigma)
     scale = np.diag(root).copy()
     if np.array_equal(root, np.diag(scale)) and np.all(scale != 0.0):
         return lambda rows: np.multiply(rows, scale, out=rows)
-    root_t = root.T
+    root_t, step = root.T, (1 << 18) // len(root) ** 2
 
     def transform(rows):
-        rows[:] = rows @ root_t
+        for lo, hi in _row_blocks(0, len(rows), step):
+            rows[lo:hi] = rows[lo:hi] @ root_t
 
     return transform
 
@@ -279,12 +286,13 @@ def _ar1(x: np.ndarray, coef: float, init: float) -> np.ndarray:
     return np.fromiter(steps, np.float64, len(x) + 1)[1:]
 
 
-def _row_blocks(start: int, stop: int):
-    """(lo, hi) bounds of consecutive blocks of ``_BLOCK_ROWS`` rows covering
-    [start, stop). No block holds a single row unless the range does: numpy
-    sends a one-row matrix product to BLAS gemv, which rounds differently
-    from the whole-array gemm, so a one-row tail joins the block before it."""
-    step = max(_BLOCK_ROWS, 2)
+def _row_blocks(start: int, stop: int, rows: int | None = None):
+    """(lo, hi) bounds of consecutive blocks of ``rows`` (by default
+    ``_BLOCK_ROWS``) rows covering [start, stop). No block holds a single row
+    unless the range does: numpy sends a one-row matrix product to BLAS
+    gemv, which rounds differently from the whole-array gemm, so a one-row
+    tail joins the block before it."""
+    step = max(_BLOCK_ROWS if rows is None else rows, 2)
     while start < stop:
         hi = stop if stop - start <= step + 1 else start + step
         yield start, hi
@@ -358,34 +366,35 @@ def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None 
     while the caller reads it. The draws are one stream taken in block
     order, so no bit depends on the thread that draws them.
     """
-    rng = np.random.default_rng(seed)
-    transform = _root_map(params.sigma)
-    bounds = list(_row_blocks(0, length))
-    widest = max(hi - lo for lo, hi in bounds)
-    ring = np.empty((2, widest, params.n)) if out is None else None
-    e_buf = np.empty((widest, params.n)) if innovations else None
-    if tape is not None:
-        tape.bounds = bounds
+    if tape is not None:  # first, so a length memory cannot hold fails here
         tape.s = np.empty(length + 1)
         tape.s[0] = params.factor_mean
+    rng = np.random.default_rng(seed)
+    transform = _root_map(params.sigma)
+    widest = min(length, max(_BLOCK_ROWS, 2) + 1)  # a block takes at most one row more
+    ring = np.empty((2, widest, params.n)) if out is None else None
+    e_buf = np.empty((widest, params.n)) if innovations else None
 
-    def slot(b):
-        lo, hi = bounds[b]
+    def slot(b, lo, hi):
         return out[lo:hi] if ring is None else ring[b % 2, : hi - lo]
 
-    def draw(b):
+    def draw(b, lo, hi):
         if tape is not None:
+            tape.bounds.append((lo, hi))
             tape.states.append(rng.bit_generator.state)
-        return pool.submit(rng.standard_normal, out=slot(b))
+        return pool.submit(rng.standard_normal, out=slot(b, lo, hi))
 
+    blocks = _row_blocks(0, length)  # walked lazily, one block ahead
+    start, stop = next(blocks)
     state, e_last = params.factor_mean, None
     with _pool(1) as pool:
-        drawn = draw(0)
-        for b, (start, stop) in enumerate(bounds):
+        drawn = draw(0, start, stop)
+        for b in itertools.count():
             drawn.result()  # block b's innovations are in place
-            if b + 1 < len(bounds):
-                drawn = draw(b + 1)
-            rows = slot(b)
+            ahead = next(blocks, None)
+            if ahead is not None:
+                drawn = draw(b + 1, *ahead)
+            rows = slot(b, start, stop)
             transform(rows)
             e = None
             if innovations:
@@ -402,6 +411,9 @@ def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None 
                 tape.e_last.append(e_last)
                 tape.s[start + 1 : stop + 1] = s
             yield start, stop, rows, e
+            if ahead is None:
+                return
+            start, stop = ahead
 
 
 def _path_rows(T: int, burn_in: int) -> int:

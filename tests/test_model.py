@@ -239,6 +239,8 @@ BLOCK_EDGE_PARAMS = {
     # zero, where a scaled negative draw is -0 and the gemm's sum is +0
     "zero variance": make_params(n=3, alpha=0.4, rho=0.15, sigma=np.diag([0.0, 0.5, 2.0]),
                                  seed=9),
+    # twenty assets: the root's gemm runs on sub-blocks of 655 rows
+    "dense 20": make_params(n=20, alpha=0.3, rho=0.1, mu=0.01, sigma=random_psd(20, 3), seed=2),
     # exactly singular: Cholesky fails and the eigh square root is used
     "singular": make_params(n=3, alpha=0.5, rho=0.2, sigma=np.array(
         [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]), seed=8),
