@@ -253,25 +253,20 @@ def _chol_psd(sigma: np.ndarray) -> np.ndarray:
 
 def _root_map(sigma: np.ndarray):
     """In-place map of a block of standard normal rows z onto z @ root.T, the
-    root from :func:`_chol_psd`. A diagonal root with no zero on its diagonal
-    scales the columns instead: each gemm element is then one product plus
-    exact zeros, so no bit moves and no BLAS call is made. A zero on the
-    diagonal keeps the gemm, whose sum of zeros is +0 where the product of a
-    negative draw would be -0.
+    root from :func:`_chol_psd`.
 
-    The gemm runs on sub-blocks of at most 2**18 multiply-adds, which
-    OpenBLAS keeps on the calling thread: a threaded gemm per block leaves
-    its threads spinning against the draw thread and the replay's workers.
-    A row's bits do not depend on the rows multiplied with it (see
-    :func:`_row_blocks`)."""
-    root = _chol_psd(sigma)
-    scale = np.diag(root).copy()
-    if np.array_equal(root, np.diag(scale)) and np.all(scale != 0.0):
-        return lambda rows: np.multiply(rows, scale, out=rows)
-    root_t, step = root.T, (1 << 18) // len(root) ** 2
+    Up to 64 assets the gemm runs on sub-blocks of at most 2**18
+    multiply-adds, at least 64 rows, which OpenBLAS keeps on the calling
+    thread: a threaded gemm per block leaves its threads spinning against the
+    draw thread and the replay's workers. Past 64 assets such sub-blocks
+    would be smaller and each would read the whole root again, so a block
+    takes one gemm. A row's bits do not depend on the rows multiplied with
+    it (see :func:`_row_blocks`)."""
+    root_t = _chol_psd(sigma).T
+    step = (1 << 18) // len(root_t) ** 2
 
     def transform(rows):
-        for lo, hi in _row_blocks(0, len(rows), step):
+        for lo, hi in _row_blocks(0, len(rows), step if step >= 64 else len(rows)):
             rows[lo:hi] = rows[lo:hi] @ root_t
 
     return transform
@@ -426,15 +421,6 @@ def _path_rows(T: int, burn_in: int) -> int:
             f"'T' = {T} with burn_in = {burn_in} exceeds the {np.iinfo(np.intp).max} rows "
             "numpy can index")
     return length
-
-
-def _simulate_raw(params: ModelParams, length: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Return (r, e) arrays of shape (length, N), starting from the
-    unconditional mean with e_{-1} = 0."""
-    r, e = np.empty((length, params.n)), np.empty((length, params.n))
-    for start, stop, _, e_block in _path_blocks(params, length, seed, r, innovations=True):
-        e[start:stop] = e_block
-    return r, e
 
 
 @dataclass(frozen=True)
@@ -1117,15 +1103,23 @@ def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
 
     Pass 1 walks the path's blocks once into a ring of two, recording the
     :class:`_Tape` and adding the kept rows into R's column sums in t order,
-    the order of ``R.mean(axis=0)``. Pass 2 replays the path for one batch
-    walk (:class:`_Replay`) that feeds all three estimators.
+    the order of ``R.mean(axis=0)``. One asset is the exception: numpy sums
+    a one-column array pairwise, not in t order, so its kept column is held
+    (8 bytes a row, as the tape's s) and summed whole. Pass 2 replays the
+    path for one batch walk (:class:`_Replay`) that feeds all three
+    estimators.
     """
     tape, sums = _Tape(), None
-    for start, _, rows, _ in _path_blocks(params, _path_rows(T, burn_in), seed, tape=tape):
+    column = np.empty((T, 1)) if params.n == 1 else None
+    for start, stop, rows, _ in _path_blocks(params, _path_rows(T, burn_in), seed, tape=tape):
         kept = rows[max(burn_in - start, 0) :]
-        if len(kept):
+        if column is not None:
+            column[stop - burn_in - len(kept) : stop - burn_in] = kept
+        elif len(kept):
             sums = (np.add.reduce(kept, axis=0) if sums is None
                     else np.add.reduce(np.concatenate((sums[None], kept)), axis=0))
+    if column is not None:
+        sums = np.add.reduce(column, axis=0)
     moments = [_autocovariance_moment(range(1, k_max + 1)),
                _product_moment(range(1, VERIFY_FACTOR_K + 1), series=1),
                _product_moment(range(1, VERIFY_STOCK_K + 1))]

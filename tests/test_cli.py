@@ -538,7 +538,6 @@ def test_verify_rejects_unestimable_lag_before_simulating(tmp_path, capsys, monk
         raise AssertionError("simulated before validating T and k_max")
 
     monkeypatch.setattr(model, "simulate", no_simulation)
-    monkeypatch.setattr(model, "_simulate_raw", no_simulation)
     monkeypatch.setattr(model, "_path_blocks", no_simulation)
     monkeypatch.setattr(model, "autocovariance_matrices", no_simulation)
     code = main(["--seed", "0", "--out-dir", str(tmp_path), "verify", *argv])

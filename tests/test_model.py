@@ -19,7 +19,6 @@ from factormom.model import (
     ParameterError,
     _ar1,
     _chol_psd,
-    _simulate_raw,
     autocovariance_matrices,
     check_autocovariances,
     default_params,
@@ -204,7 +203,7 @@ def test_simulators_match_lfilter_formulas_bit_for_bit():
     x = fixed_order_dot(eps, p.w) + p.factor_drift
     s = signal.lfilter([1.0], [1.0, -p.a], x, zi=np.array([p.a * p.factor_mean]))[0]
     s_prev = np.concatenate(([p.factor_mean], s[:-1]))
-    r, e_sim = _simulate_raw(p, 3000, seed=11)
+    r, e_sim = streamed_raw(p, 3000, seed=11)
     assert e_sim.tobytes() == e.tobytes()
     assert r.tobytes() == (eps + p.mu + np.outer(s_prev, p.alpha * p.w)).tobytes()
 
@@ -213,6 +212,14 @@ def test_simulators_match_lfilter_formulas_bit_for_bit():
     x = (1.0 - q.rho) * q.mu + u
     f = signal.lfilter([1.0], [1.0, -q.rho], x, zi=np.array([q.rho * q.mu]))[0]
     assert simulate_ar1(q, 3000, seed=80).tobytes() == f[100:].tobytes()
+
+
+def streamed_raw(p, length, seed):
+    """(r, e) of a path, gathered from the kernel's block stream."""
+    r, e = np.empty((length, p.n)), np.empty((length, p.n))
+    for start, stop, _, e_block in model._path_blocks(p, length, seed, r, innovations=True):
+        e[start:stop] = e_block
+    return r, e
 
 
 def whole_array_raw(p, length, seed):
@@ -233,12 +240,8 @@ BLOCK_EDGE_PARAMS = {
     "rho=0": make_params(n=3, alpha=0.45, rho=0.0, mu=0.02, seed=4),
     "rho!=0": make_params(n=3, alpha=0.3, rho=-0.25, mu=[0.01, 0.0, -0.03],
                           sigma=random_psd(3, 5), seed=6),
-    # diagonal: a diagonal root scales the draws where the reference multiplies
+    # diagonal: a diagonal root's bits through the one matrix-product draw
     "diagonal": make_params(n=3, alpha=0.4, rho=0.15, sigma=np.diag([0.5, 2.0, 3.0]), seed=7),
-    # a zero variance: Cholesky fails, and the eigh root is diagonal with a
-    # zero, where a scaled negative draw is -0 and the gemm's sum is +0
-    "zero variance": make_params(n=3, alpha=0.4, rho=0.15, sigma=np.diag([0.0, 0.5, 2.0]),
-                                 seed=9),
     # twenty assets: the root's gemm runs on sub-blocks of 655 rows
     "dense 20": make_params(n=20, alpha=0.3, rho=0.1, mu=0.01, sigma=random_psd(20, 3), seed=2),
     # exactly singular: Cholesky fails and the eigh square root is used
@@ -252,13 +255,13 @@ BLOCK_EDGE_PARAMS = {
 @pytest.mark.parametrize("case", sorted(BLOCK_EDGE_PARAMS))
 def test_simulation_blocks_bit_identical_to_whole_array(monkeypatch, case, block):
     p = BLOCK_EDGE_PARAMS[case]
-    if case in ("singular", "zero variance"):
+    if case == "singular":
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(p.sigma)
     monkeypatch.setattr(model, "_BLOCK_ROWS", block)
     for length in sorted({1, 2, block - 1, block, block + 1, 2 * block + 3} - {0}):
         ref_r, ref_e = whole_array_raw(p, length, seed=length)
-        r, e = _simulate_raw(p, length, seed=length)
+        r, e = streamed_raw(p, length, seed=length)
         assert r.tobytes() == ref_r.tobytes(), length
         assert e.tobytes() == ref_e.tobytes(), length
         if length > 1:  # the same total length, one row of burn-in
@@ -266,6 +269,25 @@ def test_simulation_blocks_bit_identical_to_whole_array(monkeypatch, case, block
             assert path.panel.values.tobytes() == ref_r[1:].tobytes(), length
             ref_f = fixed_order_dot(ref_r[1:], p.w)
             assert path.factor.values.tobytes() == ref_f.tobytes(), length
+
+
+# up to 64 assets the gemm runs on sub-blocks of 2**18 multiply-adds, at
+# least 64 rows; past them one gemm takes the whole block
+@pytest.mark.parametrize("n, rows", [(3, 29_127), (20, 655), (64, 64), (65, 4097), (130, 4097)])
+def test_root_map_is_the_whole_block_product(monkeypatch, n, rows):
+    sigma = random_psd(n, n)
+    z = np.random.default_rng(n).standard_normal((4097, n))
+    want = z @ _chol_psd(sigma).T
+    steps, row_blocks = [], model._row_blocks
+
+    def spied(start, stop, step=None):
+        steps.append(step)
+        return row_blocks(start, stop, step)
+
+    monkeypatch.setattr(model, "_row_blocks", spied)
+    model._root_map(sigma)(z)
+    assert z.tobytes() == want.tobytes()
+    assert steps == [rows]
 
 
 @pytest.mark.parametrize("block", [1, 5, 17, None])
@@ -286,9 +308,13 @@ def test_factor_taken_in_the_simulation_pass_is_the_panel_projection(monkeypatch
 
 THREAD_PROBE = """
 import hashlib
-from factormom.model import _simulate_raw, default_params, simulate
-r, e = _simulate_raw(default_params(), 65_537, 5)
-f = simulate(default_params(), 65_537, 5).factor.values
+import numpy as np
+from factormom.model import _path_blocks, default_params, simulate
+p = default_params()
+r, e = np.empty((65_537, p.n)), np.empty((65_537, p.n))
+for start, stop, _, block in _path_blocks(p, len(r), 5, r, innovations=True):
+    e[start:stop] = block
+f = simulate(p, 65_537, 5).factor.values
 print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (r, e, f)))
 """
 
@@ -916,7 +942,7 @@ def test_worker_count_moves_no_bit(monkeypatch, fine_switching, workers):
     for case, p in sorted(BLOCK_EDGE_PARAMS.items()):
         for length in (64, 65, 5 * 64 + 3):
             ref_r, ref_e = whole_array_raw(p, length, seed=length)
-            r, e = _simulate_raw(p, length, seed=length)
+            r, e = streamed_raw(p, length, seed=length)
             assert (r.tobytes(), e.tobytes()) == (ref_r.tobytes(), ref_e.tobytes()), (case, length)
 
 
@@ -1040,6 +1066,8 @@ STREAM_PARAMS = {
     "shipped": default_params(),
     "dense": make_params(n=4, alpha=0.5, rho=0.2, mu=[0.01, -0.02, 0.0, 0.03],
                          sigma=random_psd(4, 12), seed=13),
+    # numpy sums one column pairwise, where it adds wider rows in t order
+    "one asset": make_params(n=1, alpha=0.4, rho=0.2, mu=0.01),
 }
 
 
