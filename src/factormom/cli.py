@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import inspect
 import json
 import sys
@@ -33,6 +32,17 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, model, momentum, panel, riskpipe
+
+# The interpreter's own SHA-256, as the standard library's random module takes
+# its SHA-512: hashlib loads OpenSSL, which costs milliseconds of import and
+# megabytes of RSS for one hash per run.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,7 +87,7 @@ def _header(args, cfg: dict) -> dict:
     canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return {
         "command": args.cmd,
-        "config_hash": hashlib.sha256(canon.encode()).hexdigest()[:16],
+        "config_hash": sha256(canon.encode()).hexdigest()[:16],
         "seed": "none" if args.seed is None else args.seed,
     }
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -362,7 +363,7 @@ def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None 
     order, so no bit depends on the thread that draws them.
     """
     if tape is not None:  # first, so a length memory cannot hold fails here
-        tape.s = np.empty(length + 1)
+        tape.s = _path_array((length + 1,))
         tape.s[0] = params.factor_mean
     rng = np.random.default_rng(seed)
     transform = _root_map(params.sigma)
@@ -423,6 +424,17 @@ def _path_rows(T: int, burn_in: int) -> int:
     return length
 
 
+def _path_array(shape: tuple) -> np.ndarray:
+    """``np.empty(shape)`` for an array that grows with the path; one that
+    memory cannot hold is an input error naming T, not numpy's traceback."""
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        raise ParameterError(
+            f"'T' is too large: a path array of shape {shape} needs {8 * math.prod(shape)} "
+            "bytes, which cannot be allocated") from None
+
+
 @dataclass(frozen=True)
 class SimPath:
     """A simulated return panel with its factor series F_t = w'r_t."""
@@ -446,8 +458,8 @@ def simulate(
     views of the simulated arrays, so the burn-in rows stay allocated with
     them and nothing is copied.
     """
-    r = np.empty((_path_rows(T, burn_in), params.n))
-    f = np.empty(len(r))
+    r = _path_array((_path_rows(T, burn_in), params.n))
+    f = _path_array((len(r),))
     for start, stop, rows, _ in _path_blocks(params, len(r), seed, r):
         _project(rows, params.w, f[start:stop])  # while the block is in cache
     r.setflags(write=False)
@@ -619,7 +631,9 @@ def _within_3se(deviation, se) -> bool:
 class _ArrayRows:
     """The row source of a public estimator: its input read as a C-ordered
     (T, N) array, a series as one column, so no bit depends on its memory
-    order. Its one series is that array, and each batch window a slice of it."""
+    order. Its one series is that array. A batch window is a slice of it,
+    copied into the worker's own window when the walk writes its windows,
+    so the input is only ever read."""
 
     def __init__(self, values):
         x = np.asarray(values, float)
@@ -632,12 +646,17 @@ class _ArrayRows:
     def mean(self) -> np.ndarray:
         return self.x.mean(axis=0)
 
-    def reader(self, size: int, top: int) -> None:
-        return None
+    def reader(self, size: int, top: int, writes: bool) -> np.ndarray | None:
+        """One worker's buffer: a window if the walk writes its windows."""
+        return np.empty((size + top, self.N)) if writes else None
 
-    def windows(self, run, size, top, _):
+    def windows(self, run, size, top, window):
         for b in run:
-            yield b, (self.x[b * size : (b + 1) * size + top],)
+            rows = self.x[b * size : (b + 1) * size + top]
+            if window is not None:
+                window[:] = rows
+                rows = window
+            yield b, (rows,)
 
 
 class _Replay:
@@ -663,8 +682,9 @@ class _Replay:
     def mean(self) -> np.ndarray:
         return self.sums / self.T
 
-    def reader(self, size: int, top: int):
-        """One worker's buffers: a replayed block, a window and its F."""
+    def reader(self, size: int, top: int, writes: bool):
+        """One worker's buffers: a replayed block, a window and its F. The
+        window is the worker's own, so the walk may write it."""
         widest = max(hi - lo for lo, hi in self.tape.bounds)
         return np.empty((widest, self.N)), np.empty((size + top, self.N)), np.empty(size + top)
 
@@ -704,15 +724,18 @@ class _Replay:
 @dataclass(frozen=True)
 class _Moment:
     """One estimator of a batch walk: its lags (one or a sequence), the
-    series of the row source it reads, whether that series is centred on its
-    column mean, and its kernel. ``batch(rows, size, lags, buf, out)`` fills
-    ``out``, the batch's slot of an (n_batches, *slot(N, top)) array that
-    ``read_out(per_batch, lag)`` reads."""
+    series of the row source it reads, whether it reads that series centred
+    on its column mean, and its kernel. ``batch(rows, size, lags, scratch,
+    out)`` fills ``out``, the batch's slot of an (n_batches, *slot(N, top))
+    array that ``read_out(per_batch, lag)`` reads. ``rows`` is the window the
+    walk holds, which ``batch`` only reads; ``scratch(size, N)`` makes the
+    buffers that one worker's ``batch`` calls reuse, by default none."""
 
     k: object
     batch: object
     read_out: object
     slot: object
+    scratch: object = lambda size, N: None
     series: int = 0
     centre: bool = False
 
@@ -726,13 +749,20 @@ def _lead_lag_walk(source, moments: Sequence[_Moment], n_batches: int) -> list:
     checked to lie in [1, T). Lags of one batch size share a walk over
     windows of ``size + top`` rows at the group's top lag, and each moment
     reads the first ``size`` + its own top rows of a window, so each lag
-    reads the rows its own walk would, in order. ``rows`` is that window or,
-    with ``centre``, the window less the column mean in ``buf``, a
-    (size + top, N) array that one worker reuses.
+    reads the rows its own walk would, in order.
 
-    ``source`` gives the windows: :class:`_ArrayRows` for the public
-    estimators, :class:`_Replay` for a path that :func:`verify_model` never
-    holds. One column is walked on this thread: a pool costs it more than it
+    ``source`` gives the windows: :class:`_ArrayRows` slices of the public
+    estimators' input, :class:`_Replay` a path that :func:`verify_model`
+    never holds, redrawn into a window that one worker owns and reuses. A
+    worker holds one window and no centred copy: the uncentred moments read
+    a window first, then it is centred in place for the centred ones, its
+    last ``top`` rows, where the next window starts, kept aside and put back
+    afterwards. Subtracting the mean in place gives the bits of a centred
+    copy. A walk with a centred moment asks the source for windows it may
+    write, so :class:`_ArrayRows` then copies each slice into the worker's
+    window, and a caller's array is only ever read.
+
+    One column is walked on this thread: a pool costs it more than it
     saves. Otherwise each worker walks one contiguous run of batches into
     their own slots, so no bit depends on the worker count, with buffers
     made on this thread (from a pool thread's malloc arena they would raise
@@ -749,7 +779,7 @@ def _lead_lag_walk(source, moments: Sequence[_Moment], n_batches: int) -> list:
             if not 1 <= lag < T:
                 raise ParameterError(f"need 1 <= k < {T}, got {lag}")
             groups.setdefault(_batch_size(T - lag, n_batches), {}).setdefault(i, []).append(lag)
-    mean = source.mean() if any(m.centre for m in moments) else None
+    mean = source.mean() if any(m.centre for m in moments) else None  # of series 0
     parts = 1 if source.N == 1 else min(_workers(), n_batches)
     results = [{} for _ in moments]
     for size, members in groups.items():
@@ -758,21 +788,31 @@ def _lead_lag_walk(source, moments: Sequence[_Moment], n_batches: int) -> list:
         per_batch = {i: np.empty((n_batches, *moments[i].slot(source.widths[moments[i].series],
                                                                tops[i])))
                      for i in members}
-        buffers = [{i: np.empty((size + tops[i], source.widths[moments[i].series]))
+        plain = [i for i in members if not moments[i].centre]
+        centred = [i for i in members if moments[i].centre]
+        readers = [source.reader(size, top, bool(centred)) for _ in range(parts)]
+        scratch = [{i: moments[i].scratch(size, source.widths[moments[i].series])
                     for i in members} for _ in range(parts)]
-        readers = [source.reader(size, top) for _ in range(parts)]
+        tails = [np.empty((top, source.N)) if centred else None for _ in range(parts)]
 
-        def walk(run, buf, reader):  # runs before the loop moves on, so binds this group
+        def walk(run, reader, buf, tail):  # runs before the loop moves on, so binds this group
+            def read(i, series, b):
+                rows = series[moments[i].series][: size + tops[i]]
+                moments[i].batch(rows, size, members[i], buf[i], per_batch[i][b])
+
             for b, series in source.windows(run, size, top, reader):
-                for i, group in members.items():
-                    m = moments[i]
-                    rows = series[m.series][: size + tops[i]]
-                    if m.centre:
-                        rows = np.subtract(rows, mean, out=buf[i])
-                    m.batch(rows, size, group, buf[i], per_batch[i][b])
+                for i in plain:
+                    read(i, series, b)
+                if centred:
+                    window = series[0]  # the series the mean is of
+                    tail[:] = window[size:]
+                    window -= mean
+                    for i in centred:
+                        read(i, series, b)
+                    window[size:] = tail
 
-        _walk_runs(walk, range(n_batches), parts, buffers, readers)
-        del buffers, readers  # before the read-out makes its temporaries
+        _walk_runs(walk, range(n_batches), parts, readers, scratch, tails)
+        del readers, scratch, tails  # before the read-out makes its temporaries
         for i, group in members.items():
             for lag in group:
                 results[i][lag] = moments[i].read_out(per_batch[i], lag)
@@ -783,7 +823,7 @@ def _lead_lag_walk(source, moments: Sequence[_Moment], n_batches: int) -> list:
 def _autocovariance_moment(k, one_d: bool = False) -> _Moment:
     """:func:`sample_autocovariance` as a moment of the batch walk."""
 
-    def batch(xm, size, lags, buf, out):
+    def batch(xm, size, lags, scratch, out):
         N = xm.shape[1]
         leads = sliding_window_view(xm.reshape(-1)[N:], (len(xm) - size) * N)[::N]
         np.einsum("sj,sm->jm", xm[:size], leads, out=out)
@@ -799,19 +839,33 @@ def _autocovariance_moment(k, one_d: bool = False) -> _Moment:
 
 
 def _product_moment(k, series: int = 0) -> _Moment:
-    """:func:`stock_moment_mc` as a moment of the batch walk, on ``series``."""
+    """:func:`stock_moment_mc` as a moment of the batch walk, on ``series``.
 
-    def batch(window, size, lags, products, out):
+    A batch's row products are formed and summed per row in
+    :func:`_row_blocks` chunks into one (size,) vector of row sums, whose
+    mean is the batch's: each row is summed alone, and the mean is numpy's
+    pairwise sum over one contiguous vector, so the chunks move no bit of
+    the whole-window ``(x[lag:] * x[:-lag]).sum(axis=1).mean()``."""
+
+    def scratch(size, N):
+        widest = max(hi - lo for lo, hi in _row_blocks(0, size))
+        return np.empty((widest, N)), np.empty(size)
+
+    def batch(window, size, lags, scratch, out):
+        products, sums = scratch
         for lag in lags:
-            np.multiply(window[lag : lag + size], window[:size], out=products[:size])
-            out[lag - 1] = products[:size].sum(axis=1).mean()
+            for lo, hi in _row_blocks(0, size):
+                chunk = np.multiply(window[lag + lo : lag + hi], window[lo:hi],
+                                    out=products[: hi - lo])
+                np.add.reduce(chunk, axis=1, out=sums[lo:hi])
+            out[lag - 1] = sums.mean()
 
     def read_out(per_batch, lag):
         # a contiguous copy: numpy sums a 1-d vector pairwise, a column in order
         mean, se = _mean_se(per_batch[:, lag - 1].copy())
         return float(mean), float(se)
 
-    return _Moment(k, batch, read_out, lambda N, top: (top,), series)
+    return _Moment(k, batch, read_out, lambda N, top: (top,), scratch, series)
 
 
 def sample_autocovariance(
@@ -1110,7 +1164,7 @@ def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
     estimators.
     """
     tape, sums = _Tape(), None
-    column = np.empty((T, 1)) if params.n == 1 else None
+    column = _path_array((T, 1)) if params.n == 1 else None
     for start, stop, rows, _ in _path_blocks(params, _path_rows(T, burn_in), seed, tape=tape):
         kept = rows[max(burn_in - start, 0) :]
         if column is not None:
@@ -1118,6 +1172,7 @@ def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
         elif len(kept):
             sums = (np.add.reduce(kept, axis=0) if sums is None
                     else np.add.reduce(np.concatenate((sums[None], kept)), axis=0))
+    del rows, kept  # views of pass 1's ring of blocks, which pass 2 need not hold
     if column is not None:
         sums = np.add.reduce(column, axis=0)
     moments = [_autocovariance_moment(range(1, k_max + 1)),

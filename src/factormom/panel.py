@@ -574,7 +574,9 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
     held as NaN, so it formats as the token ``nan``, which is then deleted
     from the text of a chunk that holds one; no row key (an ISO date or a
     grid ``m``) and no formatted finite number contains that token. A hole
-    is thus written as an empty cell, and ``-0.0`` as ``0``.
+    is thus written as an empty cell, and ``-0.0`` as ``0``. The dates are
+    rendered, and the cells cleaned, one chunk at a time, so the writer
+    holds no whole-panel temporary.
     """
     if isinstance(obj, (ReturnPanel, NamedSeries)):
         cal = obj.calendar
@@ -590,15 +592,13 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
                     f"cannot write name {name!r}: CSV cells load stripped, so asset ids "
                     "and series names must be non-empty without surrounding whitespace"
                 )
-        columns, keys = ["date", *names], cal.labels
+        columns, keys = ["date", *names], cal  # a slice of a calendar renders its labels
         cells = obj.values.reshape(len(cal), len(names))
     elif hasattr(obj, "m_values") and hasattr(obj, "n_values"):
         columns = ["m", *(str(n) for n in obj.n_values)]
         keys, cells = [str(m) for m in obj.m_values], obj.cells
     else:
         raise PanelError(f"cannot emit object of type {type(obj).__name__}")
-    finite = np.isfinite(cells)
-    cells = np.where(finite, cells, np.nan) + 0.0  # + 0.0 turns -0.0 into 0.0
     # row keys (ISO dates, grid m) and formatted numbers never need quoting
     row = ",".join(["%s", *[_FLOAT_FMT] * (len(columns) - 1)]) + "\r\n"
     table = np.empty((_ROWS_PER_CALL, len(columns)), dtype=object)
@@ -606,11 +606,12 @@ def emit_csv(obj, path, header: dict | None = None) -> None:
     def chunks():
         for lo in range(0, len(keys), _ROWS_PER_CALL):
             hi = min(lo + _ROWS_PER_CALL, len(keys))
+            finite = np.isfinite(cells[lo:hi])
             chunk = table[: hi - lo]
             chunk[:, 0] = keys[lo:hi]
-            chunk[:, 1:] = cells[lo:hi]
+            chunk[:, 1:] = np.where(finite, cells[lo:hi], np.nan) + 0.0  # -0.0 becomes 0.0
             text = row * (hi - lo) % tuple(chunk.ravel().tolist())
-            yield text if finite[lo:hi].all() else text.replace("nan", "")
+            yield text if finite.all() else text.replace("nan", "")
 
     with open(path, "w", newline="") as fh:
         if header:

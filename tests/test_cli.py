@@ -763,6 +763,10 @@ def test_verify_bad_eq3_values_exit_2_before_simulating(tmp_path, capsys, change
     # a path longer than numpy can index is refused by name before any draw
     ("simulate", {"T": 10**400}, "T"),
     ("verify", {"T": 10**400}, "T"),
+    # and a path numpy can index but memory cannot hold is refused at its
+    # first allocation, which fails at once
+    ("simulate", {"T": 10**15}, "T"),
+    ("verify", {"T": 10**15}, "T"),
     # an integer past the float range is an input error, not an OverflowError
     ("simulate", {"T": 50, "params": {
         "N": 2, "alpha": 10**400, "w": [1, 1], "mu": [0, 0], "rho": 0.1,

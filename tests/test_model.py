@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pickle
@@ -373,6 +374,22 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_openssl():
+    # the config hash takes the interpreter's built-in SHA-256 where it has one
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    src = str(Path(factormom.__file__).resolve().parents[1])
+    probe = "import sys, factormom.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_pure_noise_limit_has_no_autocovariance():
     p = make_params(n=3, alpha=0.0, rho=0.0, mu=0.0)
     path = simulate(p, 200_000, seed=11)
@@ -589,6 +606,18 @@ def test_simulators_check_path_length_before_simulating(monkeypatch, simulator, 
     monkeypatch.setattr(model, "_ar1", None)
     with pytest.raises(ParameterError, match=message):
         SIMULATORS[simulator](**{"seed": 1, **kwargs})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate(make_params(), 10**15, seed=1),
+    lambda: verify_model(make_params(), seed=1, T=10**15),
+    lambda: model._simulated_moments(make_params(n=1), 10**15, 1, 3),
+], ids=["simulate", "verify", "one-asset moments"])
+def test_a_path_memory_cannot_hold_is_an_input_error(call):
+    # numpy refuses a petabyte array at once, before any page is touched
+    with pytest.raises(ParameterError, match=r"^'T' is too large: a path array of shape "
+                       r"\(1000000000000\d*, ?\d*\) needs \d+ bytes"):
+        call()
 
 
 def _cov_check(**kw):
@@ -1023,6 +1052,60 @@ def test_estimators_ignore_memory_order():
             assert estimator(series, k) == estimator(series.copy(), k)
 
 
+# A batch's row products are formed and summed in chunks of _BLOCK_ROWS rows,
+# a one-row tail joining the chunk before it; T = 2 size + 3 gives lag 1
+# batches of size + 1 rows and lags 2 and 3 batches of size rows, which share
+# one walk
+@pytest.mark.parametrize("N", [1, 20])
+@pytest.mark.parametrize("size", [model._BLOCK_ROWS - 1, model._BLOCK_ROWS,
+                                  model._BLOCK_ROWS + 1, 2 * model._BLOCK_ROWS + 1],
+                         ids=["B-1", "B", "B+1", "2B+1"])
+def test_chunked_row_products_keep_the_whole_window_bits(N, size):
+    x = np.random.default_rng(size + N).normal(0.1, 1.0, (2 * size + 3, N))
+    for k in (1, 2, 3):
+        assert stock_moment_mc(x, k, 2) == one_shot_stock_moment(x, k, 2), k
+    assert stock_moment_mc(x, [3, 1, 2], 2) == [one_shot_stock_moment(x, k, 2) for k in (3, 1, 2)]
+    if N == 1:
+        assert factor_moment_mc(x[:, 0], [1, 2, 3], 2) == [
+            one_shot_stock_moment(x, k, 2) for k in (1, 2, 3)]
+    # the kernel on one window, against the whole window's row sums
+    lags = [1, 2, 6]
+    window = x[: size + max(lags)]
+    moment = model._product_moment(lags)
+    out = np.empty(max(lags))
+    moment.batch(window, size, lags, moment.scratch(size, N), out)
+    for lag in lags:
+        whole = (window[lag : lag + size] * window[:size]).sum(axis=1).mean()
+        assert out[lag - 1].tobytes() == whole.tobytes(), lag
+
+
+# The walk centres a window in place, so a public estimator's input must
+# reach it as a copy: a read-only input would raise, a writable one change
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimators_leave_a_read_only_input_untouched(monkeypatch, workers):
+    monkeypatch.setattr(model, "_workers", lambda: workers)
+    n_batches = model.DEFAULT_BATCHES
+    x = np.random.default_rng(11).normal(0.3, 1.0, (3000, 4))
+    for values in (x, x[:, 1]):
+        frozen = values.copy()
+        frozen.setflags(write=False)
+        columns = frozen if frozen.ndim == 2 else frozen[:, None]
+        for k in (1, 3):
+            est, se = sample_autocovariance(frozen, k)
+            ref_est, ref_se = one_shot_autocovariance(columns, k, n_batches)
+            assert (np.asarray(est).tobytes(), np.asarray(se).tobytes()) == (
+                ref_est.tobytes(), ref_se.tobytes()), k
+            assert stock_moment_mc(frozen, k) == one_shot_stock_moment(columns, k, n_batches)
+        if frozen.ndim == 1:
+            assert factor_moment_mc(frozen, [1, 3]) == [
+                one_shot_stock_moment(columns, k, n_batches) for k in (1, 3)]
+        assert frozen.tobytes() == values.tobytes()
+    writable = x.copy()
+    sample_autocovariance(writable, [1, 2, 3])
+    stock_moment_mc(writable, [1, 2, 3])
+    assert writable.tobytes() == x.tobytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_verify_draws_its_path_once_and_replays_it_once(monkeypatch, workers):
     # the reconstruction draws its own path once and pass 1 the battery's;
@@ -1179,6 +1262,28 @@ def test_estimator_peak_is_one_window_per_worker(monkeypatch, workers):
         estimator(x, 1)  # warm up: the first call imports the thread pool
         peak = _traced_peak(lambda: estimator(x, 1))
         assert peak <= kept + workers * per_worker + window // 2, estimator.__name__
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_moments_peak_is_the_tape_and_one_window_per_worker(monkeypatch, workers):
+    # pass 1's ring of blocks is gone before the replay. Each worker then holds
+    # one batch window (centred in place, so no copy), one row chunk of
+    # products, its replayed block and one block-sized temporary of the
+    # replay's reversal or load; the slack covers the F window, the row-sum
+    # vectors, the tape's per-block records and numpy's ufunc buffers
+    monkeypatch.setattr(model, "_workers", lambda: workers)
+    p, T = default_params(), 200_000
+    model._simulated_moments(p, 20_000, 3, 3)  # warm up: the first call imports the pool
+    N, top, n_batches = p.n, model.VERIFY_FACTOR_K, model.DEFAULT_BATCHES
+    size = (T - 1) // n_batches
+    tape = (T + model.DEFAULT_BURN_IN + 1) * 8
+    slots = n_batches * N * 3 * N * 8  # the autocovariances' per-batch results
+    window = (size + top) * N * 8
+    chunk = min(size, model._BLOCK_ROWS) * N * 8
+    block = (model._BLOCK_ROWS + 1) * N * 8
+    per_worker = window + chunk + 2 * block
+    peak = _traced_peak(lambda: model._simulated_moments(p, T, 3, 3))
+    assert peak <= tape + slots + workers * (per_worker + 2**19), peak
 
 
 def test_monte_carlo_peak_memory_stays_near_one_panel():

@@ -333,6 +333,27 @@ def test_emit_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_emit_peak_memory_is_a_chunk_not_the_panel(tmp_path):
+    """Dates are rendered and cells cleaned one chunk of rows at a time, so
+    writing a gappy panel holds no whole-panel temporary."""
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((20_000, 20))
+    values[rng.random(values.shape) < 0.02] = np.nan
+    values[::97, 3] = -0.0
+    panel = ReturnPanel(Calendar.periods(len(values)), tuple(f"a{j:02d}" for j in range(20)),
+                        values)
+    emit_csv(panel, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emit_csv(panel, tmp_path / "p.csv")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+    assert peak <= 0.25 * values.nbytes, peak / values.nbytes
+
+
 def test_emit_header_comments_skipped_on_load(tmp_path):
     panel = make_panel([[0.01, 0.02]], dates=("2000-01",))
     path = tmp_path / "c.csv"
