@@ -17,7 +17,6 @@ Monte Carlo paths with batch-means standard errors.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -277,9 +276,13 @@ def _ar1(x: np.ndarray, coef: float, init: float) -> np.ndarray:
     """y_t = x_t + coef * y_{t-1} from y_{-1} = init, evaluated in order: one
     rounded multiply and one rounded add per step keep the pinned paths
     bit-identical, where a blocked or parallel scan would reassociate the sum."""
-    coef = float(coef)
-    steps = itertools.accumulate(x.tolist(), lambda y, xt: xt + coef * y, initial=float(init))
-    return np.fromiter(steps, np.float64, len(x) + 1)[1:]
+
+    def steps(y, coef=float(coef)):
+        for xt in x.tolist():
+            y = xt + coef * y
+            yield y
+
+    return np.fromiter(steps(float(init)), np.float64, len(x))
 
 
 def _row_blocks(start: int, stop: int, rows: int | None = None):
@@ -293,6 +296,19 @@ def _row_blocks(start: int, stop: int, rows: int | None = None):
         hi = stop if stop - start <= step + 1 else start + step
         yield start, hi
         start = hi
+
+
+def _block_count(length: int) -> int:
+    """How many blocks ``_row_blocks(0, length)`` yields, without walking
+    them: every block but the last is full, and the last takes one row more
+    rather than leave one alone."""
+    return max(1, -(-(length - 1) // max(_BLOCK_ROWS, 2)))
+
+
+def _chunks(rows: np.ndarray):
+    """Row bounds of chunks of a block that hold about numpy's ufunc buffer
+    of elements each, for the block's elementwise temporaries."""
+    return _row_blocks(0, len(rows), np.getbufsize() // rows.shape[1])
 
 
 def _project(values: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -314,9 +330,11 @@ def _project(values: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -
 
 def _reverse(rows: np.ndarray, rho: float, e_prev: np.ndarray | None) -> None:
     """eps_t = e_t - rho e_{t-1} in place on a block of innovations, e_prev
-    being the row before the block (None for the path's first block)."""
+    being the row before the block (None for the path's first block). The
+    chunks run from the last back, so each reads rows not yet updated."""
     if rho != 0.0:
-        rows[1:] -= rho * rows[:-1]  # the product is taken before the update
+        for lo, hi in reversed([*_chunks(rows[1:])]):
+            rows[lo + 1 : hi + 1] -= rho * rows[lo:hi]
         if e_prev is not None:
             rows[0] -= rho * e_prev
 
@@ -324,26 +342,25 @@ def _reverse(rows: np.ndarray, rho: float, e_prev: np.ndarray | None) -> None:
 def _add_load(rows: np.ndarray, params: ModelParams, s_prev: np.ndarray) -> None:
     """r_t = eps_t + mu + alpha s_{t-1} w in place, s_prev holding s_{t-1}."""
     rows += params.mu
-    rows += np.outer(s_prev, params.alpha * params.w)
+    for lo, hi in _chunks(rows):
+        rows[lo:hi] += np.outer(s_prev[lo:hi], params.alpha * params.w)
 
 
 @dataclass
 class _Tape:
-    """What a replay of a simulated path reads, recorded by
-    :func:`_path_blocks`: the row blocks, the bit generator's state before
-    each block's draw, each block's last innovation row (the next block's
-    reversal reads it), and the AR(1) factor state s with s[0] its start
-    value, so that rows [lo, hi) add the load s[lo:hi]. That is 8 bytes a
-    row, where the path is 8 N."""
+    """What resumes a path of :func:`_path_blocks` at its block b, recorded
+    by one walk of the whole path: ``states[b]``, the bit generator's state
+    before the block's draw, and ``carry[b]``, the innovation row before the
+    block (zeros before the first) and then the AR(1) state before it. That
+    is N + 1 floats and one state a block, where the path is N floats a row."""
 
-    bounds: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    e_last: list = field(default_factory=list)
-    s: np.ndarray | None = None
+    carry: np.ndarray | None = None
 
 
 def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None = None,
-                 innovations: bool = False, tape: _Tape | None = None):
+                 innovations: bool = False, tape: _Tape | None = None,
+                 since: int | None = None):
     """Yield ``(start, stop, rows, e)`` for each block of a path of ``length``
     rows started from the unconditional mean with e_{-1} = 0: ``rows`` holds
     the block's finished returns and ``e``, with ``innovations``, its
@@ -354,18 +371,28 @@ def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None 
     (:func:`_row_blocks`) that carries e_{t-1} and the AR(1) state across
     block edges, with x = eps'w by :func:`_project`: every row is
     bit-identical to the whole-array formulas at any block size and any BLAS
-    thread count. ``tape``, when given, records what :class:`_Replay` needs
-    to redraw any block.
+    thread count. ``tape``, when given, records every block's carry; with
+    ``since`` as well it is read instead, and the walk resumes the path at
+    the block that holds row ``since`` from that block's carry, whatever
+    ``seed`` is, so a resumed block is the path's own, bit for bit.
 
     One helper thread draws block b + 1's standard normals in place while
     this thread forms eps, projects and runs the AR(1) for block b, and
     while the caller reads it. The draws are one stream taken in block
     order, so no bit depends on the thread that draws them.
     """
-    if tape is not None:  # first, so a length memory cannot hold fails here
-        tape.s = _path_array((length + 1,))
-        tape.s[0] = params.factor_mean
+    record = tape is not None and since is None
+    if record:  # first, so a length memory cannot hold fails here
+        tape.carry = _path_array((_block_count(length), params.n + 1))
     rng = np.random.default_rng(seed)
+    blocks = _row_blocks(0, length)  # walked lazily, one block ahead
+    first, (start, stop) = 0, next(blocks)
+    state, e_last = params.factor_mean, None
+    if since is not None:  # resume at the block that holds row since
+        while stop <= since:
+            first, (start, stop) = first + 1, next(blocks)
+        rng.bit_generator.state = tape.states[first]
+        state, e_last = tape.carry[first, -1], (tape.carry[first, :-1] if first else None)
     transform = _root_map(params.sigma)
     widest = min(length, max(_BLOCK_ROWS, 2) + 1)  # a block takes at most one row more
     ring = np.empty((2, widest, params.n)) if out is None else None
@@ -375,22 +402,21 @@ def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None 
         return out[lo:hi] if ring is None else ring[b % 2, : hi - lo]
 
     def draw(b, lo, hi):
-        if tape is not None:
-            tape.bounds.append((lo, hi))
+        if record:
             tape.states.append(rng.bit_generator.state)
         return pool.submit(rng.standard_normal, out=slot(b, lo, hi))
 
-    blocks = _row_blocks(0, length)  # walked lazily, one block ahead
-    start, stop = next(blocks)
-    state, e_last = params.factor_mean, None
     with _pool(1) as pool:
-        drawn = draw(0, start, stop)
-        for b in itertools.count():
+        drawn = draw(first, start, stop)
+        for b in itertools.count(first):
             drawn.result()  # block b's innovations are in place
             ahead = next(blocks, None)
             if ahead is not None:
                 drawn = draw(b + 1, *ahead)
             rows = slot(b, start, stop)
+            if record:
+                tape.carry[b, :-1] = 0.0 if e_last is None else e_last
+                tape.carry[b, -1] = state
             transform(rows)
             e = None
             if innovations:
@@ -403,9 +429,6 @@ def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None 
             s = _ar1(x, params.a, state)
             _add_load(rows, params, np.concatenate(([state], s[:-1])))
             state = s[-1]
-            if tape is not None:
-                tape.e_last.append(e_last)
-                tape.s[start + 1 : stop + 1] = s
             yield start, stop, rows, e
             if ahead is None:
                 return
@@ -474,9 +497,10 @@ def simulate(
 
 def simulate_ar1(params: AR1Params, T: int, seed, burn_in: int = 100) -> np.ndarray:
     """Simulate an AR(1) factor path of length T, seeded, burn-in discarded."""
-    rng = np.random.default_rng(seed)
-    u = params.sigma_u * rng.standard_normal(_path_rows(T, burn_in))
-    x = (1.0 - params.rho) * params.mu + u
+    x = _path_array((_path_rows(T, burn_in),))
+    np.random.default_rng(seed).standard_normal(out=x)
+    x *= params.sigma_u
+    x += (1.0 - params.rho) * params.mu
     return _ar1(x, params.rho, params.mu)[burn_in:]
 
 
@@ -660,57 +684,39 @@ class _ArrayRows:
 
 
 class _Replay:
-    """The kept rows of a simulated path, redrawn block by block from its
-    :class:`_Tape`, as the row source of :func:`_lead_lag_walk`. Its two
+    """The kept rows of a simulated path, redrawn for each worker by
+    resuming :func:`_path_blocks` from its :class:`_Tape` at the first
+    block of the worker's run, as the row source of :func:`_lead_lag_walk`:
+    every row is the path's own, bit for bit, made by the same code. Its two
     series are the returns R and the factor F = R w, projected per window by
     :func:`_project`; ``sums`` are R's column sums, whose mean centres R.
-
-    A block is replayed by the operations of :func:`_path_blocks` in their
-    order: restore the bit generator's state, draw, map by the root, reverse
-    with the saved last row of the block before, add mu and the load of the
-    saved s. So every row is the path's own, bit for bit, with no call of
-    the GIL-holding :func:`_ar1`.
     """
 
-    def __init__(self, params: ModelParams, tape: _Tape, burn_in: int, sums: np.ndarray):
-        self.params, self.tape, self.burn_in, self.sums = params, tape, burn_in, sums
-        self.T, self.N = len(tape.s) - 1 - burn_in, params.n
+    def __init__(self, params: ModelParams, tape: _Tape, length: int, burn_in: int,
+                 sums: np.ndarray):
+        self.params, self.tape, self.length, self.burn_in, self.sums = (
+            params, tape, length, burn_in, sums)
+        self.T, self.N = length - burn_in, params.n
         self.widths = (self.N, 1)
-        self.transform = _root_map(params.sigma)
-        self.starts = [lo for lo, _ in tape.bounds]
 
     def mean(self) -> np.ndarray:
         return self.sums / self.T
 
     def reader(self, size: int, top: int, writes: bool):
-        """One worker's buffers: a replayed block, a window and its F. The
-        window is the worker's own, so the walk may write it."""
-        widest = max(hi - lo for lo, hi in self.tape.bounds)
-        return np.empty((widest, self.N)), np.empty((size + top, self.N)), np.empty(size + top)
-
-    def _rows(self, lo: int, hi: int, block: np.ndarray):
-        """The path's rows [lo, hi) in pieces, one replayed block each."""
-        tape, params = self.tape, self.params
-        rng = np.random.default_rng(0)
-        for b in range(bisect.bisect_right(self.starts, lo) - 1, len(tape.bounds)):
-            start, stop = tape.bounds[b]
-            if start >= hi:
-                return
-            rows = block[: stop - start]
-            rng.bit_generator.state = tape.states[b]
-            rng.standard_normal(out=rows)
-            self.transform(rows)
-            _reverse(rows, params.rho, tape.e_last[b - 1] if b else None)
-            _add_load(rows, params, tape.s[start:stop])
-            yield rows[max(lo - start, 0) : hi - start]
+        """One worker's buffers: a window and its F. The window is the
+        worker's own, so the walk may write it."""
+        return np.empty((size + top, self.N)), np.empty(size + top)
 
     def windows(self, run, size, top, buffers):
         """(b, (R window, F window)) for each batch b of ``run``, replaying the
         run's rows once; a window's last ``top`` rows start the next."""
-        block, window, factor = buffers
+        window, factor = buffers
         lo = self.burn_in + run[0] * size
+        hi = lo + len(run) * size + top
         filled, b = 0, run[0]
-        for piece in self._rows(lo, lo + len(run) * size + top, block):
+        for start, stop, rows, _ in _path_blocks(self.params, self.length, None,
+                                                 tape=self.tape, since=lo):
+            piece = rows[max(lo - start, 0) : hi - start]
             while len(piece):
                 take = min(len(piece), size + top - filled)
                 window[filled : filled + take] = piece[:take]
@@ -719,6 +725,8 @@ class _Replay:
                     yield b, (window, _project(window, self.params.w, factor)[:, None])
                     window[:top] = window[size:]
                     filled, b = top, b + 1
+            if stop >= hi:  # ask for no block past the run's rows
+                return
 
 
 @dataclass(frozen=True)
@@ -1051,7 +1059,9 @@ def momentum_covariance_check(
     size = _batch_size(T + 1, n_batches)
     rng_seed = np.random.default_rng(seed)
     f = simulate_ar1(factor, length, rng_seed, burn_in=0)
-    e = idio_vol * rng_seed.standard_normal((length, len(beta)))
+    e = _path_array((length, len(beta)))
+    rng_seed.standard_normal(out=e)
+    e *= idio_vol
     r = np.outer(f, beta) + e
 
     t0 = m + n - 1
@@ -1159,13 +1169,12 @@ def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
     :class:`_Tape` and adding the kept rows into R's column sums in t order,
     the order of ``R.mean(axis=0)``. One asset is the exception: numpy sums
     a one-column array pairwise, not in t order, so its kept column is held
-    (8 bytes a row, as the tape's s) and summed whole. Pass 2 replays the
-    path for one batch walk (:class:`_Replay`) that feeds all three
-    estimators.
+    (8 bytes a row) and summed whole. Pass 2 replays the path for one batch
+    walk (:class:`_Replay`) that feeds all three estimators.
     """
-    tape, sums = _Tape(), None
+    length, tape, sums = _path_rows(T, burn_in), _Tape(), None
     column = _path_array((T, 1)) if params.n == 1 else None
-    for start, stop, rows, _ in _path_blocks(params, _path_rows(T, burn_in), seed, tape=tape):
+    for start, stop, rows, _ in _path_blocks(params, length, seed, tape=tape):
         kept = rows[max(burn_in - start, 0) :]
         if column is not None:
             column[stop - burn_in - len(kept) : stop - burn_in] = kept
@@ -1178,7 +1187,7 @@ def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
     moments = [_autocovariance_moment(range(1, k_max + 1)),
                _product_moment(range(1, VERIFY_FACTOR_K + 1), series=1),
                _product_moment(range(1, VERIFY_STOCK_K + 1))]
-    return _lead_lag_walk(_Replay(params, tape, burn_in, sums), moments, DEFAULT_BATCHES)
+    return _lead_lag_walk(_Replay(params, tape, length, burn_in, sums), moments, DEFAULT_BATCHES)
 
 
 def verify_model(
@@ -1204,8 +1213,8 @@ def verify_model(
 
     The moments are those of the public estimators on ``simulate(params, T,
     seed)``, bit for bit, taken in two passes over the path's blocks (see
-    :func:`_simulated_moments`), so the peak memory is the AR(1) state of 8
-    bytes a row and a few batch windows, not the (T, N) panel.
+    :func:`_simulated_moments`), so the peak memory is a carry of N + 1
+    floats a block and a few batch windows, not the (T, N) panel.
 
     Raises :class:`ParameterError` before simulating anything when T leaves
     fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked.

@@ -767,6 +767,9 @@ def test_verify_bad_eq3_values_exit_2_before_simulating(tmp_path, capsys, change
     # first allocation, which fails at once
     ("simulate", {"T": 10**15}, "T"),
     ("verify", {"T": 10**15}, "T"),
+    ("verify", {"T": 2000, "eq3": {
+        "beta": [1, 0.8], "factor": {"rho": 0.0, "mu": 0.0, "sigma_u": 1.0}, "idio_vol": 1.0,
+        "m": 1, "n": 2, "T": 10**15, "seed": 3}}, "T"),
     # an integer past the float range is an input error, not an OverflowError
     ("simulate", {"T": 50, "params": {
         "N": 2, "alpha": 10**400, "w": [1, 1], "mu": [0, 0], "rho": 0.1,

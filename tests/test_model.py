@@ -608,15 +608,20 @@ def test_simulators_check_path_length_before_simulating(monkeypatch, simulator, 
         SIMULATORS[simulator](**{"seed": 1, **kwargs})
 
 
-@pytest.mark.parametrize("call", [
-    lambda: simulate(make_params(), 10**15, seed=1),
-    lambda: verify_model(make_params(), seed=1, T=10**15),
-    lambda: model._simulated_moments(make_params(n=1), 10**15, 1, 3),
-], ids=["simulate", "verify", "one-asset moments"])
-def test_a_path_memory_cannot_hold_is_an_input_error(call):
-    # numpy refuses a petabyte array at once, before any page is touched
+@pytest.mark.parametrize("call, shape", [
+    (lambda: simulate(make_params(), 10**15, seed=1), r"\(1000000000000500, 5\)"),
+    # the tape: one carry of N + 1 floats for each of 244,140,625,001 blocks
+    (lambda: verify_model(make_params(), seed=1, T=10**15), r"\(244140625001, 6\)"),
+    (lambda: model._simulated_moments(make_params(n=1), 10**15, 1, 3),
+     r"\(1000000000000000, 1\)"),
+    (lambda: simulate_ar1(AR1Params(0.5, 0.0, 1.0), 10**15, seed=1), r"\(1000000000000100,\)"),
+    (lambda: momentum_covariance_check(np.ones(2), AR1Params(0.5, 0.0, 1.0), 1.0, 1, 2,
+                                       10**15, seed=1), r"\(1000000000000103,\)"),
+], ids=["simulate", "verify", "one-asset moments", "simulate_ar1", "momentum_covariance_check"])
+def test_a_path_memory_cannot_hold_is_an_input_error(call, shape):
+    # numpy refuses a terabyte array at once, before any page is touched
     with pytest.raises(ParameterError, match=r"^'T' is too large: a path array of shape "
-                       r"\(1000000000000\d*, ?\d*\) needs \d+ bytes"):
+                       rf"{shape} needs \d+ bytes"):
         call()
 
 
@@ -1109,23 +1114,24 @@ def test_estimators_leave_a_read_only_input_untouched(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_verify_draws_its_path_once_and_replays_it_once(monkeypatch, workers):
     # the reconstruction draws its own path once and pass 1 the battery's;
-    # one replay then feeds all three estimators, each worker redrawing the
-    # blocks of its run of batches, so two workers may share one block
+    # one replay then feeds all three estimators, each worker resuming the
+    # path at the first block of its run of batches, so two workers may
+    # share one block
     monkeypatch.setattr(model, "_workers", lambda: workers)
     passes, replayed = [], []
-    path_blocks, replay_rows = model._path_blocks, model._Replay._rows
+    path_blocks = model._path_blocks
 
-    def counted_pass(params, length, seed, *args, **kwargs):
-        passes.append((length, seed))
-        return path_blocks(params, length, seed, *args, **kwargs)
+    def counted(params, length, seed, *args, since=None, **kwargs):
+        if since is None:
+            passes.append((length, seed))
+            yield from path_blocks(params, length, seed, *args, **kwargs)
+            return
+        starts = [start for start, _ in model._row_blocks(0, length)]
+        for block in path_blocks(params, length, seed, *args, since=since, **kwargs):
+            replayed.append(starts.index(block[0]))
+            yield block
 
-    def counted_replay(self, lo, hi, block):
-        replayed.extend(b for b, (start, stop) in enumerate(self.tape.bounds)
-                        if start < hi and stop > lo)
-        return replay_rows(self, lo, hi, block)
-
-    monkeypatch.setattr(model, "_path_blocks", counted_pass)
-    monkeypatch.setattr(model._Replay, "_rows", counted_replay)
+    monkeypatch.setattr(model, "_path_blocks", counted)
     verify_model(default_params(), seed=3, T=20_000)
     assert passes == [(200_500, 4), (20_500, 3)]
     # lags 1..6 all take batches of 199 rows: the walk reads rows 500 .. 500 +
@@ -1266,24 +1272,24 @@ def test_estimator_peak_is_one_window_per_worker(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_streamed_moments_peak_is_the_tape_and_one_window_per_worker(monkeypatch, workers):
-    # pass 1's ring of blocks is gone before the replay. Each worker then holds
-    # one batch window (centred in place, so no copy), one row chunk of
-    # products, its replayed block and one block-sized temporary of the
-    # replay's reversal or load; the slack covers the F window, the row-sum
-    # vectors, the tape's per-block records and numpy's ufunc buffers
+    # pass 1's ring of blocks is gone before the replay, and the tape is a
+    # carry a block, not a float a row. Each worker then holds one batch
+    # window (centred in place, so no copy), one row chunk of products and
+    # the two-block ring of its resumed path, whose temporaries are formed in
+    # row chunks; the slack covers the F window, the row-sum vectors, the
+    # tape, those chunks and numpy's ufunc buffers
     monkeypatch.setattr(model, "_workers", lambda: workers)
     p, T = default_params(), 200_000
     model._simulated_moments(p, 20_000, 3, 3)  # warm up: the first call imports the pool
     N, top, n_batches = p.n, model.VERIFY_FACTOR_K, model.DEFAULT_BATCHES
     size = (T - 1) // n_batches
-    tape = (T + model.DEFAULT_BURN_IN + 1) * 8
     slots = n_batches * N * 3 * N * 8  # the autocovariances' per-batch results
     window = (size + top) * N * 8
     chunk = min(size, model._BLOCK_ROWS) * N * 8
     block = (model._BLOCK_ROWS + 1) * N * 8
     per_worker = window + chunk + 2 * block
     peak = _traced_peak(lambda: model._simulated_moments(p, T, 3, 3))
-    assert peak <= tape + slots + workers * (per_worker + 2**19), peak
+    assert peak <= slots + workers * (per_worker + 2**19), peak
 
 
 def test_monte_carlo_peak_memory_stays_near_one_panel():
