@@ -358,18 +358,16 @@ class _Tape:
     carry: np.ndarray | None = None
 
 
-def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None = None,
-                 innovations: bool = False, tape: _Tape | None = None,
-                 since: int | None = None):
+def _path_blocks(params: ModelParams, length: int, seed, innovations: bool = False,
+                 tape: _Tape | None = None, since: int | None = None):
     """Yield ``(start, stop, rows, e)`` for each block of a path of ``length``
     rows started from the unconditional mean with e_{-1} = 0: ``rows`` holds
     the block's finished returns and ``e``, with ``innovations``, its
     innovations, else None. Both are valid until the next block is asked for.
 
-    The rows are drawn into ``out`` (length, N) in place when one is given,
-    else into a ring of two block buffers. One pass over row blocks
-    (:func:`_row_blocks`) that carries e_{t-1} and the AR(1) state across
-    block edges, with x = eps'w by :func:`_project`: every row is
+    The rows are drawn into a ring of two block buffers. One pass over row
+    blocks (:func:`_row_blocks`) that carries e_{t-1} and the AR(1) state
+    across block edges, with x = eps'w by :func:`_project`: every row is
     bit-identical to the whole-array formulas at any block size and any BLAS
     thread count. ``tape``, when given, records every block's carry; with
     ``since`` as well it is read instead, and the walk resumes the path at
@@ -395,16 +393,13 @@ def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None 
         state, e_last = tape.carry[first, -1], (tape.carry[first, :-1] if first else None)
     transform = _root_map(params.sigma)
     widest = min(length, max(_BLOCK_ROWS, 2) + 1)  # a block takes at most one row more
-    ring = np.empty((2, widest, params.n)) if out is None else None
+    ring = np.empty((2, widest, params.n))
     e_buf = np.empty((widest, params.n)) if innovations else None
-
-    def slot(b, lo, hi):
-        return out[lo:hi] if ring is None else ring[b % 2, : hi - lo]
 
     def draw(b, lo, hi):
         if record:
             tape.states.append(rng.bit_generator.state)
-        return pool.submit(rng.standard_normal, out=slot(b, lo, hi))
+        return pool.submit(rng.standard_normal, out=ring[b % 2, : hi - lo])
 
     with _pool(1) as pool:
         drawn = draw(first, start, stop)
@@ -413,7 +408,7 @@ def _path_blocks(params: ModelParams, length: int, seed, out: np.ndarray | None 
             ahead = next(blocks, None)
             if ahead is not None:
                 drawn = draw(b + 1, *ahead)
-            rows = slot(b, start, stop)
+            rows = ring[b % 2, : stop - start]
             if record:
                 tape.carry[b, :-1] = 0.0 if e_last is None else e_last
                 tape.carry[b, -1] = state
@@ -476,14 +471,14 @@ def simulate(
 
     Fully deterministic per seed: the same seed yields bit-identical paths,
     whatever the BLAS thread count, and the factor series is the fixed-order
-    projection :func:`_project` of the panel on w, taken block by block in
-    the simulation pass. The panel's and the factor's values are read-only
-    views of the simulated arrays, so the burn-in rows stay allocated with
-    them and nothing is copied.
+    projection :func:`_project` of the panel on w, taken from each block as
+    it is copied out of the stream. The panel's and the factor's values are
+    read-only views of the simulated arrays, burn-in rows included.
     """
     r = _path_array((_path_rows(T, burn_in), params.n))
     f = _path_array((len(r),))
-    for start, stop, rows, _ in _path_blocks(params, len(r), seed, r):
+    for start, stop, rows, _ in _path_blocks(params, len(r), seed):
+        r[start:stop] = rows
         _project(rows, params.w, f[start:stop])  # while the block is in cache
     r.setflags(write=False)
     f.setflags(write=False)
@@ -655,9 +650,9 @@ def _within_3se(deviation, se) -> bool:
 class _ArrayRows:
     """The row source of a public estimator: its input read as a C-ordered
     (T, N) array, a series as one column, so no bit depends on its memory
-    order. Its one series is that array. A batch window is a slice of it,
-    copied into the worker's own window when the walk writes its windows,
-    so the input is only ever read."""
+    order. A batch window is a slice of it, copied into the worker's own
+    window when the walk writes its windows, so the input is only ever
+    read."""
 
     def __init__(self, values):
         x = np.asarray(values, float)
@@ -665,7 +660,6 @@ class _ArrayRows:
             raise ParameterError(f"need a 1-d series or a (T, N) array, got {x.ndim} dimensions")
         self.x = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x)
         self.T, self.N = self.x.shape
-        self.widths = (self.N,)
 
     def mean(self) -> np.ndarray:
         return self.x.mean(axis=0)
@@ -680,16 +674,15 @@ class _ArrayRows:
             if window is not None:
                 window[:] = rows
                 rows = window
-            yield b, (rows,)
+            yield b, rows
 
 
 class _Replay:
     """The kept rows of a simulated path, redrawn for each worker by
     resuming :func:`_path_blocks` from its :class:`_Tape` at the first
     block of the worker's run, as the row source of :func:`_lead_lag_walk`:
-    every row is the path's own, bit for bit, made by the same code. Its two
-    series are the returns R and the factor F = R w, projected per window by
-    :func:`_project`; ``sums`` are R's column sums, whose mean centres R.
+    every row is the path's own, bit for bit, made by the same code.
+    ``sums`` are the column sums of the kept rows, whose mean centres them.
     """
 
     def __init__(self, params: ModelParams, tape: _Tape, length: int, burn_in: int,
@@ -697,20 +690,20 @@ class _Replay:
         self.params, self.tape, self.length, self.burn_in, self.sums = (
             params, tape, length, burn_in, sums)
         self.T, self.N = length - burn_in, params.n
-        self.widths = (self.N, 1)
 
     def mean(self) -> np.ndarray:
         return self.sums / self.T
 
     def reader(self, size: int, top: int, writes: bool):
-        """One worker's buffers: a window and its F. The window is the
-        worker's own, so the walk may write it."""
-        return np.empty((size + top, self.N)), np.empty(size + top)
+        """One worker's buffers: a window and its last ``top`` rows. The
+        window is the worker's own, so the walk may write it."""
+        return np.empty((size + top, self.N)), np.empty((top, self.N))
 
     def windows(self, run, size, top, buffers):
-        """(b, (R window, F window)) for each batch b of ``run``, replaying the
-        run's rows once; a window's last ``top`` rows start the next."""
-        window, factor = buffers
+        """(b, window) for each batch b of ``run``, replaying the run's rows
+        once. A window's last ``top`` rows start the next, so they are kept
+        aside while the walk reads, and maybe centres, the window."""
+        window, tail = buffers
         lo = self.burn_in + run[0] * size
         hi = lo + len(run) * size + top
         filled, b = 0, run[0]
@@ -722,8 +715,9 @@ class _Replay:
                 window[filled : filled + take] = piece[:take]
                 piece, filled = piece[take:], filled + take
                 if filled == size + top:
-                    yield b, (window, _project(window, self.params.w, factor)[:, None])
-                    window[:top] = window[size:]
+                    tail[:] = window[size:]
+                    yield b, window
+                    window[:top] = tail
                     filled, b = top, b + 1
             if stop >= hi:  # ask for no block past the run's rows
                 return
@@ -731,20 +725,19 @@ class _Replay:
 
 @dataclass(frozen=True)
 class _Moment:
-    """One estimator of a batch walk: its lags (one or a sequence), the
-    series of the row source it reads, whether it reads that series centred
-    on its column mean, and its kernel. ``batch(rows, size, lags, scratch,
-    out)`` fills ``out``, the batch's slot of an (n_batches, *slot(N, top))
-    array that ``read_out(per_batch, lag)`` reads. ``rows`` is the window the
-    walk holds, which ``batch`` only reads; ``scratch(size, N)`` makes the
-    buffers that one worker's ``batch`` calls reuse, by default none."""
+    """One estimator of a batch walk: its lags (one or a sequence), whether
+    it reads the windows centred on their column mean, and its kernel.
+    ``batch(rows, size, lags, scratch, out)`` fills ``out``, the batch's slot
+    of an (n_batches, *slot(N, top)) array that ``read_out(per_batch, lag)``
+    reads. ``rows`` is the window the walk holds, size + top rows, which
+    ``batch`` only reads; ``scratch(size, top, N)`` makes the buffers that
+    one worker's ``batch`` calls reuse, by default none."""
 
     k: object
     batch: object
     read_out: object
     slot: object
-    scratch: object = lambda size, N: None
-    series: int = 0
+    scratch: object = lambda size, top, N: None
     centre: bool = False
 
 
@@ -763,12 +756,12 @@ def _lead_lag_walk(source, moments: Sequence[_Moment], n_batches: int) -> list:
     estimators' input, :class:`_Replay` a path that :func:`verify_model`
     never holds, redrawn into a window that one worker owns and reuses. A
     worker holds one window and no centred copy: the uncentred moments read
-    a window first, then it is centred in place for the centred ones, its
-    last ``top`` rows, where the next window starts, kept aside and put back
-    afterwards. Subtracting the mean in place gives the bits of a centred
-    copy. A walk with a centred moment asks the source for windows it may
-    write, so :class:`_ArrayRows` then copies each slice into the worker's
-    window, and a caller's array is only ever read.
+    a window first, then it is centred in place for the centred ones.
+    Subtracting the mean in place gives the bits of a centred copy. A walk
+    with a centred moment asks the source for windows it may write, so
+    :class:`_ArrayRows` then copies each slice into the worker's window, and
+    a caller's array is only ever read; :class:`_Replay` keeps aside the
+    rows that start its next window.
 
     One column is walked on this thread: a pool costs it more than it
     saves. Otherwise each worker walks one contiguous run of batches into
@@ -787,40 +780,35 @@ def _lead_lag_walk(source, moments: Sequence[_Moment], n_batches: int) -> list:
             if not 1 <= lag < T:
                 raise ParameterError(f"need 1 <= k < {T}, got {lag}")
             groups.setdefault(_batch_size(T - lag, n_batches), {}).setdefault(i, []).append(lag)
-    mean = source.mean() if any(m.centre for m in moments) else None  # of series 0
+    mean = source.mean() if any(m.centre for m in moments) else None
     parts = 1 if source.N == 1 else min(_workers(), n_batches)
     results = [{} for _ in moments]
     for size, members in groups.items():
         tops = {i: max(group) for i, group in members.items()}
         top = max(tops.values())
-        per_batch = {i: np.empty((n_batches, *moments[i].slot(source.widths[moments[i].series],
-                                                               tops[i])))
+        per_batch = {i: np.empty((n_batches, *moments[i].slot(source.N, tops[i])))
                      for i in members}
         plain = [i for i in members if not moments[i].centre]
         centred = [i for i in members if moments[i].centre]
         readers = [source.reader(size, top, bool(centred)) for _ in range(parts)]
-        scratch = [{i: moments[i].scratch(size, source.widths[moments[i].series])
-                    for i in members} for _ in range(parts)]
-        tails = [np.empty((top, source.N)) if centred else None for _ in range(parts)]
+        scratch = [{i: moments[i].scratch(size, tops[i], source.N) for i in members}
+                   for _ in range(parts)]
 
-        def walk(run, reader, buf, tail):  # runs before the loop moves on, so binds this group
-            def read(i, series, b):
-                rows = series[moments[i].series][: size + tops[i]]
-                moments[i].batch(rows, size, members[i], buf[i], per_batch[i][b])
+        def walk(run, reader, buf):  # runs before the loop moves on, so binds this group
+            def read(i, window, b):
+                moments[i].batch(window[: size + tops[i]], size, members[i], buf[i],
+                                 per_batch[i][b])
 
-            for b, series in source.windows(run, size, top, reader):
+            for b, window in source.windows(run, size, top, reader):
                 for i in plain:
-                    read(i, series, b)
+                    read(i, window, b)
                 if centred:
-                    window = series[0]  # the series the mean is of
-                    tail[:] = window[size:]
                     window -= mean
                     for i in centred:
-                        read(i, series, b)
-                    window[size:] = tail
+                        read(i, window, b)
 
-        _walk_runs(walk, range(n_batches), parts, readers, scratch, tails)
-        del readers, scratch, tails  # before the read-out makes its temporaries
+        _walk_runs(walk, range(n_batches), parts, readers, scratch)
+        del readers, scratch  # before the read-out makes its temporaries
         for i, group in members.items():
             for lag in group:
                 results[i][lag] = moments[i].read_out(per_batch[i], lag)
@@ -846,8 +834,9 @@ def _autocovariance_moment(k, one_d: bool = False) -> _Moment:
     return _Moment(k, batch, read_out, lambda N, top: (N, top * N), centre=True)
 
 
-def _product_moment(k, series: int = 0) -> _Moment:
-    """:func:`stock_moment_mc` as a moment of the batch walk, on ``series``.
+def _product_moment(k, w: np.ndarray | None = None) -> _Moment:
+    """:func:`stock_moment_mc` as a moment of the batch walk; given ``w``,
+    on each window's one-column projection ``_project(window, w)``.
 
     A batch's row products are formed and summed per row in
     :func:`_row_blocks` chunks into one (size,) vector of row sums, whose
@@ -855,12 +844,15 @@ def _product_moment(k, series: int = 0) -> _Moment:
     pairwise sum over one contiguous vector, so the chunks move no bit of
     the whole-window ``(x[lag:] * x[:-lag]).sum(axis=1).mean()``."""
 
-    def scratch(size, N):
+    def scratch(size, top, N):
         widest = max(hi - lo for lo, hi in _row_blocks(0, size))
-        return np.empty((widest, N)), np.empty(size)
+        factor = None if w is None else np.empty(size + top)
+        return np.empty((widest, N if w is None else 1)), np.empty(size), factor
 
     def batch(window, size, lags, scratch, out):
-        products, sums = scratch
+        products, sums, factor = scratch
+        if w is not None:
+            window = _project(window, w, factor)[:, None]
         for lag in lags:
             for lo, hi in _row_blocks(0, size):
                 chunk = np.multiply(window[lag + lo : lag + hi], window[lo:hi],
@@ -873,7 +865,7 @@ def _product_moment(k, series: int = 0) -> _Moment:
         mean, se = _mean_se(per_batch[:, lag - 1].copy())
         return float(mean), float(se)
 
-    return _Moment(k, batch, read_out, lambda N, top: (top,), scratch, series)
+    return _Moment(k, batch, read_out, lambda N, top: (top,), scratch)
 
 
 def sample_autocovariance(
@@ -1167,8 +1159,9 @@ def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
 
     Pass 1 walks the path's blocks once into a ring of two, recording the
     :class:`_Tape` and adding the kept rows into R's column sums in t order,
-    the order of ``R.mean(axis=0)``. One asset is the exception: numpy sums
-    a one-column array pairwise, not in t order, so its kept column is held
+    the order of ``R.mean(axis=0)``, the running sum folded into each
+    block's first kept row. One asset is the exception: numpy sums a
+    one-column array pairwise, not in t order, so its kept column is held
     (8 bytes a row) and summed whole. Pass 2 replays the path for one batch
     walk (:class:`_Replay`) that feeds all three estimators.
     """
@@ -1179,13 +1172,14 @@ def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
         if column is not None:
             column[stop - burn_in - len(kept) : stop - burn_in] = kept
         elif len(kept):
-            sums = (np.add.reduce(kept, axis=0) if sums is None
-                    else np.add.reduce(np.concatenate((sums[None], kept)), axis=0))
+            if sums is not None:
+                kept[0] += sums
+            sums = np.add.reduce(kept, axis=0)
     del rows, kept  # views of pass 1's ring of blocks, which pass 2 need not hold
     if column is not None:
         sums = np.add.reduce(column, axis=0)
     moments = [_autocovariance_moment(range(1, k_max + 1)),
-               _product_moment(range(1, VERIFY_FACTOR_K + 1), series=1),
+               _product_moment(range(1, VERIFY_FACTOR_K + 1), params.w),
                _product_moment(range(1, VERIFY_STOCK_K + 1))]
     return _lead_lag_walk(_Replay(params, tape, length, burn_in, sums), moments, DEFAULT_BATCHES)
 
@@ -1229,10 +1223,11 @@ def verify_model(
             f"need T >= {k_top + DEFAULT_BATCHES}"
         )
     _path_rows(T, DEFAULT_BURN_IN)  # a T numpy cannot index stops here, before any draw
-    # each on its own path (reconstruction on seed + 1)
+    # each on its own path (reconstruction on seed + 1); a T too large for
+    # pass 1's carries stops before any draw
     cov = None if eq3 is None else momentum_covariance_check(**eq3)
-    recon = reconstruction_check(params, seed=seed + 1)
     autocov, factor, stock = _simulated_moments(params, T, seed, k_max)
+    recon = reconstruction_check(params, seed=seed + 1)
     omegas = autocovariance_matrices(params, max(k_max, VERIFY_FACTOR_K, VERIFY_STOCK_K))
 
     checks = _autocovariance_rows(params, autocov)

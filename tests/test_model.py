@@ -218,8 +218,8 @@ def test_simulators_match_lfilter_formulas_bit_for_bit():
 def streamed_raw(p, length, seed):
     """(r, e) of a path, gathered from the kernel's block stream."""
     r, e = np.empty((length, p.n)), np.empty((length, p.n))
-    for start, stop, _, e_block in model._path_blocks(p, length, seed, r, innovations=True):
-        e[start:stop] = e_block
+    for start, stop, rows, e_block in model._path_blocks(p, length, seed, innovations=True):
+        r[start:stop], e[start:stop] = rows, e_block
     return r, e
 
 
@@ -313,8 +313,8 @@ import numpy as np
 from factormom.model import _path_blocks, default_params, simulate
 p = default_params()
 r, e = np.empty((65_537, p.n)), np.empty((65_537, p.n))
-for start, stop, _, block in _path_blocks(p, len(r), 5, r, innovations=True):
-    e[start:stop] = block
+for start, stop, rows, block in _path_blocks(p, len(r), 5, innovations=True):
+    r[start:stop], e[start:stop] = rows, block
 f = simulate(p, 65_537, 5).factor.values
 print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (r, e, f)))
 """
@@ -1078,10 +1078,19 @@ def test_chunked_row_products_keep_the_whole_window_bits(N, size):
     window = x[: size + max(lags)]
     moment = model._product_moment(lags)
     out = np.empty(max(lags))
-    moment.batch(window, size, lags, moment.scratch(size, N), out)
+    moment.batch(window, size, lags, moment.scratch(size, max(lags), N), out)
     for lag in lags:
         whole = (window[lag : lag + size] * window[:size]).sum(axis=1).mean()
         assert out[lag - 1].tobytes() == whole.tobytes(), lag
+    # given w, the kernel projects its own window: the moment of that one column
+    w = np.random.default_rng(N).standard_normal(N)
+    factor = model._product_moment(lags, w)
+    got = np.empty(max(lags))
+    factor.batch(window, size, lags, factor.scratch(size, max(lags), N), got)
+    column = model._project(window, w)[:, None]
+    moment.batch(column, size, lags, moment.scratch(size, max(lags), 1), out)
+    for lag in lags:
+        assert got[lag - 1].tobytes() == out[lag - 1].tobytes(), lag
 
 
 # The walk centres a window in place, so a public estimator's input must
@@ -1113,7 +1122,7 @@ def test_estimators_leave_a_read_only_input_untouched(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_verify_draws_its_path_once_and_replays_it_once(monkeypatch, workers):
-    # the reconstruction draws its own path once and pass 1 the battery's;
+    # pass 1 draws the battery's path once, then the reconstruction its own;
     # one replay then feeds all three estimators, each worker resuming the
     # path at the first block of its run of batches, so two workers may
     # share one block
@@ -1133,13 +1142,28 @@ def test_verify_draws_its_path_once_and_replays_it_once(monkeypatch, workers):
 
     monkeypatch.setattr(model, "_path_blocks", counted)
     verify_model(default_params(), seed=3, T=20_000)
-    assert passes == [(200_500, 4), (20_500, 3)]
+    assert passes == [(20_500, 3), (200_500, 4)]
     # lags 1..6 all take batches of 199 rows: the walk reads rows 500 .. 500 +
     # 100 * 199 + 6 of the path, so its last block, rows 20,480 .., is not drawn
     needed = [b for b, (start, stop) in enumerate(model._row_blocks(0, 20_500))
               if start < 500 + 100 * 199 + 6 and stop > 500]
     assert set(replayed) == set(needed) and len(needed) == 5
     assert len(replayed) <= len(needed) + workers - 1
+
+
+def test_verify_refuses_a_huge_T_before_any_block_is_drawn(monkeypatch):
+    # pass 1 allocates its carries before the reconstruction draws its path
+    yielded, path_blocks = [], model._path_blocks
+
+    def counted(*args, **kwargs):
+        for block in path_blocks(*args, **kwargs):
+            yielded.append(block[:2])
+            yield block
+
+    monkeypatch.setattr(model, "_path_blocks", counted)
+    with pytest.raises(ParameterError, match="^'T' is too large"):
+        verify_model(default_params(), seed=1, T=10**15)
+    assert yielded == []
 
 
 def reference_moments(p, T, seed, burn_in, k_max):
@@ -1220,11 +1244,16 @@ def test_blockwise_sums_and_valid_convolutions_keep_the_whole_array_bits():
     # breaks either fails here first
     rng = np.random.default_rng(21)
     x = rng.standard_normal((200_500, 20))
-    sums = None
+    sums = folded = None
     for lo, hi in [(0, 500), *model._row_blocks(500, len(x))]:
         sums = (np.add.reduce(x[lo:hi], axis=0) if sums is None
                 else np.add.reduce(np.concatenate((sums[None], x[lo:hi])), axis=0))
+        block = x[lo:hi].copy()
+        if folded is not None:  # the running sum added into the block's first row
+            block[0] += folded
+        folded = np.add.reduce(block, axis=0)
     assert (sums / len(x)).tobytes() == x.mean(axis=0).tobytes()
+    assert folded.tobytes() == sums.tobytes()
     g, depth = rng.standard_normal(200_500), 200
     kernel = 0.6 ** np.arange(depth - 1)
     full = np.convolve(g, kernel)
@@ -1276,8 +1305,9 @@ def test_streamed_moments_peak_is_the_tape_and_one_window_per_worker(monkeypatch
     # carry a block, not a float a row. Each worker then holds one batch
     # window (centred in place, so no copy), one row chunk of products and
     # the two-block ring of its resumed path, whose temporaries are formed in
-    # row chunks; the slack covers the F window, the row-sum vectors, the
-    # tape, those chunks and numpy's ufunc buffers
+    # row chunks; the slack covers the factor moment's projection of the
+    # window, the rows kept aside for the next window, the row-sum vectors,
+    # the tape, those chunks and numpy's ufunc buffers
     monkeypatch.setattr(model, "_workers", lambda: workers)
     p, T = default_params(), 200_000
     model._simulated_moments(p, 20_000, 3, 3)  # warm up: the first call imports the pool
