@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import AR1Params, NonStationaryError
 from .momentum import signal
-from .panel import (Calendar, NamedSeries, ReturnPanel, _integer, _number, _pool, _walk_runs,
-                    _workers)
+from .panel import Calendar, NamedSeries, ReturnPanel, _integer, _number, _pool
 
 __all__ = [
     "AutocovarianceSet",
@@ -63,6 +62,11 @@ VERIFY_FACTOR_K = 6
 VERIFY_STOCK_K = 3
 # rows per block of every row-blocked kernel: 640 KB at N = 20, in cache
 _BLOCK_ROWS = 1 << 12
+# rows per piece of the moment accumulator's grid, cut from each batch edge
+# (see _LeadLag); set apart from _BLOCK_ROWS, so no moment bit follows it
+_GRID_ROWS = 1 << 10
+# leading rows whose mean shifts a series before its autocovariance products
+_SHIFT_ROWS = 1 << 10
 
 
 class ParameterError(ValueError):
@@ -258,10 +262,9 @@ def _root_map(sigma: np.ndarray):
     Up to 64 assets the gemm runs on sub-blocks of at most 2**18
     multiply-adds, at least 64 rows, which OpenBLAS keeps on the calling
     thread: a threaded gemm per block leaves its threads spinning against the
-    draw thread and the replay's workers. Past 64 assets such sub-blocks
-    would be smaller and each would read the whole root again, so a block
-    takes one gemm. A row's bits do not depend on the rows multiplied with
-    it (see :func:`_row_blocks`)."""
+    draw thread. Past 64 assets such sub-blocks would be smaller and each
+    would read the whole root again, so a block takes one gemm. A row's bits
+    do not depend on the rows multiplied with it (see :func:`_row_blocks`)."""
     root_t = _chol_psd(sigma).T
     step = (1 << 18) // len(root_t) ** 2
 
@@ -296,13 +299,6 @@ def _row_blocks(start: int, stop: int, rows: int | None = None):
         hi = stop if stop - start <= step + 1 else start + step
         yield start, hi
         start = hi
-
-
-def _block_count(length: int) -> int:
-    """How many blocks ``_row_blocks(0, length)`` yields, without walking
-    them: every block but the last is full, and the last takes one row more
-    rather than leave one alone."""
-    return max(1, -(-(length - 1) // max(_BLOCK_ROWS, 2)))
 
 
 def _chunks(rows: np.ndarray):
@@ -346,20 +342,7 @@ def _add_load(rows: np.ndarray, params: ModelParams, s_prev: np.ndarray) -> None
         rows[lo:hi] += np.outer(s_prev[lo:hi], params.alpha * params.w)
 
 
-@dataclass
-class _Tape:
-    """What resumes a path of :func:`_path_blocks` at its block b, recorded
-    by one walk of the whole path: ``states[b]``, the bit generator's state
-    before the block's draw, and ``carry[b]``, the innovation row before the
-    block (zeros before the first) and then the AR(1) state before it. That
-    is N + 1 floats and one state a block, where the path is N floats a row."""
-
-    states: list = field(default_factory=list)
-    carry: np.ndarray | None = None
-
-
-def _path_blocks(params: ModelParams, length: int, seed, innovations: bool = False,
-                 tape: _Tape | None = None, since: int | None = None):
+def _path_blocks(params: ModelParams, length: int, seed, innovations: bool = False):
     """Yield ``(start, stop, rows, e)`` for each block of a path of ``length``
     rows started from the unconditional mean with e_{-1} = 0: ``rows`` holds
     the block's finished returns and ``e``, with ``innovations``, its
@@ -369,49 +352,34 @@ def _path_blocks(params: ModelParams, length: int, seed, innovations: bool = Fal
     blocks (:func:`_row_blocks`) that carries e_{t-1} and the AR(1) state
     across block edges, with x = eps'w by :func:`_project`: every row is
     bit-identical to the whole-array formulas at any block size and any BLAS
-    thread count. ``tape``, when given, records every block's carry; with
-    ``since`` as well it is read instead, and the walk resumes the path at
-    the block that holds row ``since`` from that block's carry, whatever
-    ``seed`` is, so a resumed block is the path's own, bit for bit.
+    thread count. Each row is drawn once: a caller reads the path as it
+    passes, and nothing can resume it.
 
     One helper thread draws block b + 1's standard normals in place while
     this thread forms eps, projects and runs the AR(1) for block b, and
     while the caller reads it. The draws are one stream taken in block
     order, so no bit depends on the thread that draws them.
     """
-    record = tape is not None and since is None
-    if record:  # first, so a length memory cannot hold fails here
-        tape.carry = _path_array((_block_count(length), params.n + 1))
     rng = np.random.default_rng(seed)
     blocks = _row_blocks(0, length)  # walked lazily, one block ahead
-    first, (start, stop) = 0, next(blocks)
+    start, stop = next(blocks)
     state, e_last = params.factor_mean, None
-    if since is not None:  # resume at the block that holds row since
-        while stop <= since:
-            first, (start, stop) = first + 1, next(blocks)
-        rng.bit_generator.state = tape.states[first]
-        state, e_last = tape.carry[first, -1], (tape.carry[first, :-1] if first else None)
     transform = _root_map(params.sigma)
     widest = min(length, max(_BLOCK_ROWS, 2) + 1)  # a block takes at most one row more
     ring = np.empty((2, widest, params.n))
     e_buf = np.empty((widest, params.n)) if innovations else None
 
     def draw(b, lo, hi):
-        if record:
-            tape.states.append(rng.bit_generator.state)
         return pool.submit(rng.standard_normal, out=ring[b % 2, : hi - lo])
 
     with _pool(1) as pool:
-        drawn = draw(first, start, stop)
-        for b in itertools.count(first):
+        drawn = draw(0, start, stop)
+        for b in itertools.count():
             drawn.result()  # block b's innovations are in place
             ahead = next(blocks, None)
             if ahead is not None:
                 drawn = draw(b + 1, *ahead)
             rows = ring[b % 2, : stop - start]
-            if record:
-                tape.carry[b, :-1] = 0.0 if e_last is None else e_last
-                tape.carry[b, -1] = state
             transform(rows)
             e = None
             if innovations:
@@ -647,225 +615,227 @@ def _within_3se(deviation, se) -> bool:
     return bool(np.all(np.abs(deviation) <= 3.0 * se))
 
 
-class _ArrayRows:
-    """The row source of a public estimator: its input read as a C-ordered
-    (T, N) array, a series as one column, so no bit depends on its memory
-    order. A batch window is a slice of it, copied into the worker's own
-    window when the walk writes its windows, so the input is only ever
-    read."""
+@dataclass
+class _Group:
+    """The lags of one batch size in a :class:`_LeadLag`: ``lags[i]`` of its
+    moment i, each read with ``top`` rows after its lag rows, the moments'
+    sums, and the group's (batch, lo, hi) pieces, ``at`` the next to add."""
 
-    def __init__(self, values):
-        x = np.asarray(values, float)
-        if x.ndim not in (1, 2):
-            raise ParameterError(f"need a 1-d series or a (T, N) array, got {x.ndim} dimensions")
-        self.x = np.ascontiguousarray(x[:, None] if x.ndim == 1 else x)
-        self.T, self.N = self.x.shape
-
-    def mean(self) -> np.ndarray:
-        return self.x.mean(axis=0)
-
-    def reader(self, size: int, top: int, writes: bool) -> np.ndarray | None:
-        """One worker's buffer: a window if the walk writes its windows."""
-        return np.empty((size + top, self.N)) if writes else None
-
-    def windows(self, run, size, top, window):
-        for b in run:
-            rows = self.x[b * size : (b + 1) * size + top]
-            if window is not None:
-                window[:] = rows
-                rows = window
-            yield b, rows
+    size: int
+    lags: dict
+    top: int
+    sums: dict
+    pieces: object
+    at: tuple | None
 
 
-class _Replay:
-    """The kept rows of a simulated path, redrawn for each worker by
-    resuming :func:`_path_blocks` from its :class:`_Tape` at the first
-    block of the worker's run, as the row source of :func:`_lead_lag_walk`:
-    every row is the path's own, bit for bit, made by the same code.
-    ``sums`` are the column sums of the kept rows, whose mean centres them.
-    """
-
-    def __init__(self, params: ModelParams, tape: _Tape, length: int, burn_in: int,
-                 sums: np.ndarray):
-        self.params, self.tape, self.length, self.burn_in, self.sums = (
-            params, tape, length, burn_in, sums)
-        self.T, self.N = length - burn_in, params.n
-
-    def mean(self) -> np.ndarray:
-        return self.sums / self.T
-
-    def reader(self, size: int, top: int, writes: bool):
-        """One worker's buffers: a window and its last ``top`` rows. The
-        window is the worker's own, so the walk may write it."""
-        return np.empty((size + top, self.N)), np.empty((top, self.N))
-
-    def windows(self, run, size, top, buffers):
-        """(b, window) for each batch b of ``run``, replaying the run's rows
-        once. A window's last ``top`` rows start the next, so they are kept
-        aside while the walk reads, and maybe centres, the window."""
-        window, tail = buffers
-        lo = self.burn_in + run[0] * size
-        hi = lo + len(run) * size + top
-        filled, b = 0, run[0]
-        for start, stop, rows, _ in _path_blocks(self.params, self.length, None,
-                                                 tape=self.tape, since=lo):
-            piece = rows[max(lo - start, 0) : hi - start]
-            while len(piece):
-                take = min(len(piece), size + top - filled)
-                window[filled : filled + take] = piece[:take]
-                piece, filled = piece[take:], filled + take
-                if filled == size + top:
-                    tail[:] = window[size:]
-                    yield b, window
-                    window[:top] = tail
-                    filled, b = top, b + 1
-            if stop >= hi:  # ask for no block past the run's rows
-                return
+def _shift(lead: np.ndarray) -> np.ndarray:
+    """c of the shifted-data autocovariances: the column mean of a series'
+    first rows ``lead``. It lies near the series' mean, so the products of
+    x - c and their centring cancel no digits, whatever that mean is."""
+    return lead.mean(axis=0)
 
 
-@dataclass(frozen=True)
-class _Moment:
-    """One estimator of a batch walk: its lags (one or a sequence), whether
-    it reads the windows centred on their column mean, and its kernel.
-    ``batch(rows, size, lags, scratch, out)`` fills ``out``, the batch's slot
-    of an (n_batches, *slot(N, top)) array that ``read_out(per_batch, lag)``
-    reads. ``rows`` is the window the walk holds, size + top rows, which
-    ``batch`` only reads; ``scratch(size, top, N)`` makes the buffers that
-    one worker's ``batch`` calls reuse, by default none."""
-
-    k: object
-    batch: object
-    read_out: object
-    slot: object
-    scratch: object = lambda size, top, N: None
-    centre: bool = False
+def _pieces(size: int, n_batches: int):
+    """(b, lo, hi) of the pieces of batches of ``size`` rows, each batch cut
+    from its edge into :func:`_row_blocks` of ``_GRID_ROWS`` rows."""
+    for b in range(n_batches):
+        for lo, hi in _row_blocks(b * size, (b + 1) * size, _GRID_ROWS):
+            yield b, lo, hi
 
 
-def _lead_lag_walk(source, moments: Sequence[_Moment], n_batches: int) -> list:
-    """The one batch walk of the Monte Carlo moment estimators: for each of
-    ``moments``, a result per lag, in a list for a sequence of lags.
+class _LeadLag:
+    """The one accumulator of the Monte Carlo moment estimators. It takes
+    the T rows of a (T, N) series in blocks of any size, in t order
+    (:meth:`add`), and reads out (:meth:`result`) the ``autocov`` lags of
+    :func:`sample_autocovariance` and, for each ``(k, w)`` of ``products``,
+    the lags of :func:`stock_moment_mc` on the rows, or on their projection
+    ``_project(rows, w)`` when ``w`` is given.
 
     Every lag is read first, by the library's one integer rule
     (:func:`panel._integer`, ``lag k must be an integer, got 1.5``), then
-    checked to lie in [1, T). Lags of one batch size share a walk over
-    windows of ``size + top`` rows at the group's top lag, and each moment
-    reads the first ``size`` + its own top rows of a window, so each lag
-    reads the rows its own walk would, in order.
+    checked to lie in [1, T). Lags of one batch size form a group, whose
+    batch b pairs each row t in [b size, (b + 1) size) with row t + lag. The
+    accumulator keeps the rows it still needs across block edges and cuts
+    each group's batches, from their edges, into pieces of ``_GRID_ROWS``
+    rows (:func:`_row_blocks`), each read with the group's top lag of rows
+    after it, so no bit depends on the blocks the rows arrive in.
 
-    ``source`` gives the windows: :class:`_ArrayRows` slices of the public
-    estimators' input, :class:`_Replay` a path that :func:`verify_model`
-    never holds, redrawn into a window that one worker owns and reuses. A
-    worker holds one window and no centred copy: the uncentred moments read
-    a window first, then it is centred in place for the centred ones.
-    Subtracting the mean in place gives the bits of a centred copy. A walk
-    with a centred moment asks the source for windows it may write, so
-    :class:`_ArrayRows` then copies each slice into the worker's window, and
-    a caller's array is only ever read; :class:`_Replay` keeps aside the
-    rows that start its next window.
-
-    One column is walked on this thread: a pool costs it more than it
-    saves. Otherwise each worker walks one contiguous run of batches into
-    their own slots, so no bit depends on the worker count, with buffers
-    made on this thread (from a pool thread's malloc arena they would raise
-    the peak RSS). ``batch`` may call no public function (a tracer keeps one
-    span stack per process) nor rely on ``np.errstate``, which pool threads
-    do not inherit.
+    A product lag's piece adds each pair's row sum of products into the
+    lag's (size,) vector of row sums, allocated up front, whose pairwise
+    mean is the batch's: each row is summed alone, so the bits are those of
+    the whole-array ``(x[lag:] * x[:-lag]).sum(axis=1)``. The
+    autocovariances take the shifted data y = x - c, c the mean of the
+    first ``_SHIFT_ROWS`` rows (Chan, Golub & LeVeque 1983), formed once a
+    row as it arrives. One einsum of a piece's rows [y_t, 1] against the
+    next rows laid side by side, so lag k is column block k - 1, adds the
+    batch's uncentred products S_b, its lag-row and lead-row sums L_b and
+    M_b and its count. The mean ybar of y, summed on pieces of its own, then
+    centres each batch at the read-out: S_b - L_b ybar' - ybar M_b' + size
+    ybar ybar'. With c near the mean the correction is small, so nothing
+    cancels. No kernel calls BLAS, and only the buffers the moments use are
+    made: the rows and a piece's row products for the product moments, the
+    [y, 1] rows for the autocovariances.
     """
-    T = source.T
-    lag_sets = [[_integer(lag, "lag k", error=ParameterError)
-                 for lag in (m.k if np.ndim(m.k) else [m.k])] for m in moments]
-    groups = {}
-    for i, lags in enumerate(lag_sets):
-        for lag in lags:
-            if not 1 <= lag < T:
-                raise ParameterError(f"need 1 <= k < {T}, got {lag}")
-            groups.setdefault(_batch_size(T - lag, n_batches), {}).setdefault(i, []).append(lag)
-    mean = source.mean() if any(m.centre for m in moments) else None
-    parts = 1 if source.N == 1 else min(_workers(), n_batches)
-    results = [{} for _ in moments]
-    for size, members in groups.items():
-        tops = {i: max(group) for i, group in members.items()}
-        top = max(tops.values())
-        per_batch = {i: np.empty((n_batches, *moments[i].slot(source.N, tops[i])))
-                     for i in members}
-        plain = [i for i in members if not moments[i].centre]
-        centred = [i for i in members if moments[i].centre]
-        readers = [source.reader(size, top, bool(centred)) for _ in range(parts)]
-        scratch = [{i: moments[i].scratch(size, tops[i], source.N) for i in members}
-                   for _ in range(parts)]
 
-        def walk(run, reader, buf):  # runs before the loop moves on, so binds this group
-            def read(i, window, b):
-                moments[i].batch(window[: size + tops[i]], size, members[i], buf[i],
-                                 per_batch[i][b])
+    def __init__(self, T: int, N: int, n_batches: int, autocov=None, products=()):
+        self.moments = ([] if autocov is None else [(autocov, None, True)]) + [
+            (k, w, False) for k, w in products]
+        self.lag_sets = [[_integer(lag, "lag k", error=ParameterError)
+                          for lag in (k if np.ndim(k) else [k])] for k, _, _ in self.moments]
+        members = {}
+        for i, lags in enumerate(self.lag_sets):
+            for lag in lags:
+                if not 1 <= lag < T:
+                    raise ParameterError(f"need 1 <= k < {T}, got {lag}")
+                size = _batch_size(T - lag, n_batches)
+                members.setdefault(size, {}).setdefault(i, []).append(lag)
+        self.T, self.N, W = T, N, N + 1
+        self.groups = []
+        for size, lags in members.items():
+            sums = {i: np.zeros((n_batches, W, max(group) * W)) if self.moments[i][2]
+                    else (_path_array((len(group), size)), np.empty((len(group), n_batches)))
+                    for i, group in lags.items()}
+            pieces = _pieces(size, n_batches)
+            self.groups.append(_Group(size, lags, max(map(max, lags.values())), sums, pieces,
+                                      next(pieces)))
+        top = max((g.top for g in self.groups), default=0)
+        piece = max(_GRID_ROWS, 2) + 1  # the most rows a piece takes
+        centred = autocov is not None
+        self.lead = min(T, _SHIFT_ROWS) if centred else 0  # the rows c needs
+        # the shift's rows, then at least a row more than a piece and its leads
+        self.rows = min(T, max(self.lead, piece + top + 1))
+        self.base = self.filled = 0  # the buffers hold rows base .. base + filled
+        self.x = np.empty((self.rows, N)) if products else None
+        self.y = np.ones((self.rows, W)) if centred else None  # [x - c, 1]; x until c is known
+        # the [y, 1] rows after each row laid side by side, per top lag, so
+        # lag k is column block k - 1
+        self.leads = {max(g.lags[0]): sliding_window_view(
+            self.y.reshape(-1)[W:], max(g.lags[0]) * W)[::W]
+            for g in self.groups if centred and 0 in g.lags}
+        self.products = np.empty((min(T, piece), N)) if products else None  # of a piece
+        self.c, self.total = None, np.zeros(N)
+        self.summed = _row_blocks(0, T if centred else 0, _GRID_ROWS)  # ybar's pieces
+        self.sum_at = next(self.summed, None)
 
-            for b, window in source.windows(run, size, top, reader):
-                for i in plain:
-                    read(i, window, b)
-                if centred:
-                    window -= mean
-                    for i in centred:
-                        read(i, window, b)
+    def add(self, rows: np.ndarray) -> None:
+        """Take the series' next rows."""
+        while len(rows):
+            if self.filled == self.rows:
+                self._drop()
+            take = min(len(rows), self.rows - self.filled)
+            at = slice(self.filled, self.filled + take)
+            if self.x is not None:
+                self.x[at] = rows[:take]
+            if self.c is not None:
+                np.subtract(rows[:take], self.c, out=self.y[at, : self.N])
+            elif self.y is not None:
+                self.y[at, : self.N] = rows[:take]
+            self.filled += take
+            rows = rows[take:]
+            self._advance()
 
-        _walk_runs(walk, range(n_batches), parts, readers, scratch)
-        del readers, scratch  # before the read-out makes its temporaries
-        for i, group in members.items():
-            for lag in group:
-                results[i][lag] = moments[i].read_out(per_batch[i], lag)
-    out = [[found[lag] for lag in lags] for found, lags in zip(results, lag_sets)]
-    return [got if np.ndim(m.k) else got[0] for got, m in zip(out, moments)]
+    def _drop(self) -> None:
+        """Move the rows some piece still needs to the front of the buffers."""
+        needed = [g.at[1] for g in self.groups if g.at is not None]
+        if self.sum_at is not None:
+            needed.append(self.sum_at[0])
+        first = min(needed, default=self.base + self.filled) - self.base
+        for buf in (self.x, self.y):
+            if buf is not None:
+                buf[: self.filled - first] = buf[first : self.filled]
+        self.base += first
+        self.filled -= first
+
+    def _advance(self) -> None:
+        """Add every piece whose rows have all arrived, once c is known."""
+        have = self.base + self.filled
+        if have < self.lead:  # c is not known yet
+            return
+        if self.c is None and self.lead:
+            self.c = _shift(self.y[: self.lead, : self.N])
+            self.y[: self.filled, : self.N] -= self.c
+        while self.sum_at is not None and self.sum_at[1] <= have:
+            lo, hi = self.sum_at
+            self.total += np.add.reduce(self.y[lo - self.base : hi - self.base, : self.N], axis=0)
+            self.sum_at = next(self.summed, None)
+        for g in self.groups:
+            while g.at is not None and g.at[2] + g.top <= have:
+                self._piece(g, *g.at)
+                g.at = next(g.pieces, None)
+
+    def _piece(self, g: _Group, b: int, lo: int, hi: int) -> None:
+        """Add the pairs of rows lo .. hi of batch b to each moment of g."""
+        n, o = hi - lo, lo - self.base  # o: the piece's first row in the buffers
+        at = lo - b * g.size  # the piece's first pair in its batch
+        for i, lags in g.lags.items():
+            _, w, centred = self.moments[i]
+            if centred:
+                leads = self.leads[max(lags)]
+                g.sums[i][b] += np.einsum("sj,sm->jm", self.y[o : o + n], leads[o : o + n])
+                continue
+            sums, per_batch = g.sums[i]
+            rows = self.x[o : o + n + g.top]
+            x = rows if w is None else _project(rows, w)[:, None]
+            for j, lag in enumerate(lags):
+                products = np.multiply(x[lag : lag + n], x[:n],
+                                       out=self.products[:n, : x.shape[1]])
+                np.add.reduce(products, axis=1, out=sums[j, at : at + n])
+                if at + n == g.size:  # the batch is complete
+                    per_batch[j, b] = sums[j].mean()
+
+    def result(self) -> list:
+        """For each moment, its (estimate, se) per lag, in a list for a
+        sequence of lags: a pair of floats for a product moment."""
+        self.x = self.y = self.leads = self.products = None  # the read-out needs none
+        found = [{} for _ in self.moments]
+        for g in self.groups:
+            for i, lags in g.lags.items():
+                for j, lag in enumerate(lags):
+                    if lag in found[i]:
+                        continue  # a lag asked for twice: it is centred in place
+                    if self.moments[i][2]:
+                        found[i][lag] = self._autocovariance(g, i, lag)
+                    else:
+                        mean, se = _mean_se(g.sums[i][1][j])
+                        found[i][lag] = (float(mean), float(se))
+        out = [[found[i][lag] for lag in lags] for i, lags in enumerate(self.lag_sets)]
+        return [got if np.ndim(k) else got[0] for got, (k, _, _) in zip(out, self.moments)]
+
+    def _autocovariance(self, g: _Group, i: int, lag: int) -> tuple:
+        """(estimate, se) of the lag of autocovariance moment i, two (N, N)
+        matrices with estimate[i, j] pairing the lead at i with the lag at j:
+        each batch's sums of [y_t, 1] against [y_{t+lag}, 1] centred on ybar.
+        Each lag is read once, so it is centred in place in the sums, a batch
+        at a time, and its mean and SE are taken a row at a time: no
+        temporary holds all batches."""
+        N, W = self.N, self.N + 1
+        block = g.sums[i][:, :, (lag - 1) * W : lag * W]
+        s, lagged, lead = block[:, :N, :N], block[:, :N, N], block[:, N, :N]
+        ybar = self.total / self.T
+        square = g.size * np.outer(ybar, ybar)
+        for b, centred in enumerate(s):
+            centred -= lagged[b, :, None] * ybar
+            centred -= ybar[:, None] * lead[b]
+            centred += square
+            centred /= g.size
+        rows = [_mean_se(s[:, j]) for j in range(N)]  # the lag at j, by lead
+        return np.column_stack([m for m, _ in rows]), np.column_stack([e for _, e in rows])
 
 
-def _autocovariance_moment(k, one_d: bool = False) -> _Moment:
-    """:func:`sample_autocovariance` as a moment of the batch walk."""
-
-    def batch(xm, size, lags, scratch, out):
-        N = xm.shape[1]
-        leads = sliding_window_view(xm.reshape(-1)[N:], (len(xm) - size) * N)[::N]
-        np.einsum("sj,sm->jm", xm[:size], leads, out=out)
-        out /= size
-
-    def read_out(per_batch, lag):
-        N = per_batch.shape[1]
-        # per_batch[b, j, (lag - 1) N + i] pairs the lag at j with the lead at i
-        est, se = _mean_se(per_batch[:, :, (lag - 1) * N : lag * N])
-        return (float(est[0, 0]), float(se[0, 0])) if one_d else (est.T.copy(), se.T.copy())
-
-    return _Moment(k, batch, read_out, lambda N, top: (N, top * N), centre=True)
-
-
-def _product_moment(k, w: np.ndarray | None = None) -> _Moment:
-    """:func:`stock_moment_mc` as a moment of the batch walk; given ``w``,
-    on each window's one-column projection ``_project(window, w)``.
-
-    A batch's row products are formed and summed per row in
-    :func:`_row_blocks` chunks into one (size,) vector of row sums, whose
-    mean is the batch's: each row is summed alone, and the mean is numpy's
-    pairwise sum over one contiguous vector, so the chunks move no bit of
-    the whole-window ``(x[lag:] * x[:-lag]).sum(axis=1).mean()``."""
-
-    def scratch(size, top, N):
-        widest = max(hi - lo for lo, hi in _row_blocks(0, size))
-        factor = None if w is None else np.empty(size + top)
-        return np.empty((widest, N if w is None else 1)), np.empty(size), factor
-
-    def batch(window, size, lags, scratch, out):
-        products, sums, factor = scratch
-        if w is not None:
-            window = _project(window, w, factor)[:, None]
-        for lag in lags:
-            for lo, hi in _row_blocks(0, size):
-                chunk = np.multiply(window[lag + lo : lag + hi], window[lo:hi],
-                                    out=products[: hi - lo])
-                np.add.reduce(chunk, axis=1, out=sums[lo:hi])
-            out[lag - 1] = sums.mean()
-
-    def read_out(per_batch, lag):
-        # a contiguous copy: numpy sums a 1-d vector pairwise, a column in order
-        mean, se = _mean_se(per_batch[:, lag - 1].copy())
-        return float(mean), float(se)
-
-    return _Moment(k, batch, read_out, lambda N, top: (top,), scratch)
+def _array_moments(values, n_batches: int, **moments) -> list:
+    """:meth:`_LeadLag.result` on ``values``, a (T, N) array or a series as
+    one column, fed in :func:`_row_blocks`. Each block is copied into the
+    accumulator, so no bit depends on the input's memory order and the
+    input is only ever read."""
+    x = np.asarray(values, float)
+    if x.ndim not in (1, 2):
+        raise ParameterError(f"need a 1-d series or a (T, N) array, got {x.ndim} dimensions")
+    x = x[:, None] if x.ndim == 1 else x
+    moments = _LeadLag(len(x), x.shape[1], n_batches, **moments)
+    for lo, hi in _row_blocks(0, len(x)):
+        moments.add(x[lo:hi])
+    return moments.result()
 
 
 def sample_autocovariance(
@@ -878,13 +848,17 @@ def sample_autocovariance(
     matrices for a (T, N) input, oriented so estimate[i, j] pairs the lead
     at i with the lag at j. Given a sequence of lags for ``k``, it returns a
     list with one ``(estimate, se)`` per lag, each bit-identical to its own
-    call. Per centred window, one einsum pairs the lag rows with a read-only
-    view of the top rows after each, laid side by side, so lag k is column
-    block k - 1. Every element is still a sum in t order of separately
-    rounded products, so the layout moves no bit.
+    call. The products are those of the data shifted by the mean of its
+    first rows, centred per batch afterwards (see :class:`_LeadLag`).
     """
-    moment = _autocovariance_moment(k, np.ndim(values) == 1)
-    return _lead_lag_walk(_ArrayRows(values), [moment], n_batches)[0]
+    got = _array_moments(values, n_batches, autocov=k)[0]
+    if np.ndim(values) != 1:
+        return got
+
+    def scalar(moment):
+        return float(moment[0][0, 0]), float(moment[1][0, 0])
+
+    return [scalar(moment) for moment in got] if np.ndim(k) else scalar(got)
 
 
 def factor_moment_mc(
@@ -904,7 +878,7 @@ def stock_moment_mc(
     """Monte Carlo E[r_{t-k}' r_t] (uncentered) with batch-means SE, from
     each batch's mean row product sum. Takes a (T, N) panel or a series as
     one column, and one lag or a sequence as :func:`sample_autocovariance`."""
-    return _lead_lag_walk(_ArrayRows(return_values), [_product_moment(k)], n_batches)[0]
+    return _array_moments(return_values, n_batches, products=[(k, None)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1155,33 +1129,17 @@ def _simulated_moments(params: ModelParams, T: int, seed: int, k_max: int,
     ``simulate(params, T, seed, burn_in)``, with the bits of
     ``sample_autocovariance(R, 1..k_max)``, ``factor_moment_mc(F, 1..VERIFY_FACTOR_K)``
     and ``stock_moment_mc(R, 1..VERIFY_STOCK_K)``, in that order, without the
-    (T, N) array.
-
-    Pass 1 walks the path's blocks once into a ring of two, recording the
-    :class:`_Tape` and adding the kept rows into R's column sums in t order,
-    the order of ``R.mean(axis=0)``, the running sum folded into each
-    block's first kept row. One asset is the exception: numpy sums a
-    one-column array pairwise, not in t order, so its kept column is held
-    (8 bytes a row) and summed whole. Pass 2 replays the path for one batch
-    walk (:class:`_Replay`) that feeds all three estimators.
-    """
-    length, tape, sums = _path_rows(T, burn_in), _Tape(), None
-    column = _path_array((T, 1)) if params.n == 1 else None
-    for start, stop, rows, _ in _path_blocks(params, length, seed, tape=tape):
-        kept = rows[max(burn_in - start, 0) :]
-        if column is not None:
-            column[stop - burn_in - len(kept) : stop - burn_in] = kept
-        elif len(kept):
-            if sums is not None:
-                kept[0] += sums
-            sums = np.add.reduce(kept, axis=0)
-    del rows, kept  # views of pass 1's ring of blocks, which pass 2 need not hold
-    if column is not None:
-        sums = np.add.reduce(column, axis=0)
-    moments = [_autocovariance_moment(range(1, k_max + 1)),
-               _product_moment(range(1, VERIFY_FACTOR_K + 1), params.w),
-               _product_moment(range(1, VERIFY_STOCK_K + 1))]
-    return _lead_lag_walk(_Replay(params, tape, length, burn_in, sums), moments, DEFAULT_BATCHES)
+    (T, N) array: one :class:`_LeadLag`, allocated before any block is
+    drawn, takes the kept rows of each block of :func:`_path_blocks` as it
+    passes, so each row is drawn once."""
+    length = _path_rows(T, burn_in)
+    moments = _LeadLag(T, params.n, DEFAULT_BATCHES, autocov=range(1, k_max + 1),
+                       products=[(range(1, VERIFY_FACTOR_K + 1), params.w),
+                                 (range(1, VERIFY_STOCK_K + 1), None)])
+    for start, _, rows, _ in _path_blocks(params, length, seed):
+        moments.add(rows[max(burn_in - start, 0) :])
+    del rows  # a view of the path's ring of blocks, which the read-out need not hold
+    return moments.result()
 
 
 def verify_model(
@@ -1206,9 +1164,10 @@ def verify_model(
     argument checks fire before any large draw, and reports as the last row.
 
     The moments are those of the public estimators on ``simulate(params, T,
-    seed)``, bit for bit, taken in two passes over the path's blocks (see
-    :func:`_simulated_moments`), so the peak memory is a carry of N + 1
-    floats a block and a few batch windows, not the (T, N) panel.
+    seed)``, bit for bit, taken in one pass over the path's blocks (see
+    :func:`_simulated_moments`), so the peak memory is a few blocks and
+    pieces and the product moments' per-lag row sums of one batch, not the
+    (T, N) panel.
 
     Raises :class:`ParameterError` before simulating anything when T leaves
     fewer than ``DEFAULT_BATCHES`` observations at the largest lag checked.
@@ -1224,7 +1183,7 @@ def verify_model(
         )
     _path_rows(T, DEFAULT_BURN_IN)  # a T numpy cannot index stops here, before any draw
     # each on its own path (reconstruction on seed + 1); a T too large for
-    # pass 1's carries stops before any draw
+    # the moments' row sums stops before any draw
     cov = None if eq3 is None else momentum_covariance_check(**eq3)
     autocov, factor, stock = _simulated_moments(params, T, seed, k_max)
     recon = reconstruction_check(params, seed=seed + 1)

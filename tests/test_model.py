@@ -610,10 +610,10 @@ def test_simulators_check_path_length_before_simulating(monkeypatch, simulator, 
 
 @pytest.mark.parametrize("call, shape", [
     (lambda: simulate(make_params(), 10**15, seed=1), r"\(1000000000000500, 5\)"),
-    # the tape: one carry of N + 1 floats for each of 244,140,625,001 blocks
-    (lambda: verify_model(make_params(), seed=1, T=10**15), r"\(244140625001, 6\)"),
+    # the factor moment's row sums: one batch of 9,999,999,999,999 rows at each of 6 lags
+    (lambda: verify_model(make_params(), seed=1, T=10**15), r"\(6, 9999999999999\)"),
     (lambda: model._simulated_moments(make_params(n=1), 10**15, 1, 3),
-     r"\(1000000000000000, 1\)"),
+     r"\(6, 9999999999999\)"),
     (lambda: simulate_ar1(AR1Params(0.5, 0.0, 1.0), 10**15, seed=1), r"\(1000000000000100,\)"),
     (lambda: momentum_covariance_check(np.ones(2), AR1Params(0.5, 0.0, 1.0), 1.0, 1, 2,
                                        10**15, seed=1), r"\(1000000000000103,\)"),
@@ -676,7 +676,7 @@ MODEL_INTEGERS = {
 @pytest.mark.parametrize("case", MODEL_INTEGERS)
 @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), "2"], ids=["1.5", "float64", "str"])
 def test_integer_arguments_refuse_non_integers_before_simulating(monkeypatch, case, bad):
-    for name in ("_path_blocks", "_ar1", "_walk_runs", "simulate_ar1", "simulate",
+    for name in ("_path_blocks", "_ar1", "_row_blocks", "simulate_ar1", "simulate",
                  "reconstruction_check"):
         monkeypatch.setattr(model, name, None)
     what, _, call = MODEL_INTEGERS[case]
@@ -856,12 +856,29 @@ def test_sample_autocovariance_scalar_path():
 
 
 def one_shot_autocovariance(x, k, n_batches):
-    xm = x - x.mean(axis=0)
-    size = (len(x) - k) // n_batches
-    lead = xm[k:][: size * n_batches].reshape(n_batches, size, -1)
-    lag = xm[:-k][: size * n_batches].reshape(n_batches, size, -1)
-    per_batch = np.einsum("bti,btj->bij", lead, lag) / size
-    return per_batch.mean(axis=0), per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    """The shifted-data batch means on the whole array: y = x - c, c the
+    mean of the first _SHIFT_ROWS rows. Each batch sums the products of its
+    rows [y_t, 1] with [y_{t+k}, 1] over pieces of _GRID_ROWS rows cut from
+    its edge, and is then centred on the mean of y, itself summed over
+    pieces of _GRID_ROWS rows."""
+    T, N = x.shape
+    y = np.ones((T, N + 1))
+    y[:, :N] = x - x[: model._SHIFT_ROWS].mean(axis=0)
+    total = np.zeros(N)
+    for lo, hi in model._row_blocks(0, T, model._GRID_ROWS):
+        total += y[lo:hi, :N].sum(axis=0)
+    ybar = total / T
+    size = (T - k) // n_batches
+    sums = np.zeros((n_batches, N + 1, N + 1))
+    for b in range(n_batches):
+        for lo, hi in model._row_blocks(b * size, (b + 1) * size, model._GRID_ROWS):
+            sums[b] += np.einsum("sj,sm->jm", y[lo:hi], y[lo + k : hi + k])
+    s, lagged, lead = sums[:, :N, :N], sums[:, :N, N], sums[:, N, :N]
+    centred = (s - lagged[:, :, None] * ybar - ybar[:, None] * lead[:, None]
+               + size * np.outer(ybar, ybar))
+    per_batch = centred / size
+    est, se = per_batch.mean(axis=0), per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    return est.T, se.T
 
 
 def one_shot_stock_moment(r, k, n_batches):
@@ -871,12 +888,17 @@ def one_shot_stock_moment(r, k, n_batches):
     return per_batch.mean(), per_batch.std(ddof=1) / np.sqrt(n_batches)
 
 
-# The estimators walk batches, not row blocks: their bits must not depend on
-# _BLOCK_ROWS (block 1 gives one-row blocks; 5 and 17 split batches unevenly)
+# The estimators cut their batches on a grid of their own: their bits must
+# not depend on _BLOCK_ROWS, the blocks their input arrives in (block 1 gives
+# one-row blocks; 5 and 17 split batches unevenly), and follow the grid (4
+# cuts most batches into several pieces)
+@pytest.mark.parametrize("grid", [4, None])
 @pytest.mark.parametrize("block", [1, 5, 17, 1 << 16])
 @pytest.mark.parametrize("T, n_batches", [(60, 7), (230, 100)])
-def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_batches):
+def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_batches, grid):
     monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+    if grid is not None:
+        monkeypatch.setattr(model, "_GRID_ROWS", grid)
     x = np.random.default_rng(T).normal(0.1, 1.0, (T, 4))
     for k in range(1, T - n_batches + 1):
         est, se = sample_autocovariance(x, k, n_batches)
@@ -915,8 +937,8 @@ def test_estimator_blocks_bit_identical_to_one_shot(monkeypatch, block, T, n_bat
     for bad in (0, T, T + 5):
         with pytest.raises(ParameterError, match=f"^need 1 <= k < {T}, got {bad}$"):
             stock_moment_mc(x, bad, n_batches)
-    # a bad lag anywhere in the sequence is rejected before any batch is read
-    monkeypatch.setattr(model, "_walk_runs", None)
+    # a bad lag anywhere in the sequence is rejected before any row is read
+    monkeypatch.setattr(model, "_row_blocks", None)
     for values in (x, x[:, 0]):
         for bad, message in ((k, short), (0, "^need 1 <= k < "), (T, "^need 1 <= k < ")):
             for estimator in (sample_autocovariance, stock_moment_mc):
@@ -950,11 +972,13 @@ def fine_switching():
         sys.setswitchinterval(interval)
 
 
-# The estimators and the simulator overlap work across threads; the bits
-# must be those of the single-thread formulas at any worker count
-@pytest.mark.parametrize("workers", [1, 3])
-def test_worker_count_moves_no_bit(monkeypatch, fine_switching, workers):
-    monkeypatch.setattr(model, "_workers", lambda: workers)
+# The simulator draws ahead on a helper thread while the estimators take
+# its rows; the bits must be those of the single-thread formulas, on the
+# estimators' grid (3 cuts every batch into pieces) or any other
+@pytest.mark.parametrize("grid", [3, None])
+def test_grid_and_draw_ahead_move_no_bit(monkeypatch, fine_switching, grid):
+    if grid is not None:
+        monkeypatch.setattr(model, "_GRID_ROWS", grid)
     for T, n_batches in ((60, 7), (230, 100)):
         x = np.random.default_rng(T).normal(0.1, 1.0, (T, 4))
         lags = range(1, T - n_batches + 1)
@@ -980,17 +1004,19 @@ def test_worker_count_moves_no_bit(monkeypatch, fine_switching, workers):
             assert (r.tobytes(), e.tobytes()) == (ref_r.tobytes(), ref_e.tobytes()), (case, length)
 
 
-def test_verify_report_and_threads_do_not_depend_on_worker_count(monkeypatch, tmp_path, capsys):
+def test_verify_report_and_threads_do_not_depend_on_block_size(monkeypatch, tmp_path, capsys):
+    # the path's one draw-ahead thread is joined, and the report does not
+    # depend on the blocks the path arrives in
     reports = []
-    for workers in (1, 3):
-        monkeypatch.setattr(model, "_workers", lambda: workers)
-        out = tmp_path / str(workers)
+    for block in (64, model._BLOCK_ROWS):
+        monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+        out = tmp_path / str(block)
         code = cli.main(["--seed", "3", "--out-dir", str(out), "verify", "--T", "20000"])
         assert code in (0, 1), capsys.readouterr().err  # 1: a check failed, still reported
         reports.append((out / "verify.json").read_bytes())
         before = threading.active_count()
         verify_model(default_params(), seed=3, T=20_000)
-        assert threading.active_count() == before, workers  # every pool is joined
+        assert threading.active_count() == before, block  # every pool is joined
     assert b'"checks"' in reports[0]
     assert reports[0] == reports[1]
 
@@ -1057,13 +1083,51 @@ def test_estimators_ignore_memory_order():
             assert estimator(series, k) == estimator(series.copy(), k)
 
 
-# A batch's row products are formed and summed in chunks of _BLOCK_ROWS rows,
-# a one-row tail joining the chunk before it; T = 2 size + 3 gives lag 1
+def longdouble_autocovariance(x, k, n_batches):
+    """Batch means of centred lead-lag products in extended precision, two
+    passes: the corrected full-sample mean (the mean, plus the mean of the
+    residuals from it), then the products of the centred rows."""
+    xl = np.asarray(x, np.longdouble)
+    first = xl.mean(axis=0)
+    d = xl - (first + (xl - first).mean(axis=0))
+    size = (len(x) - k) // n_batches
+    used = size * n_batches
+    products = np.einsum("ti,tj->tij", d[k : k + used], d[:used])  # lead at i, lag at j
+    per_batch = products.reshape(n_batches, size, *products.shape[1:]).mean(axis=1)
+    return per_batch.mean(axis=0), per_batch.std(axis=0, ddof=1) / np.sqrt(n_batches)
+
+
+def test_shift_keeps_the_autocovariance_of_a_far_mean(monkeypatch):
+    # x = 1e6 + an AR(1) of sd 1: the raw products are 1e12, so centring them
+    # afterwards would cancel about twelve digits. Shifted by the mean of its
+    # first rows, each estimate keeps 1e-9 of the extended-precision two-pass
+    # reference; with the shift forced to 0 the same call misses that bound
+    rng = np.random.default_rng(31)
+    rho, e = 0.5, rng.standard_normal((20_000, 3))
+    x = np.empty_like(e)
+    x[0] = e[0]
+    for t in range(1, len(x)):
+        x[t] = rho * x[t - 1] + np.sqrt(1 - rho**2) * e[t]
+    x += 1e6
+    for values in (x, x[:, 0]):
+        columns = values.reshape(len(values), -1)
+        for k in (1, 2):
+            want = np.asarray(longdouble_autocovariance(columns, k, 100), float)
+            got = np.asarray(sample_autocovariance(values, k), float).reshape(want.shape)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0,
+                                       err_msg=f"{values.ndim}-d, k={k}")
+    monkeypatch.setattr(model, "_shift", lambda lead: np.zeros(lead.shape[1]))
+    assert not np.allclose(sample_autocovariance(x, 1), longdouble_autocovariance(x, 1, 100),
+                           rtol=1e-9, atol=0)
+
+
+# A batch's row products are formed and summed in pieces of _GRID_ROWS rows,
+# a one-row tail joining the piece before it; T = 2 size + 3 gives lag 1
 # batches of size + 1 rows and lags 2 and 3 batches of size rows, which share
-# one walk
+# one group
 @pytest.mark.parametrize("N", [1, 20])
-@pytest.mark.parametrize("size", [model._BLOCK_ROWS - 1, model._BLOCK_ROWS,
-                                  model._BLOCK_ROWS + 1, 2 * model._BLOCK_ROWS + 1],
+@pytest.mark.parametrize("size", [model._GRID_ROWS - 1, model._GRID_ROWS,
+                                  model._GRID_ROWS + 1, 2 * model._GRID_ROWS + 1],
                          ids=["B-1", "B", "B+1", "2B+1"])
 def test_chunked_row_products_keep_the_whole_window_bits(N, size):
     x = np.random.default_rng(size + N).normal(0.1, 1.0, (2 * size + 3, N))
@@ -1073,31 +1137,37 @@ def test_chunked_row_products_keep_the_whole_window_bits(N, size):
     if N == 1:
         assert factor_moment_mc(x[:, 0], [1, 2, 3], 2) == [
             one_shot_stock_moment(x, k, 2) for k in (1, 2, 3)]
-    # the kernel on one window, against the whole window's row sums
+    # given w, the accumulator projects each piece itself: the moment of the
+    # projected column, taken whole, with the rows fed in uneven blocks
     lags = [1, 2, 6]
-    window = x[: size + max(lags)]
-    moment = model._product_moment(lags)
-    out = np.empty(max(lags))
-    moment.batch(window, size, lags, moment.scratch(size, max(lags), N), out)
-    for lag in lags:
-        whole = (window[lag : lag + size] * window[:size]).sum(axis=1).mean()
-        assert out[lag - 1].tobytes() == whole.tobytes(), lag
-    # given w, the kernel projects its own window: the moment of that one column
     w = np.random.default_rng(N).standard_normal(N)
-    factor = model._product_moment(lags, w)
-    got = np.empty(max(lags))
-    factor.batch(window, size, lags, factor.scratch(size, max(lags), N), got)
-    column = model._project(window, w)[:, None]
-    moment.batch(column, size, lags, moment.scratch(size, max(lags), 1), out)
-    for lag in lags:
-        assert got[lag - 1].tobytes() == out[lag - 1].tobytes(), lag
+    factor = model._LeadLag(len(x), N, 2, products=[(lags, w)])
+    for lo in range(0, len(x), 1000):
+        factor.add(x[lo : lo + 1000])
+    column = model._project(x, w)
+    assert factor.result() == [[one_shot_stock_moment(column[:, None], k, 2) for k in lags]]
 
 
-# The walk centres a window in place, so a public estimator's input must
-# reach it as a copy: a read-only input would raise, a writable one change
-@pytest.mark.parametrize("workers", [1, 2])
-def test_estimators_leave_a_read_only_input_untouched(monkeypatch, workers):
-    monkeypatch.setattr(model, "_workers", lambda: workers)
+def test_a_lag_asked_for_twice_reads_as_its_own_call():
+    # the read-out centres an autocovariance lag in place in its sums, so a
+    # lag repeated in one call must be read once and reported twice
+    x = np.random.default_rng(12).normal(0.1, 1.0, (3_000, 3))
+    lags = [2, 1, 2]
+    for got, k in zip(sample_autocovariance(x, lags), lags):
+        est, se = sample_autocovariance(x, k)
+        assert (got[0].tobytes(), got[1].tobytes()) == (est.tobytes(), se.tobytes()), k
+    assert sample_autocovariance(x[:, 0], lags) == [sample_autocovariance(x[:, 0], k)
+                                                    for k in lags]
+    assert stock_moment_mc(x, lags) == [stock_moment_mc(x, k) for k in lags]
+
+
+# The accumulator copies each block of its input into a buffer of its own
+# and works there, so a read-only input must not raise and a writable one
+# must not change; on a grid of 5 rows, which cuts every batch, or the default
+@pytest.mark.parametrize("grid", [5, None])
+def test_estimators_leave_a_read_only_input_untouched(monkeypatch, grid):
+    if grid is not None:
+        monkeypatch.setattr(model, "_GRID_ROWS", grid)
     n_batches = model.DEFAULT_BATCHES
     x = np.random.default_rng(11).normal(0.3, 1.0, (3000, 4))
     for values in (x, x[:, 1]):
@@ -1120,39 +1190,30 @@ def test_estimators_leave_a_read_only_input_untouched(monkeypatch, workers):
     assert writable.tobytes() == x.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_verify_draws_its_path_once_and_replays_it_once(monkeypatch, workers):
-    # pass 1 draws the battery's path once, then the reconstruction its own;
-    # one replay then feeds all three estimators, each worker resuming the
-    # path at the first block of its run of batches, so two workers may
-    # share one block
-    monkeypatch.setattr(model, "_workers", lambda: workers)
-    passes, replayed = [], []
-    path_blocks = model._path_blocks
+@pytest.mark.parametrize("block", [64, None])
+def test_verify_draws_each_path_once(monkeypatch, block):
+    # the battery's path is drawn once, every block in order, and read as it
+    # passes; then the reconstruction draws its own. Nothing resumes a path
+    if block is not None:
+        monkeypatch.setattr(model, "_BLOCK_ROWS", block)
+    passes, path_blocks = [], model._path_blocks
 
-    def counted(params, length, seed, *args, since=None, **kwargs):
-        if since is None:
-            passes.append((length, seed))
-            yield from path_blocks(params, length, seed, *args, **kwargs)
-            return
+    def counted(params, length, seed, *args, **kwargs):
+        passes.append((length, seed, args, kwargs))
         starts = [start for start, _ in model._row_blocks(0, length)]
-        for block in path_blocks(params, length, seed, *args, since=since, **kwargs):
-            replayed.append(starts.index(block[0]))
-            yield block
+        for got in path_blocks(params, length, seed, *args, **kwargs):
+            assert got[0] == starts.pop(0)  # the next block, drawn once
+            yield got
+        assert starts == []
 
     monkeypatch.setattr(model, "_path_blocks", counted)
     verify_model(default_params(), seed=3, T=20_000)
-    assert passes == [(20_500, 3), (200_500, 4)]
-    # lags 1..6 all take batches of 199 rows: the walk reads rows 500 .. 500 +
-    # 100 * 199 + 6 of the path, so its last block, rows 20,480 .., is not drawn
-    needed = [b for b, (start, stop) in enumerate(model._row_blocks(0, 20_500))
-              if start < 500 + 100 * 199 + 6 and stop > 500]
-    assert set(replayed) == set(needed) and len(needed) == 5
-    assert len(replayed) <= len(needed) + workers - 1
+    assert passes == [(20_500, 3, (), {}), (200_500, 4, (), {"innovations": True})]
 
 
 def test_verify_refuses_a_huge_T_before_any_block_is_drawn(monkeypatch):
-    # pass 1 allocates its carries before the reconstruction draws its path
+    # the moments allocate their row sums before the battery's path, or the
+    # reconstruction's, draws a block
     yielded, path_blocks = [], model._path_blocks
 
     def counted(*args, **kwargs):
@@ -1185,14 +1246,15 @@ STREAM_PARAMS = {
 
 
 # T = 20,001 puts lag 1 in batches of 200 rows and lags 2..6 in batches of 199;
-# 3 workers are more threads than a 2-CPU host has
-@pytest.mark.parametrize("workers", [1, 2, 3])
+# a grid of 7 or 64 rows cuts each batch into pieces, the default takes it whole
+@pytest.mark.parametrize("grid", [7, 64, None])
 @pytest.mark.parametrize("block", [7, 64])
 @pytest.mark.parametrize("burn_in", [0, 500])
 @pytest.mark.parametrize("case", sorted(STREAM_PARAMS))
 def test_streamed_moments_are_the_public_estimators_bits(monkeypatch, fine_switching, case,
-                                                         burn_in, block, workers):
-    monkeypatch.setattr(model, "_workers", lambda: workers)
+                                                         burn_in, block, grid):
+    if grid is not None:
+        monkeypatch.setattr(model, "_GRID_ROWS", grid)
     monkeypatch.setattr(model, "_BLOCK_ROWS", block)
     p, T = STREAM_PARAMS[case], 20_001
     assert len({(T - k) // model.DEFAULT_BATCHES for k in range(1, 7)}) == 2
@@ -1282,52 +1344,69 @@ def test_estimators_peak_within_a_few_batches():
         assert _traced_peak(lambda: estimator(x, 1)) <= 8 * batch_bytes, estimator.__name__
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_estimator_peak_is_one_window_per_worker(monkeypatch, workers):
-    # each worker holds one batch window and at most one ufunc buffer; one
-    # that allocated a fresh centred window per batch would hold two at once
-    # while it replaced one, and break the half-window slack
-    monkeypatch.setattr(model, "_workers", lambda: workers)
+@pytest.mark.parametrize("grid", [64, None])
+def test_estimator_peak_stays_within_one_batch_window(monkeypatch, grid):
+    # the accumulator, its per-batch sums and its read-out cost no more than
+    # the per-batch results, one batch window of rows, one ufunc buffer and
+    # half a window of slack: nothing it holds grows with T / n_batches but
+    # the row sums of one batch
+    if grid is not None:
+        monkeypatch.setattr(model, "_GRID_ROWS", grid)
     x = np.random.default_rng(5).standard_normal((200_000, 20))
     n_batches, N = model.DEFAULT_BATCHES, x.shape[1]
     window = ((len(x) - 1) // n_batches + 1) * N * 8
-    per_worker = window + np.getbufsize() * 8
     per_batch = {sample_autocovariance: n_batches * N * N * 8, stock_moment_mc: n_batches * 8}
     for estimator, kept in per_batch.items():
-        estimator(x, 1)  # warm up: the first call imports the thread pool
+        estimator(x, 1)  # warm up
         peak = _traced_peak(lambda: estimator(x, 1))
-        assert peak <= kept + workers * per_worker + window // 2, estimator.__name__
+        bound = kept + window + np.getbufsize() * 8 + window // 2
+        assert peak <= bound, (estimator.__name__, peak, bound)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_streamed_moments_peak_is_the_tape_and_one_window_per_worker(monkeypatch, workers):
-    # pass 1's ring of blocks is gone before the replay, and the tape is a
-    # carry a block, not a float a row. Each worker then holds one batch
-    # window (centred in place, so no copy), one row chunk of products and
-    # the two-block ring of its resumed path, whose temporaries are formed in
-    # row chunks; the slack covers the factor moment's projection of the
-    # window, the rows kept aside for the next window, the row-sum vectors,
-    # the tape, those chunks and numpy's ufunc buffers
-    monkeypatch.setattr(model, "_workers", lambda: workers)
+@pytest.mark.parametrize("grid", [64, None])
+def test_streamed_moments_peak_stays_within_one_batch_window(monkeypatch, grid):
+    # one pass holds the path's ring of two blocks, the accumulator's rows and
+    # pieces, the autocovariances' per-batch sums and the 9 product lags' row
+    # sums of one batch. That must cost no more than the per-batch results,
+    # one batch window of rows, one block-sized chunk of products and the
+    # ring, with 2^19 bytes of slack for the path's per-block temporaries,
+    # formed in row chunks, and numpy's ufunc buffers
+    if grid is not None:
+        monkeypatch.setattr(model, "_GRID_ROWS", grid)
     p, T = default_params(), 200_000
-    model._simulated_moments(p, 20_000, 3, 3)  # warm up: the first call imports the pool
+    model._simulated_moments(p, 20_000, 3, 3)  # warm up
     N, top, n_batches = p.n, model.VERIFY_FACTOR_K, model.DEFAULT_BATCHES
     size = (T - 1) // n_batches
     slots = n_batches * N * 3 * N * 8  # the autocovariances' per-batch results
     window = (size + top) * N * 8
     chunk = min(size, model._BLOCK_ROWS) * N * 8
-    block = (model._BLOCK_ROWS + 1) * N * 8
-    per_worker = window + chunk + 2 * block
+    ring = 2 * (model._BLOCK_ROWS + 1) * N * 8
     peak = _traced_peak(lambda: model._simulated_moments(p, T, 3, 3))
-    assert peak <= slots + workers * (per_worker + 2**19), peak
+    bound = slots + window + chunk + ring + 2**19
+    assert peak <= bound, (peak, bound)
+
+
+def test_streamed_moments_peak_does_not_grow_with_T():
+    # ten times the path adds only the product lags' longer row sums of one
+    # batch: nothing else the pass holds grows with T
+    p, n_batches = default_params(), model.DEFAULT_BATCHES
+
+    def peak(T):
+        # the least of two calls: a table the interpreter grows once for the
+        # whole process (its interned strings, say) lands in one call only
+        return min(_traced_peak(lambda: model._simulated_moments(p, T, 3, 3)) for _ in range(2))
+
+    short, long = peak(100_000), peak(1_000_000)
+    size = (1_000_000 - model.VERIFY_FACTOR_K) // n_batches
+    assert long - short <= 9 * size * 8 + 2**19, (short, long)
 
 
 def test_monte_carlo_peak_memory_stays_near_one_panel():
     p, T = default_params(), 200_000
     panel_bytes = T * p.n * 8
     assert _traced_peak(lambda: simulate(p, T, seed=3)) <= 2.5 * panel_bytes
-    # verify never holds the panel: the AR(1) state of 8 bytes a row, a few
-    # blocks and batch windows
+    # verify never holds the panel: a few blocks and pieces, and the row
+    # sums of one batch
     assert _traced_peak(lambda: verify_model(p, seed=3, T=T)) <= panel_bytes / 3
 
 
